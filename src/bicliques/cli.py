@@ -93,7 +93,11 @@ def cmd_gen(args) -> int:
     if args.kind == "circulant":
         if args.distances is None:
             raise InputError("circulant needs --distances")
-        distances = [int(tok) for tok in args.distances.split(",") if tok]
+        try:
+            distances = [int(tok) for tok in args.distances.split(",") if tok]
+        except ValueError:
+            raise InputError("--distances must be comma-separated integers, "
+                             f"got {args.distances!r}") from None
         g = powers.circulant(args.n, distances)
     else:
         if args.k is None:
@@ -237,6 +241,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.k_from > args.k_to or args.n_from > args.n_to:
+        raise InputError(
+            f"empty sweep range: k {args.k_from}..{args.k_to}, "
+            f"n {args.n_from}..{args.n_to}")
     rows = []
     for k in range(args.k_from, args.k_to + 1):
         for n in range(args.n_from, args.n_to + 1):

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import InputError
+from .graphs import InputError, is_int
 from .powers import (
     cycle_bicliques,
     cycle_induced_p3s,
@@ -341,14 +341,15 @@ def colouring_from_dict(d: dict) -> Colouring:
     if not isinstance(d, dict) or "n" not in d or "colours" not in d:
         raise InputError('colouring object needs "n" and "colours" keys')
     colours = d["colours"]
-    if not (isinstance(colours, list)
-            and all(isinstance(c, int) for c in colours)):
+    if not (isinstance(colours, list) and all(is_int(c) for c in colours)):
         raise InputError('"colours" must be a list of integers')
+    if not is_int(d["n"]):
+        raise InputError('"n" must be an integer')
     if d["n"] != len(colours):
         raise InputError(
             f'"n" is {d["n"]} but {len(colours)} colours are listed')
     num = d.get("num_colours", (max(colours) + 1) if colours else 0)
-    if not isinstance(num, int):
+    if not is_int(num):
         raise InputError('"num_colours" must be an integer')
     return Colouring(tuple(colours), num)
 

@@ -20,6 +20,12 @@ class CapacityError(RuntimeError):
     """Request exceeds a named brute-force size cap."""
 
 
+def is_int(x) -> bool:
+    """True for an int that is not a bool.  JSON true/false load as bool,
+    a subclass of int, so a plain isinstance check would let them pass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def bits(mask: int):
     """Yield the set bit positions of mask in increasing order."""
     while mask:
@@ -135,50 +141,97 @@ def cb_sides(adj, smask: int):
     b = adj[v0] & smask
     if not b:
         return None
-    a = smask & ~b
-    for x in bits(a):
-        if adj[x] & smask != b:
+    a = smask ^ b
+    rest = a
+    while rest:
+        low = rest & -rest
+        if adj[low.bit_length() - 1] & smask != b:
             return None
-    for y in bits(b):
-        if adj[y] & smask != a:
+        rest ^= low
+    rest = b
+    while rest:
+        low = rest & -rest
+        if adj[low.bit_length() - 1] & smask != a:
             return None
+        rest ^= low
     return a, b
 
 
-def is_maximal_cb(adj, smask: int) -> bool:
-    """True if no single vertex extends smask to a larger complete bipartite
-    set.  Only neighbours of the set can extend it (an isolated addition is
-    never complete bipartite), so the scan is restricted to those."""
-    ext = 0
-    for v in bits(smask):
-        ext |= adj[v]
-    ext &= ~smask
-    for w in bits(ext):
-        if cb_sides(adj, smask | (1 << w)) is not None:
+def is_maximal_cb(adj, smask: int, sides=None) -> bool:
+    """True if no single vertex extends the complete bipartite set smask to a
+    larger complete bipartite set.  sides is cb_sides(adj, smask), computed
+    here when the caller does not already hold it.
+
+    smask is connected, so its bipartition (a, b) is forced, and a bipartition
+    of smask | w restricts to it: w joins side a or side b.  Joining a needs
+    N(w) & smask == b, joining b needs N(w) & smask == a, and either suffices.
+    Such a w is adjacent to the lowest vertex of b or of a, so only those two
+    neighbourhoods are scanned, one AND and compare per vertex.
+    """
+    if sides is None:
+        sides = cb_sides(adj, smask)
+        if sides is None:
+            raise ValueError("maximality test needs a complete bipartite set")
+    a, b = sides
+    ext = (adj[(a & -a).bit_length() - 1]
+           | adj[(b & -b).bit_length() - 1]) & ~smask
+    while ext:
+        low = ext & -ext
+        seen = adj[low.bit_length() - 1] & smask
+        if seen == a or seen == b:
             return False
+        ext ^= low
     return True
 
 
 def is_star_set(adj, smask: int) -> bool:
     """True if smask induces a star K_{1,q} with q >= 1: some centre adjacent
-    to every other vertex, the rest pairwise non-adjacent."""
-    for c in bits(smask):
-        cbit = 1 << c
-        rest = smask ^ cbit
-        if rest and adj[c] & smask == rest:
-            if all(adj[x] & smask == cbit for x in bits(rest)):
-                return True
-    return False
+    to every other vertex, the rest pairwise non-adjacent.
+
+    The lowest vertex v0 is either a centre (adjacent to all the others) or
+    a leaf, whose one neighbour in the set is then the only possible centre.
+    """
+    low = smask & -smask
+    nb = adj[low.bit_length() - 1] & smask
+    if nb and nb == smask ^ low:
+        centre, leaves = low, nb
+    elif nb and nb & (nb - 1) == 0:
+        centre, leaves = nb, smask ^ nb
+    else:
+        return False
+    while leaves:
+        leaf = leaves & -leaves
+        if adj[leaf.bit_length() - 1] & smask != centre:
+            return False
+        leaves ^= leaf
+    return True
 
 
 def is_maximal_star(adj, smask: int) -> bool:
-    ext = 0
-    for v in bits(smask):
-        ext |= adj[v]
-    ext &= ~smask
-    for w in bits(ext):
-        if is_star_set(adj, smask | (1 << w)):
+    """True if no single vertex extends the star smask (is_star_set holds)
+    to a larger star.
+
+    A vertex w cannot be the centre of smask | w, since smask has an edge
+    between two would-be leaves; so w is a leaf of a centre c of smask, and
+    N(w) & smask == {c}.  With three or more vertices the centre is unique;
+    an edge has both endpoints as possible centres.
+    """
+    low = smask & -smask
+    nb = adj[low.bit_length() - 1] & smask
+    if nb & (nb - 1):        # v0 has two neighbours: it is the centre
+        centres = low
+    elif nb == smask ^ low:  # an edge: either end can be the centre
+        centres = smask
+    else:                    # v0 is a leaf of the centre nb
+        centres = nb
+    ext = (adj[(centres & -centres).bit_length() - 1]
+           | adj[centres.bit_length() - 1]) & ~smask
+    while ext:
+        low = ext & -ext
+        seen = adj[low.bit_length() - 1] & smask
+        if seen & centres and seen & (seen - 1) == 0:
             return False
+        ext ^= low
     return True
 
 
@@ -256,7 +309,7 @@ def graph_from_dict(d: dict) -> Graph:
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise InputError('graph object needs "n" and "edges" keys')
     n = d["n"]
-    if not isinstance(n, int):
+    if not is_int(n):
         raise InputError('"n" must be an integer')
     edges = d["edges"]
     if not isinstance(edges, list):
@@ -264,7 +317,7 @@ def graph_from_dict(d: dict) -> Graph:
     pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2
-                and all(isinstance(x, int) for x in e)):
+                and all(is_int(x) for x in e)):
             raise InputError(f"malformed edge entry {e!r}")
         pairs.append((e[0], e[1]))
     label = d.get("label")

@@ -19,6 +19,7 @@ from .graphs import (
     InputError,
     bits,
     cb_sides,
+    induced_shape,
     is_maximal_cb,
     is_maximal_star,
     is_star_set,
@@ -27,6 +28,11 @@ from .powers import Biclique, cyclic_reach
 
 SUBSET_SCAN_CAP = 22  # 2^22 subset scans still finish in minutes
 SEARCH_CAP = 14       # exact chromatic backtracking
+# Graphs whose scan results stay cached.  verify_colouring followed by
+# exact_chromatic on the same graph needs one entry; a few more cover
+# callers that alternate between graphs.  The bound keeps a long-lived
+# process from holding every graph it has seen.
+CACHE_GRAPHS = 16
 
 
 def _check_scan_cap(g: Graph) -> None:
@@ -35,19 +41,20 @@ def _check_scan_cap(g: Graph) -> None:
             f"subset scan is capped at n <= {SUBSET_SCAN_CAP}, got n={g.n}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_GRAPHS)
 def _maximal_cb_masks(g: Graph) -> tuple[int, ...]:
     adj = g.adj
     out = []
     for m in range(3, 1 << g.n):
         if m.bit_count() < 2:
             continue
-        if cb_sides(adj, m) is not None and is_maximal_cb(adj, m):
+        sides = cb_sides(adj, m)
+        if sides is not None and is_maximal_cb(adj, m, sides):
             out.append(m)
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_GRAPHS)
 def _maximal_star_masks(g: Graph) -> tuple[int, ...]:
     adj = g.adj
     out = []
@@ -76,8 +83,6 @@ def maximal_stars(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _shape(g: Graph, m: int) -> str:
-    from .graphs import induced_shape
-
     return induced_shape(g, tuple(bits(m)))
 
 
@@ -167,7 +172,7 @@ def exact_chromatic(g: Graph, mode: str = "biclique") -> tuple[int, Colouring]:
 # ---------------------------------------------------------------------------
 # monochromatic-P3 and block analysis
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_GRAPHS)
 def _induced_p3s_with_reach(g: Graph) -> tuple[tuple[tuple[int, int, int], int], ...]:
     """Sorted induced P3 triples with cyclic reach (sum of the two edge
     reaches about the centre), computed with g.n as the cycle length.

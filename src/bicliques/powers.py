@@ -7,6 +7,13 @@ The enumerators below generate candidate sets from index arithmetic and then
 filter each one with explicit complete-bipartite and maximality checks
 against the host graph, so a wrong candidate range cannot produce a wrong
 answer, only a missing one (the oracle tests cover that direction).
+
+Both checks are one pass over a few neighbourhoods.  A complete bipartite
+set with an edge is connected, so its bipartition is forced (the side away
+from the lowest vertex is that vertex's neighbourhood in the set), and any
+extension by one vertex w keeps it: w extends the set exactly when its
+neighbourhood in the set is one whole side.  Likewise w extends a star
+exactly when its only neighbour in the set is a centre.
 """
 
 from __future__ import annotations
@@ -178,7 +185,8 @@ def _cycle_c4_candidates(n: int, k: int) -> set[tuple[int, ...]]:
 def _filter_maximal_cb(g: Graph, masks) -> list[tuple[int, ...]]:
     out = []
     for m in masks:
-        if cb_sides(g.adj, m) is not None and is_maximal_cb(g.adj, m):
+        sides = cb_sides(g.adj, m)
+        if sides is not None and is_maximal_cb(g.adj, m, sides):
             out.append(tuple(bits(m)))
     out.sort()
     return out

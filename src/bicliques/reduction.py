@@ -259,7 +259,8 @@ def biclique_containment(g: Graph, v_prime):
         smask = 0
         for idx in bits(m):
             smask |= vp_bits[idx]
-        if cb_sides(g.adj, smask) is None or not is_maximal_cb(g.adj, smask):
+        sides = cb_sides(g.adj, smask)
+        if sides is None or not is_maximal_cb(g.adj, smask, sides):
             continue
         vs = tuple(bits(smask))
         if best is None or vs < best:

@@ -34,6 +34,8 @@ def test_gen_circulant(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     assert read_graph(out).adj == powers.circulant(9, [1, 3]).adj
     assert main(["gen", "circulant", "--n", "9", "--out", str(out)]) == EXIT_INPUT
+    assert main(["gen", "circulant", "--n", "13", "--distances", "1,x",
+                 "--out", str(out)]) == EXIT_INPUT
     assert main(["gen", "path", "--n", "9", "--out", str(out)]) == EXIT_INPUT
 
 
@@ -152,6 +154,10 @@ def test_verify_input_errors_and_capacity(tmp_path, capsys):
     write_graph(Graph(23, (0,) * 23), big)
     col.write_text(json.dumps({"n": 23, "colours": [0] * 23}))
     assert main(["verify", str(big), str(col)]) == EXIT_CAPACITY
+
+    graph.write_text(json.dumps({"n": True, "edges": []}))
+    col.write_text(json.dumps({"n": 1, "colours": [0]}))
+    assert main(["verify", str(graph), str(col)]) == EXIT_INPUT
     capsys.readouterr()
 
 
@@ -247,6 +253,13 @@ def test_sweep_csv(tmp_path):
         assert int(row["value"]) == result.value
         if result.ab is not None:
             assert row["certificate"] == f"a={result.ab.a};b={result.ab.b}"
+
+    empty = tmp_path / "empty.csv"
+    for k_to, n_to in ((2, 20), (3, 10)):
+        assert main(["sweep", "--kind", "cycle", "--k-from", "3",
+                     "--k-to", str(k_to), "--n-from", "11",
+                     "--n-to", str(n_to), "--out", str(empty)]) == EXIT_INPUT
+    assert not empty.exists()
 
 
 def test_sweep_stdout(capsys):

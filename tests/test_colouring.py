@@ -241,6 +241,11 @@ def test_colouring_serialization(tmp_path):
         colouring_from_dict({"n": 3, "colours": [0, 0]})
     with pytest.raises(InputError):
         colouring_from_dict({"n": 2, "colours": [0, "x"]})
+    for d in ({"n": 2, "colours": [True, False]},
+              {"n": True, "colours": [0]},
+              {"n": 2, "colours": [0, 1], "num_colours": True}):
+        with pytest.raises(InputError):
+            colouring_from_dict(d)
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  broken\n}")
     with pytest.raises(InputError) as exc:

@@ -14,6 +14,7 @@ from bicliques.graphs import (
     Graph,
     InputError,
     bits,
+    cb_sides,
     contains_induced_c4,
     contains_k4,
     graph_from_dict,
@@ -21,6 +22,9 @@ from bicliques.graphs import (
     induced_shape,
     induced_subgraph,
     is_complete_bipartite,
+    is_maximal_cb,
+    is_maximal_star,
+    is_star_set,
     mask_of,
     read_graph,
     vertex_set,
@@ -109,6 +113,28 @@ def test_is_complete_bipartite_examples():
         is_complete_bipartite(p, (2,))
 
 
+@given(support.graph_strategy(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_maximality_kernels_match_extension_scan(g):
+    """Maximal means no single outside vertex gives a larger complete
+    bipartite set (star), decided here by the independent loop checkers."""
+    for r in range(2, g.n + 1):
+        for vs in combinations(range(g.n), r):
+            m = mask_of(vs)
+            outside = [w for w in range(g.n) if w not in vs]
+            if support.bfs_complete_bipartite(g, vs) is not None:
+                expect = not any(
+                    support.bfs_complete_bipartite(g, vs + (w,)) is not None
+                    for w in outside)
+                assert is_maximal_cb(g.adj, m, cb_sides(g.adj, m)) == expect
+                assert is_maximal_cb(g.adj, m) == expect
+            star = support.is_star_by_loops(g, vs)
+            assert is_star_set(g.adj, m) == star
+            if star:
+                assert is_maximal_star(g.adj, m) == (not any(
+                    support.is_star_by_loops(g, vs + (w,)) for w in outside))
+
+
 def _k4_by_permutations(g):
     for quad in combinations(range(g.n), 4):
         if all(g.has_edge(a, b) for a, b in combinations(quad, 2)):
@@ -189,6 +215,9 @@ def test_read_graph_error_reporting(tmp_path):
     missing.write_text(json.dumps({"edges": []}))
     with pytest.raises(InputError):
         read_graph(missing)
+    for d in ({"n": True, "edges": []}, {"n": 3, "edges": [[0, True]]}):
+        with pytest.raises(InputError):
+            graph_from_dict(d)
 
 
 def test_write_dot_palette_and_colours():
