@@ -13,7 +13,6 @@ import json
 import re
 import sys
 
-from . import colouring as colouring_mod
 from . import oracle, powers, reduction
 from .colouring import (
     ChromaticResult,
@@ -28,6 +27,7 @@ from .graphs import (
     CapacityError,
     Graph,
     InputError,
+    graph_to_dict,
     read_graph,
     write_dot,
     write_graph,
@@ -41,23 +41,15 @@ EXIT_CAPACITY = 3
 _POWER_LABEL = re.compile(r"^([PC])_(\d+)\^(\d+)$")
 
 
-def _chromatic_result(kind: str, n: int, k: int, mode: str) -> ChromaticResult:
-    table = {
-        ("path", "biclique"): biclique_colour_path,
-        ("cycle", "biclique"): biclique_colour_cycle,
-        ("path", "star"): star_colour_path,
-        ("cycle", "star"): star_colour_cycle,
-    }
-    return table[(kind, mode)](n, k)
-
-
-def _closed_form_sets(kind: str, n: int, k: int, mode: str):
-    if mode == "biclique":
-        fam = powers.path_bicliques(n, k) if kind == "path" \
-            else powers.cycle_bicliques(n, k)
-        return [b.vertices for b in fam]
-    return powers.path_stars(n, k) if kind == "path" \
-        else powers.cycle_stars(n, k)
+def _closed_form(kind: str, mode: str):
+    """(constructor, family) of the power of a path or cycle in a mode.  The
+    constructor checks its colouring against this family before returning."""
+    return {
+        ("path", "biclique"): (biclique_colour_path, powers.path_bicliques),
+        ("cycle", "biclique"): (biclique_colour_cycle, powers.cycle_bicliques),
+        ("path", "star"): (star_colour_path, powers.path_stars),
+        ("cycle", "star"): (star_colour_cycle, powers.cycle_stars),
+    }[(kind, mode)]
 
 
 def _power_graph_params(g: Graph):
@@ -72,8 +64,7 @@ def _power_graph_params(g: Graph):
     n, k = int(m.group(2)), int(m.group(3))
     if n != g.n:
         return None
-    regen = powers.power_path(n, k) if kind == "path" else powers.power_cycle(n, k)
-    if regen.adj != g.adj:
+    if powers.power_graph(kind, n, k).adj != g.adj:
         return None
     return kind, n, k
 
@@ -102,13 +93,11 @@ def cmd_gen(args) -> int:
     else:
         if args.k is None:
             raise InputError(f"{args.kind} needs --k")
-        g = powers.power_path(args.n, args.k) if args.kind == "path" \
-            else powers.power_cycle(args.n, args.k)
+        g = powers.power_graph(args.kind, args.n, args.k)
     if args.out:
         write_graph(g, args.out)
     else:
-        json.dump({"n": g.n, "edges": [[i, j] for i, j in g.edges()],
-                   "label": g.label}, sys.stdout, indent=1)
+        json.dump(graph_to_dict(g), sys.stdout, indent=1)
         print()
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -117,20 +106,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_chromatic(args) -> int:
-    result = _chromatic_result(args.kind, args.n, args.k, args.mode)
+    construct, _ = _closed_form(args.kind, args.mode)
+    result = construct(args.n, args.k)
     print(result.value)
     cert = _certificate_text(result)
     if cert:
         print(f"certificate: {cert}")
-    if args.certify:
-        g = powers.power_path(args.n, args.k) if args.kind == "path" \
-            else powers.power_cycle(args.n, args.k)
-        witness = oracle.verify_colouring(
-            g, result.colouring, args.mode,
-            hyperedges=_closed_form_sets(args.kind, args.n, args.k, args.mode))
-        if witness is not None:
-            print(f"certification failed, witness {list(witness)}")
-            return EXIT_INVALID
+    if args.certify:  # the constructor has checked the family already
         print("certified: colouring verified against the "
               f"{args.mode} family")
     if args.emit_colouring:
@@ -138,8 +120,7 @@ def cmd_chromatic(args) -> int:
                         ab=result.ab,
                         universal_witness=result.universal_witness)
     if args.dot:
-        g = powers.power_path(args.n, args.k) if args.kind == "path" \
-            else powers.power_cycle(args.n, args.k)
+        g = powers.power_graph(args.kind, args.n, args.k)
         with open(args.dot, "w") as fh:
             fh.write(write_dot(g, result.colouring.colours))
     return EXIT_OK
@@ -152,7 +133,8 @@ def cmd_verify(args) -> int:
     hyperedges = None
     if params is not None:
         kind, n, k = params
-        hyperedges = _closed_form_sets(kind, n, k, args.mode)
+        _, family = _closed_form(kind, args.mode)
+        hyperedges = family(n, k)
     witness = oracle.verify_colouring(g, col, args.mode, hyperedges=hyperedges)
     if witness is None:
         print("valid")
@@ -164,41 +146,32 @@ def cmd_verify(args) -> int:
 def cmd_bicliques(args) -> int:
     if args.graph:
         g = read_graph(args.graph)
-        if args.closed_form:
-            params = _power_graph_params(g)
-            if params is None:
-                raise InputError(
-                    "--closed-form needs a generated power graph "
-                    "(matching P_n^k / C_n^k label)")
-            kind, n, k = params
-        else:
-            kind = None
+        params = _power_graph_params(g) if args.closed_form else None
+        if args.closed_form and params is None:
+            raise InputError(
+                "--closed-form needs a generated power graph "
+                "(matching P_n^k / C_n^k label)")
     else:
         if args.kind is None or args.n is None or args.k is None:
             raise InputError("need --graph FILE, or --kind with --n and --k")
-        kind, n, k = args.kind, args.n, args.k
-        g = powers.power_path(n, k) if kind == "path" else powers.power_cycle(n, k)
+        params = args.kind, args.n, args.k
+        g = powers.power_graph(*params)
 
-    use_closed = args.closed_form or (args.graph is None)
-    if use_closed and kind is not None:
+    if params is not None:
+        kind, n, k = params
+        _, family = _closed_form(kind, args.mode)
         source = "closed-form"
-        if args.mode == "biclique":
-            fam = powers.path_bicliques(n, k) if kind == "path" \
-                else powers.cycle_bicliques(n, k)
-            body = [{"vertices": list(b.vertices), "shape": b.shape,
-                     **({"reach": b.reach} if b.reach is not None else {})}
-                    for b in fam]
-        else:
-            stars = powers.path_stars(n, k) if kind == "path" \
-                else powers.cycle_stars(n, k)
-            body = [list(s) for s in stars]
+        fam = family(n, k)
     else:
         source = "oracle"
-        if args.mode == "biclique":
-            body = [{"vertices": list(b.vertices), "shape": b.shape}
-                    for b in oracle.maximal_bicliques(g)]
-        else:
-            body = [list(s) for s in oracle.maximal_stars(g)]
+        fam = oracle.maximal_bicliques(g) if args.mode == "biclique" \
+            else oracle.maximal_stars(g)
+    if args.mode == "biclique":
+        body = [{"vertices": list(b.vertices), "shape": b.shape,
+                 **({"reach": b.reach} if b.reach is not None else {})}
+                for b in fam]
+    else:
+        body = [list(s) for s in fam]
 
     key = "bicliques" if args.mode == "biclique" else "stars"
     doc = {"label": g.label, "mode": args.mode, "source": source,
@@ -245,10 +218,11 @@ def cmd_sweep(args) -> int:
         raise InputError(
             f"empty sweep range: k {args.k_from}..{args.k_to}, "
             f"n {args.n_from}..{args.n_to}")
+    construct, _ = _closed_form(args.kind, args.mode)
     rows = []
     for k in range(args.k_from, args.k_to + 1):
         for n in range(args.n_from, args.n_to + 1):
-            result = _chromatic_result(args.kind, n, k, args.mode)
+            result = construct(n, k)
             rows.append({
                 "n": n, "k": k, "kind": args.kind, "mode": args.mode,
                 "value": result.value,
@@ -294,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["biclique", "star"], default="biclique")
     p.add_argument("--emit-colouring", help="write the optimal colouring here")
     p.add_argument("--certify", action="store_true",
-                   help="re-verify the colouring against the hyperedge family")
+                   help="print that the colouring is certified: the "
+                        "construction checks it once against the closed-form "
+                        "family")
     p.add_argument("--dot", help="write a coloured Graphviz rendering here")
     p.set_defaults(func=cmd_chromatic)
 

@@ -1,9 +1,9 @@
 """Colouring constructions and chromatic decisions for powers of paths and
 cycles.
 
-Every public construction re-checks its own output against the closed-form
-hyperedge family before returning; a failure there is a bug in this module,
-not bad input, and raises AssertionError.
+Every public construction checks its own output once, against the
+closed-form hyperedge family of its mode, before returning; a monochromatic
+set there is a bug in this module, not bad input, and raises AssertionError.
 
 Colour ids are 0 = blue, 1 = red, 2 = green; further ids only appear in the
 all-distinct colourings of complete graphs.
@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import InputError, is_int
+from .graphs import InputError, first_monochromatic, is_int
 from .powers import (
     cycle_bicliques,
     cycle_induced_p3s,
@@ -173,13 +173,26 @@ def _ab_block_colouring(n: int, k: int, cert: AbCertificate) -> Colouring:
     return Colouring(colours, 2)
 
 
-def _check_no_mono(colours, families, what: str) -> None:
-    for fam in families:
-        vs = getattr(fam, "vertices", fam)
-        first = colours[vs[0]]
-        if all(colours[v] == first for v in vs[1:]):
-            raise AssertionError(
-                f"construction bug: monochromatic {what} {vs}")
+def _check_no_mono(colours, sets, what: str) -> None:
+    vs = first_monochromatic(colours, sets)
+    if vs is not None:
+        raise AssertionError(f"construction bug: monochromatic {what} {vs}")
+
+
+def _three_colouring(n: int, k: int) -> Colouring:
+    """The layout of three_colour_no_mono_p3 without its P3 scan; the cycle
+    constructors check it against their own family instead."""
+    a, t = even_division(n, k)
+    if t <= k:
+        blocks = _alternating(a, k)
+        if t:
+            blocks.append((GREEN, t))
+    else:
+        blocks = _alternating(a - 1, k)
+        blocks += [(GREEN, k), (BLUE, k), (GREEN, t - k)]
+    colours = _lay_blocks(blocks)
+    assert len(colours) == n
+    return Colouring.from_sequence(colours)
 
 
 def three_colour_no_mono_p3(n: int, k: int) -> Colouring:
@@ -196,18 +209,10 @@ def three_colour_no_mono_p3(n: int, k: int) -> Colouring:
         raise InputError(f"need k >= 1, got k={k}")
     if n < 2 * k + 2:
         raise InputError(f"three-colouring needs n >= 2k+2, got n={n}, k={k}")
-    a, t = even_division(n, k)
-    if t <= k:
-        blocks = _alternating(a, k)
-        if t:
-            blocks.append((GREEN, t))
-    else:
-        blocks = _alternating(a - 1, k)
-        blocks += [(GREEN, k), (BLUE, k), (GREEN, t - k)]
-    colours = _lay_blocks(blocks)
-    assert len(colours) == n
-    _check_no_mono(colours, (t for t, _ in cycle_induced_p3s(n, k)), "P3")
-    return Colouring.from_sequence(colours)
+    colouring = _three_colouring(n, k)
+    _check_no_mono(colouring.colours,
+                   (t for t, _ in cycle_induced_p3s(n, k)), "P3")
+    return colouring
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +262,8 @@ def biclique_colour_path(n: int, k: int) -> ChromaticResult:
             blocks.append((RED if a % 2 == 0 else BLUE, t))
         colours = _lay_blocks(blocks)
         result = ChromaticResult(value=2, colouring=Colouring(colours, 2))
-    _check_no_mono(result.colouring.colours, path_bicliques(n, k), "biclique")
+    _check_no_mono(result.colouring.colours,
+                   (b.vertices for b in path_bicliques(n, k)), "biclique")
     return result
 
 
@@ -283,8 +289,9 @@ def biclique_colour_cycle(n: int, k: int) -> ChromaticResult:
                 value=2, colouring=_ab_block_colouring(n, k, cert), ab=cert)
         else:
             result = ChromaticResult(
-                value=3, colouring=three_colour_no_mono_p3(n, k))
-    _check_no_mono(result.colouring.colours, cycle_bicliques(n, k), "biclique")
+                value=3, colouring=_three_colouring(n, k))
+    _check_no_mono(result.colouring.colours,
+                   (b.vertices for b in cycle_bicliques(n, k)), "biclique")
     return result
 
 
@@ -315,7 +322,7 @@ def star_colour_cycle(n: int, k: int) -> ChromaticResult:
                 value=2, colouring=_ab_block_colouring(n, k, cert), ab=cert)
         else:
             result = ChromaticResult(
-                value=3, colouring=three_colour_no_mono_p3(n, k))
+                value=3, colouring=_three_colouring(n, k))
     _check_no_mono(result.colouring.colours, cycle_stars(n, k), "star")
     return result
 

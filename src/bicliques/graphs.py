@@ -72,9 +72,8 @@ class Graph:
         if len(self.adj) != self.n:
             raise InputError(
                 f"adjacency has {len(self.adj)} rows for {self.n} vertices")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.n:
                 raise InputError(f"vertex {v} has a neighbour outside [0, {self.n})")
             if row >> v & 1:
                 raise InputError(f"self-loop at vertex {v}")
@@ -233,6 +232,16 @@ def is_maximal_star(adj, smask: int) -> bool:
             return False
         ext ^= low
     return True
+
+
+def first_monochromatic(colours, sets):
+    """The first vertex set in sets whose vertices all share one colour
+    (colours[v] is the colour of v), or None."""
+    for vs in sets:
+        first = colours[vs[0]]
+        if all(colours[v] == first for v in vs[1:]):
+            return vs
+    return None
 
 
 def is_complete_bipartite(g: Graph, s):

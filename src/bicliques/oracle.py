@@ -19,6 +19,7 @@ from .graphs import (
     InputError,
     bits,
     cb_sides,
+    first_monochromatic,
     induced_shape,
     is_maximal_cb,
     is_maximal_star,
@@ -86,6 +87,15 @@ def _shape(g: Graph, m: int) -> str:
     return induced_shape(g, tuple(bits(m)))
 
 
+def _maximal_sets(g: Graph, mode: str) -> list[tuple[int, ...]]:
+    """The oracle's hyperedges for mode, as sorted vertex tuples."""
+    if mode == "biclique":
+        return [b.vertices for b in maximal_bicliques(g)]
+    if mode == "star":
+        return maximal_stars(g)
+    raise InputError(f"unknown mode {mode!r}")
+
+
 def _colour_tuple(colouring, n: int) -> tuple[int, ...]:
     colours = tuple(colouring.colours if isinstance(colouring, Colouring)
                     else colouring)
@@ -105,18 +115,9 @@ def verify_colouring(g: Graph, colouring, mode: str = "biclique",
     """
     colours = _colour_tuple(colouring, g.n)
     if hyperedges is None:
-        if mode == "biclique":
-            hyperedges = maximal_bicliques(g)
-        elif mode == "star":
-            hyperedges = maximal_stars(g)
-        else:
-            raise InputError(f"unknown mode {mode!r}")
+        hyperedges = _maximal_sets(g, mode)
     sets = sorted(tuple(getattr(h, "vertices", h)) for h in hyperedges)
-    for vs in sets:
-        first = colours[vs[0]]
-        if all(colours[v] == first for v in vs[1:]):
-            return vs
-    return None
+    return first_monochromatic(colours, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +133,8 @@ def exact_chromatic(g: Graph, mode: str = "biclique") -> tuple[int, Colouring]:
             f"exact search is capped at n <= {SEARCH_CAP}, got n={g.n}")
     if g.n == 0:
         return 0, Colouring((), 0)
-    if mode == "biclique":
-        sets = [b.vertices for b in maximal_bicliques(g)]
-    elif mode == "star":
-        sets = list(maximal_stars(g))
-    else:
-        raise InputError(f"unknown mode {mode!r}")
     by_last: list[list[tuple[int, ...]]] = [[] for _ in range(g.n)]
-    for vs in sets:
+    for vs in _maximal_sets(g, mode):
         by_last[vs[-1]].append(vs)
 
     colours = [-1] * g.n

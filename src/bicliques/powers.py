@@ -91,6 +91,11 @@ def power_cycle(n: int, k: int) -> Graph:
     return Graph(n, tuple(adj), f"C_{n}^{k}")
 
 
+def power_graph(kind: str, n: int, k: int) -> Graph:
+    """P_n^k for kind "path", C_n^k for kind "cycle"."""
+    return power_path(n, k) if kind == "path" else power_cycle(n, k)
+
+
 def circulant(n: int, distances) -> Graph:
     """Circulant graph C_n(d1, ..., dm): edge iff the cyclic distance of the
     endpoints equals some di.  C_n(1, 2, ..., k) is the power of a cycle."""
@@ -237,10 +242,7 @@ def _filter_maximal_star(g: Graph, masks) -> list[tuple[int, ...]]:
 def path_stars(n: int, k: int) -> list[tuple[int, ...]]:
     """Maximal stars of P_n^k.  Path powers are C4-free, so this family
     equals the biclique family (returned as plain vertex sets)."""
-    g = power_path(n, k)
-    masks = {1 << i | 1 << j for i, j in g.edges()}
-    masks.update(mask_of(t) for t in _path_p3s(n, k))
-    return _filter_maximal_star(g, masks)
+    return [b.vertices for b in path_bicliques(n, k)]
 
 
 def cycle_stars(n: int, k: int) -> list[tuple[int, ...]]:

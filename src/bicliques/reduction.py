@@ -26,7 +26,9 @@ from .graphs import (
     cb_sides,
     contains_induced_c4,
     contains_k4,
+    graph_to_dict,
     is_maximal_cb,
+    mask_of,
     vertex_set,
 )
 
@@ -226,8 +228,6 @@ def build_instance(f: CnfFormula) -> ReductionInstance:
 
 
 def instance_to_dict(inst: ReductionInstance) -> dict:
-    from .graphs import graph_to_dict
-
     d = graph_to_dict(inst.graph)
     d["v_prime"] = list(inst.v_prime)
     d["roles"] = {str(v): role for v, role in enumerate(inst.roles)}
@@ -251,20 +251,17 @@ def biclique_containment(g: Graph, v_prime):
     if len(vp) > 22:
         raise CapacityError(
             f"containment scan is capped at |V'| <= 22, got {len(vp)}")
-    vp_bits = [1 << v for v in vp]
+    vmask = mask_of(vp)
     best = None
-    for m in range(3, 1 << len(vp)):
-        if m.bit_count() < 2:
-            continue
-        smask = 0
-        for idx in bits(m):
-            smask |= vp_bits[idx]
-        sides = cb_sides(g.adj, smask)
-        if sides is None or not is_maximal_cb(g.adj, smask, sides):
-            continue
-        vs = tuple(bits(smask))
-        if best is None or vs < best:
-            best = vs
+    smask = vmask
+    while smask:  # every non-empty submask of V', largest first
+        if smask & (smask - 1):
+            sides = cb_sides(g.adj, smask)
+            if sides is not None and is_maximal_cb(g.adj, smask, sides):
+                vs = tuple(bits(smask))
+                if best is None or vs < best:
+                    best = vs
+        smask = (smask - 1) & vmask
     return best
 
 

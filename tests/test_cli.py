@@ -3,6 +3,7 @@ file round-trips between subcommands."""
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -158,6 +159,13 @@ def test_verify_input_errors_and_capacity(tmp_path, capsys):
     graph.write_text(json.dumps({"n": True, "edges": []}))
     col.write_text(json.dumps({"n": 1, "colours": [0]}))
     assert main(["verify", str(graph), str(col)]) == EXIT_INPUT
+
+    # a million-vertex graph is read in linear time and then rejected
+    # (colouring length), not after a minute of n-bit row checks
+    graph.write_text(json.dumps({"n": 1000000, "edges": []}))
+    start = time.perf_counter()
+    assert main(["verify", str(graph), str(col)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 10
     capsys.readouterr()
 
 

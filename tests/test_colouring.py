@@ -2,12 +2,14 @@
 chromatic closed forms, cross-checked through the oracle verifier."""
 
 import json
+import re
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
+from bicliques import colouring as colouring_mod
 from bicliques.colouring import (
     BLUE,
     GREEN,
@@ -33,6 +35,7 @@ from bicliques.colouring import (
 from bicliques.graphs import InputError
 from bicliques.oracle import find_mono_p3, verify_colouring
 from bicliques.powers import (
+    Biclique,
     cycle_bicliques,
     cycle_stars,
     path_bicliques,
@@ -224,6 +227,40 @@ def test_construction_param_validation():
             builder(0, 1)
         with pytest.raises(InputError):
             builder(5, 0)
+
+
+@pytest.mark.parametrize("builder, family, what, n, k", [
+    (biclique_colour_path, "path_bicliques", "biclique", 5, 3),
+    (biclique_colour_path, "path_bicliques", "biclique", 10, 2),
+    (star_colour_path, "path_bicliques", "biclique", 10, 2),
+    (biclique_colour_cycle, "cycle_bicliques", "biclique", 11, 4),
+    (biclique_colour_cycle, "cycle_bicliques", "biclique", 14, 3),
+    (biclique_colour_cycle, "cycle_bicliques", "biclique", 11, 3),
+    (star_colour_cycle, "cycle_stars", "star", 14, 3),
+    (star_colour_cycle, "cycle_stars", "star", 11, 3),
+])
+def test_construction_check_raises_on_monochromatic_set(
+        monkeypatch, builder, family, what, n, k):
+    # the one check of a closed-form colouring is the constructor's own scan
+    # of its family: a family holding a set the construction colours alike
+    # must make the constructor raise, naming that set
+    colours = builder(n, k).colouring.colours
+    mono = next(pair for pair in combinations(range(n), 2)
+                if colours[pair[0]] == colours[pair[1]])
+    fake = Biclique(mono, "OTHER") if what == "biclique" else mono
+    monkeypatch.setattr(colouring_mod, family, lambda n, k: [fake])
+    with pytest.raises(AssertionError, match=re.escape(
+            f"construction bug: monochromatic {what} {mono}")):
+        builder(n, k)
+
+
+def test_three_colouring_check_raises_on_monochromatic_p3(monkeypatch):
+    colours = three_colour_no_mono_p3(11, 3).colours
+    assert colours[0] == colours[1] == colours[2]
+    monkeypatch.setattr(colouring_mod, "cycle_induced_p3s",
+                        lambda n, k: [((0, 1, 2), 2)])
+    with pytest.raises(AssertionError, match=re.escape("P3 (0, 1, 2)")):
+        three_colour_no_mono_p3(11, 3)
 
 
 def test_colouring_serialization(tmp_path):
