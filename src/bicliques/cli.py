@@ -27,8 +27,10 @@ from .graphs import (
     CapacityError,
     Graph,
     InputError,
+    graph_fields,
     graph_to_dict,
     read_graph,
+    read_json,
     write_dot,
     write_graph,
 )
@@ -52,21 +54,24 @@ def _closed_form(kind: str, mode: str):
     }[(kind, mode)]
 
 
+def _label_params(label, n: int):
+    """(kind, n, k) when label names P_n^k or C_n^k on n vertices, else None.
+    A k or n that no power graph has is an InputError, as in power_graph."""
+    m = _POWER_LABEL.match(label or "")
+    if not m or int(m.group(2)) != n:
+        return None
+    k = int(m.group(3))
+    powers.check_params(n, k)
+    return ("path" if m.group(1) == "P" else "cycle"), n, k
+
+
 def _power_graph_params(g: Graph):
     """(kind, n, k) when the label marks g as a generated power graph and the
     adjacency matches the regenerated one, else None."""
-    if not g.label:
+    params = _label_params(g.label, g.n)
+    if params is None or powers.power_graph(*params).adj != g.adj:
         return None
-    m = _POWER_LABEL.match(g.label)
-    if not m:
-        return None
-    kind = "path" if m.group(1) == "P" else "cycle"
-    n, k = int(m.group(2)), int(m.group(3))
-    if n != g.n:
-        return None
-    if powers.power_graph(kind, n, k).adj != g.adj:
-        return None
-    return kind, n, k
+    return params
 
 
 def _certificate_text(result: ChromaticResult) -> str:
@@ -127,15 +132,20 @@ def cmd_chromatic(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = read_graph(args.graph)
+    # The colouring's length is checked before the graph's n rows are
+    # allocated and before a power graph named by the label is rebuilt, so
+    # a huge declared n is rejected at once.
+    n, edges, label = graph_fields(read_json(args.graph))
     col = read_colouring(args.colouring)
-    params = _power_graph_params(g)
+    params = _label_params(label, n)
+    colours = oracle.colour_tuple(col, n)
+    g = Graph.from_edges(n, edges, label)
     hyperedges = None
-    if params is not None:
-        kind, n, k = params
-        _, family = _closed_form(kind, args.mode)
-        hyperedges = family(n, k)
-    witness = oracle.verify_colouring(g, col, args.mode, hyperedges=hyperedges)
+    if params is not None and powers.power_graph(*params).adj == g.adj:
+        _, family = _closed_form(params[0], args.mode)
+        hyperedges = family(*params[1:])
+    witness = oracle.verify_colouring(g, colours, args.mode,
+                                      hyperedges=hyperedges)
     if witness is None:
         print("valid")
         return EXIT_OK
@@ -197,7 +207,7 @@ def cmd_reduce(args) -> int:
           f"wrote {instance_path}")
     if not args.certify:
         return EXIT_OK
-    report = reduction.certify_reduction(nf)
+    report = reduction.certify_reduction(nf, inst)
     report_path = f"{args.out_prefix}.report.json"
     with open(report_path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=1)

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import InputError, first_monochromatic, is_int
+from .graphs import InputError, first_monochromatic, is_int, read_json
 from .powers import (
     cycle_bicliques,
     cycle_induced_p3s,
@@ -362,12 +362,7 @@ def colouring_from_dict(d: dict) -> Colouring:
 
 
 def read_colouring(path: str) -> Colouring:
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: line {e.lineno}: {e.msg}") from e
-    return colouring_from_dict(d)
+    return colouring_from_dict(read_json(path))
 
 
 def write_colouring(c: Colouring, path: str, *, ab: AbCertificate | None = None,

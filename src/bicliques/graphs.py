@@ -58,6 +58,13 @@ def vertex_set(vertices, n: int | None = None) -> tuple[int, ...]:
     return vs
 
 
+def _check_edge(n: int, i: int, j: int) -> None:
+    if not (0 <= i < n and 0 <= j < n):
+        raise InputError(f"edge ({i}, {j}) out of range for n={n}")
+    if i == j:
+        raise InputError(f"self-loop edge ({i}, {j})")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
@@ -86,10 +93,7 @@ class Graph:
     def from_edges(n: int, edges, label: str | None = None) -> "Graph":
         adj = [0] * n
         for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"edge ({i}, {j}) out of range for n={n}")
-            if i == j:
-                raise InputError(f"self-loop edge ({i}, {j})")
+            _check_edge(n, i, j)
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         return Graph(n, tuple(adj), label)
@@ -261,28 +265,61 @@ def is_complete_bipartite(g: Graph, s):
 
 
 def contains_k4(g: Graph):
-    """Lexicographically first 4-clique, or None."""
-    for quad in combinations(range(g.n), 4):
-        if all(g.adj[i] >> j & 1 for i, j in combinations(quad, 2)):
-            return quad
+    """Lexicographically first 4-clique, or None.
+
+    For a < b < c taken in increasing order along edges ab, ac, bc, the
+    least fourth vertex is the lowest bit of N(a) & N(b) & N(c) above c, so
+    the first hit is the lexicographically first clique.
+    """
+    adj = g.adj
+    for a in range(g.n):
+        bs = adj[a] >> (a + 1) << (a + 1)
+        while bs:
+            low = bs & -bs
+            b = low.bit_length() - 1
+            ab = adj[a] & adj[b]
+            cs = ab >> (b + 1) << (b + 1)
+            while cs:
+                low_c = cs & -cs
+                c = low_c.bit_length() - 1
+                ds = (ab & adj[c]) >> (c + 1)
+                if ds:
+                    return a, b, c, c + (ds & -ds).bit_length()
+                cs ^= low_c
+            bs ^= low
     return None
 
 
 def contains_induced_c4(g: Graph):
     """Lexicographically first induced 4-cycle, or None.
 
-    A 4-set induces C4 iff it spans exactly 4 edges with every degree 2.
+    Dropping the highest vertex d of an induced C4 leaves an induced P3 on
+    a < b < c whose two ends are the neighbours of d and whose centre is
+    not.  For a pair a < b the vertices c > b completing such a P3 are
+    N(a) ^ N(b) when ab is an edge (the centre is whichever of a, b sees
+    c) and N(a) & N(b) when it is not (c is the centre).  The least d is
+    the lowest bit above c of N(end) & N(end') & ~N(centre), so the first
+    hit in increasing (a, b, c) is the lexicographically first C4.
     """
-    for quad in combinations(range(g.n), 4):
-        deg = [0] * 4
-        m = 0
-        for (p, i), (q, j) in combinations(enumerate(quad), 2):
-            if g.adj[i] >> j & 1:
-                m += 1
-                deg[p] += 1
-                deg[q] += 1
-        if m == 4 and max(deg) == 2:
-            return quad
+    adj = g.adj
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            edge = adj[a] >> b & 1
+            cs = (adj[a] ^ adj[b] if edge else adj[a] & adj[b]) >> (b + 1)
+            cs <<= b + 1
+            while cs:
+                low = cs & -cs
+                c = low.bit_length() - 1
+                if not edge:
+                    ends, centre = adj[a] & adj[b], c
+                elif adj[a] & low:
+                    ends, centre = adj[b] & adj[c], a
+                else:
+                    ends, centre = adj[a] & adj[c], b
+                ds = (ends & ~adj[centre]) >> (c + 1)
+                if ds:
+                    return a, b, c, c + (ds & -ds).bit_length()
+                cs ^= low
     return None
 
 
@@ -314,7 +351,11 @@ def graph_to_dict(g: Graph) -> dict:
     return d
 
 
-def graph_from_dict(d: dict) -> Graph:
+def graph_fields(d: dict) -> tuple[int, list[tuple[int, int]], str | None]:
+    """(n, edge pairs, label) of a graph object, after the checks that
+    building it makes, in the same order, but before its n adjacency rows
+    are allocated: a caller can then reject other input cheaply even when
+    the declared n is huge."""
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise InputError('graph object needs "n" and "edges" keys')
     n = d["n"]
@@ -332,16 +373,29 @@ def graph_from_dict(d: dict) -> Graph:
     label = d.get("label")
     if label is not None and not isinstance(label, str):
         raise InputError('"label" must be a string')
-    return Graph.from_edges(n, pairs, label)
+    for i, j in pairs:
+        _check_edge(n, i, j)
+    if n < 0:
+        raise InputError("vertex count must be non-negative")
+    return n, pairs, label
+
+
+def graph_from_dict(d: dict) -> Graph:
+    return Graph.from_edges(*graph_fields(d))
+
+
+def read_json(path: str):
+    """The JSON value stored at path; a syntax error is an InputError that
+    names the file and line."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{path}: line {e.lineno}: {e.msg}") from e
 
 
 def read_graph(path: str) -> Graph:
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: line {e.lineno}: {e.msg}") from e
-    return graph_from_dict(d)
+    return graph_from_dict(read_json(path))
 
 
 def write_graph(g: Graph, path: str) -> None:

@@ -96,7 +96,9 @@ def _maximal_sets(g: Graph, mode: str) -> list[tuple[int, ...]]:
     raise InputError(f"unknown mode {mode!r}")
 
 
-def _colour_tuple(colouring, n: int) -> tuple[int, ...]:
+def colour_tuple(colouring, n: int) -> tuple[int, ...]:
+    """The colours of a Colouring or a sequence as a tuple; InputError
+    unless there are exactly n of them."""
     colours = tuple(colouring.colours if isinstance(colouring, Colouring)
                     else colouring)
     if len(colours) != n:
@@ -113,7 +115,7 @@ def verify_colouring(g: Graph, colouring, mode: str = "biclique",
     (biclique or star); callers with a generated power graph can pass the
     closed-form family instead to dodge the subset-scan cap.
     """
-    colours = _colour_tuple(colouring, g.n)
+    colours = colour_tuple(colouring, g.n)
     if hyperedges is None:
         hyperedges = _maximal_sets(g, mode)
     sets = sorted(tuple(getattr(h, "vertices", h)) for h in hyperedges)
@@ -192,7 +194,7 @@ def find_mono_p3(g: Graph, colouring, reach_in=None):
     """First (by vertex triple) monochromatic induced P3 with its reach, or
     None.  Reach is cyclic, meaningful when g is a power of a cycle; pass
     reach_in to restrict the search to specific reach values."""
-    colours = _colour_tuple(colouring, g.n)
+    colours = colour_tuple(colouring, g.n)
     wanted = None if reach_in is None else set(reach_in)
     for triple, reach in _induced_p3s_with_reach(g):
         if wanted is not None and reach not in wanted:

@@ -46,7 +46,8 @@ class Biclique:
     reach: int | None = None
 
 
-def _check_params(n: int, k: int) -> None:
+def check_params(n: int, k: int) -> None:
+    """InputError unless n >= 1 and k >= 1, as P_n^k and C_n^k need."""
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
     if k < 1:
@@ -61,7 +62,7 @@ def cyclic_reach(n: int, i: int, j: int) -> int:
 
 def power_path(n: int, k: int) -> Graph:
     """P_n^k: vertices 0..n-1, edge iff |i - j| <= k.  n <= k+1 gives K_n."""
-    _check_params(n, k)
+    check_params(n, k)
     adj = []
     for i in range(n):
         lo = max(0, i - k)
@@ -76,7 +77,7 @@ def power_cycle(n: int, k: int) -> Graph:
 
     n <= 2k+1 gives K_n; n in {1, 2} degenerate to K_1 / K_2.
     """
-    _check_params(n, k)
+    check_params(n, k)
     full = (1 << n) - 1
     adj = []
     for i in range(n):

@@ -8,6 +8,13 @@ vertex u; V' is u plus the literal vertices.  The construction needs the
 formula normalized first: no tautological clause, every variable used, and
 no two clauses sharing more than one literal.
 
+Containment is decided without walking the 2^|V'| subsets of V'.  The
+bipartition of a complete bipartite set with an edge is forced, so each such
+set inside V' is one triple (v0, B, A'): its lowest vertex v0, its side
+B = N(v0) inside the set, and the rest A' of v0's side.  Enumerating the
+triples lists every complete bipartite subset of V' exactly once, and each
+is tested for maximality against the whole graph (biclique_containment).
+
 Literals follow the DIMACS convention: nonzero signed ints, variable numbers
 1..num_vars.
 """
@@ -23,7 +30,6 @@ from .graphs import (
     Graph,
     InputError,
     bits,
-    cb_sides,
     contains_induced_c4,
     contains_k4,
     graph_to_dict,
@@ -147,7 +153,9 @@ def normalize(f: CnfFormula) -> CnfFormula:
     clause; rewrite clause pairs sharing two or more literals (always the
     later clause of the first offending pair in scan order, re-scanning to a
     fixpoint); finally drop unused variables, remapping indices downward.
-    An empty clause is rejected as trivially unsatisfiable.
+    An empty clause is rejected as trivially unsatisfiable.  Each step
+    establishes one normalization condition, so the result is normalized
+    by construction; build_instance checks it before building the gadget.
     """
     clauses: list[tuple[int, ...]] = []
     for clause in f.clauses:
@@ -176,9 +184,7 @@ def normalize(f: CnfFormula) -> CnfFormula:
     remapped = tuple(
         tuple((1 if lit > 0 else -1) * remap[abs(lit)] for lit in clause)
         for clause in clauses)
-    result = CnfFormula(len(used), remapped)
-    check_normalized(result)
-    return result
+    return CnfFormula(len(used), remapped)
 
 
 # ---------------------------------------------------------------------------
@@ -243,26 +249,65 @@ def write_instance(inst: ReductionInstance, path: str) -> None:
 # ---------------------------------------------------------------------------
 # containment and certification
 
+def _independent_subsets(adj, mask: int):
+    """Every independent subset of the vertex mask, the empty one included,
+    each once: a set is grown in increasing vertex order, and a vertex added
+    removes its neighbours from the vertices still free to join."""
+    stack = [(0, mask)]
+    while stack:
+        chosen, free = stack.pop()
+        yield chosen
+        while free:
+            low = free & -free
+            free ^= low
+            stack.append((chosen | low, free & ~adj[low.bit_length() - 1]))
+
+
 def biclique_containment(g: Graph, v_prime):
     """Lexicographically smallest maximal biclique of g lying inside
-    v_prime, or None.  Scans all subsets of v_prime; maximality is checked
-    against the whole of g."""
+    v_prime, or None.  Maximality is checked against the whole of g.
+
+    A complete bipartite set S with an edge is connected, so its bipartition
+    is forced: with v0 the lowest vertex of S, one side is B = N(v0) & S and
+    the other is v0 plus A' = S - B - v0.  So S is exactly one triple
+    (v0, B, A'): B a non-empty independent subset of N(v0) & V' above v0,
+    and A' an independent subset of the vertices of V' above v0 outside
+    N(v0) that are adjacent to all of B.  Every such triple is complete
+    bipartite, so enumerating the triples lists each complete bipartite
+    subset of V' once, and the work grows with their number rather than
+    with the 2^|V'| subsets.  Each one is tested for maximality with the
+    sides it was built from.  The lowest vertex is compared first, so the
+    first v0 that yields a maximal set holds the answer.
+    """
     vp = vertex_set(v_prime, g.n)
     if len(vp) > 22:
         raise CapacityError(
             f"containment scan is capped at |V'| <= 22, got {len(vp)}")
+    adj = g.adj
     vmask = mask_of(vp)
-    best = None
-    smask = vmask
-    while smask:  # every non-empty submask of V', largest first
-        if smask & (smask - 1):
-            sides = cb_sides(g.adj, smask)
-            if sides is not None and is_maximal_cb(g.adj, smask, sides):
-                vs = tuple(bits(smask))
-                if best is None or vs < best:
-                    best = vs
-        smask = (smask - 1) & vmask
-    return best
+    for v0 in vp:
+        above = vmask >> (v0 + 1) << (v0 + 1)
+        a0 = 1 << v0
+        best = None
+        # (B, vertices free to join B, vertices free to join A')
+        stack = [(0, adj[v0] & above, above & ~adj[v0])]
+        while stack:
+            b, free, common = stack.pop()
+            if b:
+                for rest in _independent_subsets(adj, common):
+                    a = a0 | rest
+                    if is_maximal_cb(adj, a | b, (a, b)):
+                        vs = tuple(bits(a | b))
+                        if best is None or vs < best:
+                            best = vs
+            while free:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                stack.append((b | low, free & ~adj[v], common & adj[v]))
+        if best is not None:
+            return best
+    return None
 
 
 def decode_assignment(inst: ReductionInstance, witness):
@@ -315,13 +360,16 @@ class ReductionReport:
         }
 
 
-def certify_reduction(f: CnfFormula) -> ReductionReport:
+def certify_reduction(f: CnfFormula,
+                      inst: ReductionInstance | None = None) -> ReductionReport:
     """End-to-end check of the reduction on one normalized formula: compare
     truth-table satisfiability against biclique containment, confirm the
     gadget is K4-free and induced-C4-free, and when a witness exists decode
-    it back to an assignment and re-evaluate the formula with it."""
-    check_normalized(f)
-    inst = build_instance(f)
+    it back to an assignment and re-evaluate the formula with it.  inst is
+    build_instance(f), which checks that f is normalized; it is built here
+    when the caller does not already hold it."""
+    if inst is None:
+        inst = build_instance(f)
     assignment = find_satisfying_assignment(f)
     witness = biclique_containment(inst.graph, inst.v_prime)
     decoded = decode_assignment(inst, witness) if witness else None

@@ -78,6 +78,24 @@ def brute_maximal_cb_sets(g: Graph) -> set[tuple[int, ...]]:
             if not any(set(vs) < set(other) for other in found)}
 
 
+def brute_biclique_containment(g: Graph, v_prime):
+    """Lexicographically smallest maximal complete-bipartite set of g inside
+    v_prime, or None: every subset of v_prime is tested, and a complete
+    bipartite one is maximal when no single vertex of g extends it."""
+    vp = sorted(v_prime)
+    best = None
+    for r in range(2, len(vp) + 1):
+        for vs in combinations(vp, r):
+            if bfs_complete_bipartite(g, vs) is None:
+                continue
+            if any(bfs_complete_bipartite(g, vs + (w,)) is not None
+                   for w in range(g.n) if w not in vs):
+                continue
+            if best is None or vs < best:
+                best = vs
+    return best
+
+
 def brute_maximal_star_sets(g: Graph) -> set[tuple[int, ...]]:
     found = [vs for r in range(2, g.n + 1)
              for vs in combinations(range(g.n), r)

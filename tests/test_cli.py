@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from bicliques import oracle, powers
+from bicliques import oracle, powers, reduction
 from bicliques.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
 from bicliques.colouring import biclique_colour_cycle, read_colouring
 from bicliques.graphs import DOT_PALETTE, Graph, read_graph, write_graph
@@ -140,7 +140,7 @@ def test_verify_unlabeled_graph_uses_oracle(tmp_path, capsys):
         assert json.loads(out)["witness"] == list(expected)
 
 
-def test_verify_input_errors_and_capacity(tmp_path, capsys):
+def test_verify_input_errors_and_capacity(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "g.json"
     col = tmp_path / "c.json"
     assert main(["gen", "path", "--n", "6", "--k", "2",
@@ -167,6 +167,25 @@ def test_verify_input_errors_and_capacity(tmp_path, capsys):
     assert main(["verify", str(graph), str(col)]) == EXIT_INPUT
     assert time.perf_counter() - start < 10
     capsys.readouterr()
+
+    # a colouring of the wrong length is rejected before the declared n
+    # adjacency rows are allocated
+    graph.write_text(json.dumps({"n": 10000000, "edges": []}))
+    start = time.perf_counter()
+    assert main(["verify", str(graph), str(col)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        "error: colouring has 1 entries for n=10000000\n"
+    # nor before the power graph that the label names is rebuilt, which
+    # would take O(n^2) bits
+    def rebuilt(*args):
+        raise AssertionError(f"power graph {args} rebuilt")
+    monkeypatch.setattr(powers, "power_graph", rebuilt)
+    graph.write_text(json.dumps({"n": 10000000, "edges": [],
+                                 "label": "P_10000000^1"}))
+    assert main(["verify", str(graph), str(col)]) == EXIT_INPUT
+    assert capsys.readouterr().err == \
+        "error: colouring has 1 entries for n=10000000\n"
 
 
 def test_bicliques_closed_form_and_oracle_agree(tmp_path, capsys):
@@ -209,12 +228,20 @@ def test_bicliques_argument_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_reduce_round_trip(tmp_path, capsys):
+def test_reduce_round_trip(tmp_path, capsys, monkeypatch):
     cnf = tmp_path / "phi.cnf"
     write_dimacs(CnfFormula.of(5, [(1, -2, 4), (2, -3, -5), (1, 3, 5)]), cnf)
     prefix = tmp_path / "phi"
+    calls = []
+    for name in ("check_normalized", "build_instance"):
+        def counted(*args, _name=name, _f=getattr(reduction, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(reduction, name, counted)
     assert main(["reduce", str(cnf), "--out-prefix", str(prefix),
                  "--certify"]) == EXIT_OK
+    # the gadget is built, and the formula checked, once per run
+    assert sorted(calls) == ["build_instance", "check_normalized"]
     out = capsys.readouterr().out
     assert "14 vertices" in out and "|V'| = 11" in out
     inst = json.loads((tmp_path / "phi.instance.json").read_text())

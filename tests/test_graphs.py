@@ -157,7 +157,7 @@ def _c4_by_permutations(g):
     return min(hits) if hits else None
 
 
-@given(support.graph_strategy(max_n=8))
+@given(support.graph_strategy(max_n=14))
 @settings(max_examples=80, deadline=None)
 def test_k4_and_c4_detection_match_permutation_scan(g):
     assert contains_k4(g) == _k4_by_permutations(g)
@@ -172,6 +172,21 @@ def test_k4_c4_fixed_cases():
     assert contains_k4(c4) is None
     assert contains_induced_c4(c4) == (0, 1, 2, 3)
     assert contains_induced_c4(power_cycle(5, 1)) is None
+    # planted copies away from vertex 0: the lower first vertex wins, even
+    # when the other copy's vertices are lower from the second one on
+    k4s = Graph.from_edges(13, list(combinations((3, 9, 10, 12), 2))
+                           + list(combinations((4, 5, 6, 7), 2)))
+    assert contains_k4(k4s) == (3, 9, 10, 12)
+    assert contains_induced_c4(k4s) is None
+    # the same ring with each kind of first pair: an edge whose first
+    # vertex or second vertex sees the third, and a non-edge
+    for ring in ((2, 11, 13, 8), (2, 8, 11, 13), (2, 11, 8, 13)):
+        for other in ((3, 4, 5, 6), (3, 5, 4, 6)):
+            c4s = Graph.from_edges(14, [
+                (ring[i], ring[(i + 1) % 4]) for i in range(4)] + [
+                (other[i], other[(i + 1) % 4]) for i in range(4)])
+            assert contains_induced_c4(c4s) == (2, 8, 11, 13)
+            assert contains_k4(c4s) is None
 
 
 def test_induced_shape():

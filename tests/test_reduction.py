@@ -4,6 +4,8 @@ gadget, with equisatisfiability checked by an independent truth-table walker."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import support
 from bicliques.graphs import (
@@ -168,6 +170,17 @@ def test_containment_negative_and_cap():
         biclique_containment(empty, range(23))
 
 
+@given(support.graph_strategy(max_n=9), st.integers(0, (1 << 9) - 1))
+@example(Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (2, 3), (1, 4)]),
+         0b11111)  # with sides {0, 2, 3, 4} and {1}, V' itself passes the
+                   # maximality test, but 2 and 3 are adjacent
+@settings(max_examples=150, deadline=None)
+def test_containment_matches_subset_walk(g, vmask):
+    v_prime = [v for v in range(g.n) if vmask >> v & 1]
+    assert biclique_containment(g, v_prime) == \
+        support.brute_biclique_containment(g, v_prime)
+
+
 def test_decode_assignment_rejects_bad_witnesses():
     inst = build_instance(PHI)
     assert decode_assignment(inst, (1, 3, 5, 7, 9)) is None  # u missing
@@ -216,6 +229,27 @@ def test_certify_reduction_random_corpus():
         assert rep.equivalent, f
         assert rep.k4_free and rep.c4_free, f
         assert rep.correspondence_ok, f
+
+
+def test_certify_reduction_larger_formulas():
+    """7 to 10 variables, |V'| from 15 to 21."""
+    rng = random.Random(11)
+    corpus = []
+    while len(corpus) < 12:
+        f = support.random_normalized_formula(rng, max_vars=10,
+                                              max_clauses=14)
+        if f.num_vars >= 7:
+            corpus.append(f)
+    unsat = [(1, 2), (1, -2), (-1, 2), (-1, -2)]
+    unsat += [(v, -v - 1, 1) for v in range(3, 10, 2)]
+    corpus.append(normalize(CnfFormula.of(10, unsat)))
+    assert {f.num_vars for f in corpus} >= {7, 10}
+    for f in corpus:
+        rep = certify_reduction(f)
+        assert rep.satisfiable == support.truth_table_sat(f), f
+        assert rep.equivalent and rep.correspondence_ok, f
+        assert rep.k4_free and rep.c4_free, f
+    assert not rep.satisfiable and rep.witness is None
 
 
 def test_dimacs_round_trip(tmp_path):
