@@ -29,7 +29,6 @@ from .graphs import (
     InputError,
     graph_fields,
     graph_to_dict,
-    read_graph,
     read_json,
     write_dot,
     write_graph,
@@ -65,13 +64,14 @@ def _label_params(label, n: int):
     return ("path" if m.group(1) == "P" else "cycle"), n, k
 
 
-def _power_graph_params(g: Graph):
-    """(kind, n, k) when the label marks g as a generated power graph and the
-    adjacency matches the regenerated one, else None."""
-    params = _label_params(g.label, g.n)
-    if params is None or powers.power_graph(*params).adj != g.adj:
-        return None
-    return params
+def _is_power_graph(params, edges) -> bool:
+    """Whether the edge pairs are exactly those of the power graph that
+    params (kind, n, k) names.  Rebuilding it takes O(n^2) bits (a row of
+    P_n^k is an int as wide as its highest neighbour), so that is done only
+    when the pairs hold as many distinct edges as the formula gives."""
+    distinct = {(min(i, j), max(i, j)) for i, j in edges}
+    return (len(distinct) == powers.power_edge_count(*params)
+            and distinct == set(powers.power_graph(*params).edges()))
 
 
 def _certificate_text(result: ChromaticResult) -> str:
@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
     colours = oracle.colour_tuple(col, n)
     g = Graph.from_edges(n, edges, label)
     hyperedges = None
-    if params is not None and powers.power_graph(*params).adj == g.adj:
+    if params is not None and _is_power_graph(params, edges):
         _, family = _closed_form(params[0], args.mode)
         hyperedges = family(*params[1:])
     witness = oracle.verify_colouring(g, colours, args.mode,
@@ -155,12 +155,19 @@ def cmd_verify(args) -> int:
 
 def cmd_bicliques(args) -> int:
     if args.graph:
-        g = read_graph(args.graph)
-        params = _power_graph_params(g) if args.closed_form else None
-        if args.closed_form and params is None:
-            raise InputError(
-                "--closed-form needs a generated power graph "
-                "(matching P_n^k / C_n^k label)")
+        # The oracle's cap and the label are checked before the n adjacency
+        # rows are allocated, so a huge declared n is rejected at once.
+        n, edges, label = graph_fields(read_json(args.graph))
+        if args.closed_form:
+            params = _label_params(label, n)
+            if params is None or not _is_power_graph(params, edges):
+                raise InputError(
+                    "--closed-form needs a generated power graph "
+                    "(matching P_n^k / C_n^k label)")
+        else:
+            params = None
+            oracle.check_scan_cap(n)
+        g = Graph.from_edges(n, edges, label)
     else:
         if args.kind is None or args.n is None or args.k is None:
             raise InputError("need --graph FILE, or --kind with --n and --k")
@@ -298,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["biclique", "star"], default="biclique")
     p.add_argument("--closed-form", action="store_true",
                    help="use the power-graph closed forms instead of the "
-                        "subset-scan oracle")
+                        "oracle enumeration")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_bicliques)
 

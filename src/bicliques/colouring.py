@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from .graphs import InputError, first_monochromatic, is_int, read_json
@@ -42,9 +43,15 @@ class Colouring:
             if not 0 <= c < self.num_colours:
                 raise InputError(
                     f"colour id {c} outside [0, {self.num_colours})")
-        if self.colours and used != set(range(self.num_colours)):
-            missing = sorted(set(range(self.num_colours)) - used)
-            raise InputError(f"colour ids {missing} unused")
+        if self.colours and len(used) != self.num_colours:
+            # num_colours comes from the file, so at most 20 of the missing
+            # ids are listed rather than all of range(num_colours)
+            missing = list(islice(
+                (c for c in range(self.num_colours) if c not in used), 21))
+            shown = ", ".join(map(str, missing[:20]))
+            if len(missing) > 20:
+                shown += ", ..."
+            raise InputError(f"colour ids [{shown}] unused")
 
     @staticmethod
     def from_sequence(colours) -> "Colouring":

@@ -238,6 +238,93 @@ def is_maximal_star(adj, smask: int) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# output-sensitive enumeration (mask level)
+
+def maximal_independent_subsets(adj, mask: int):
+    """Every maximal independent subset of the vertex mask, each once; an
+    empty mask yields the empty set 0.
+
+    Bron-Kerbosch on the complement graph: choosing a vertex drops its
+    neighbours from the candidates and from the excluded vertices, and a
+    vertex that has been branched on is excluded from its later siblings,
+    so a set is maximal exactly when neither candidates nor excluded
+    vertices remain.  A maximal set holds the lowest candidate or excluded
+    vertex p or one of p's neighbours, so only those are branched on.
+    """
+    stack = [(0, mask, 0)]
+    while stack:
+        chosen, cand, excl = stack.pop()
+        pool = cand | excl
+        if not pool:
+            yield chosen
+            continue
+        p = (pool & -pool).bit_length() - 1
+        branch = cand & (adj[p] | 1 << p)
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            drop = adj[low.bit_length() - 1] | low
+            stack.append((chosen | low, cand & ~drop, excl & ~drop))
+            cand ^= low
+            excl |= low
+
+
+def maximal_cb_candidates(adj, vmask: int):
+    """Side masks (a, b) of complete bipartite sets with an edge inside the
+    vertex mask vmask, among them every such set that no vertex of vmask
+    extends; grouped by lowest vertex, in increasing order.  Callers still
+    test each candidate with is_maximal_cb against the whole graph.
+
+    The bipartition of a complete bipartite set S with an edge is forced:
+    with v0 its lowest vertex, b = N(v0) & S and a is v0 plus A'.  So S is
+    one triple (v0, b, A'): b a non-empty independent subset of the
+    vertices of N(v0) & vmask above v0, and A' an independent subset of
+    the vertices of vmask above v0 outside N(v0) that see all of b.  If no
+    vertex of vmask extends S, A' is a maximal independent subset of those
+    vertices, since any one left out would join a; so only maximal A' are
+    listed.  b is grown in increasing vertex order, and a vertex x skipped
+    while growing it stays excluded while it misses all of b.  If x sees
+    every vertex that can still join A', x would join b of each set built
+    on this b, so none is listed; and if x also misses every vertex still
+    free to join b, that holds for the whole branch, so it is cut.
+    """
+    rest = vmask
+    while rest:
+        a0 = rest & -rest
+        rest ^= a0
+        row = adj[a0.bit_length() - 1]
+        # (b, free to join b, excluded from b, free to join A')
+        stack = [(0, row & rest, 0, rest & ~row)]
+        while stack:
+            b, free, excl, common = stack.pop()
+            joins = [x for x in bits(excl) if common & ~adj[x] == 0]
+            if any(free & adj[x] == 0 for x in joins):
+                continue
+            if b and not joins:
+                for extra in maximal_independent_subsets(adj, common):
+                    yield a0 | extra, b
+            while free:
+                low = free & -free
+                free ^= low
+                nb = adj[low.bit_length() - 1]
+                stack.append((b | low, free & ~nb, excl & ~nb, common & nb))
+                excl |= low
+
+
+def maximal_star_candidates(adj):
+    """Masks of stars, among them every maximal one: each centre c with a
+    non-empty maximal independent subset of N(c) as its leaves, since a
+    leaf left out would extend the star.  A single edge can come out once
+    from each end.  Callers still test each candidate with is_star_set and
+    is_maximal_star.
+    """
+    for c, row in enumerate(adj):
+        for leaves in maximal_independent_subsets(adj, row):
+            if leaves:
+                yield 1 << c | leaves
+
+
 def first_monochromatic(colours, sets):
     """The first vertex set in sets whose vertices all share one colour
     (colours[v] is the colour of v), or None."""

@@ -1,10 +1,18 @@
-"""Brute-force ground truth, independent of the closed-form machinery.
+"""Ground truth for any graph, independent of the closed-form machinery.
 
-Enumeration is an exhaustive scan over all vertex subsets, so it is
-deliberately dumb and capped (SUBSET_SCAN_CAP); the exact chromatic search is
-a backtracking search over canonical colourings capped at SEARCH_CAP.  The
-closed-form modules are tested against these functions, never the other way
-around.
+The maximal bicliques and stars are enumerated from the graph alone, with
+work that grows with the number of candidates rather than with the 2^n
+vertex subsets.  A biclique is listed from its lowest vertex v0, its side
+B inside N(v0) and a maximal independent set A' of the vertices above v0
+outside N(v0) that see all of B; a star from a centre and a maximal
+independent set of its neighbours (graphs.maximal_cb_candidates and
+graphs.maximal_star_candidates).  Every candidate is checked with the
+complete-bipartite (star) and maximality kernels against the whole graph,
+and the tests compare the result with the exhaustive subset scan.  Both
+are capped at SUBSET_SCAN_CAP vertices.  The exact chromatic search is a
+backtracking search over canonical colourings capped at SEARCH_CAP.  The
+closed-form modules are tested against these functions, never the other
+way around.
 """
 
 from __future__ import annotations
@@ -18,16 +26,19 @@ from .graphs import (
     Graph,
     InputError,
     bits,
-    cb_sides,
     first_monochromatic,
     induced_shape,
     is_maximal_cb,
     is_maximal_star,
     is_star_set,
+    maximal_cb_candidates,
+    maximal_star_candidates,
 )
 from .powers import Biclique, cyclic_reach
 
-SUBSET_SCAN_CAP = 22  # 2^22 subset scans still finish in minutes
+# The enumerations' reach, kept at the size the exhaustive subset scan that
+# they are tested against still covers in minutes.
+SUBSET_SCAN_CAP = 22
 SEARCH_CAP = 14       # exact chromatic backtracking
 # Graphs whose scan results stay cached.  verify_colouring followed by
 # exact_chromatic on the same graph needs one entry; a few more cover
@@ -36,41 +47,35 @@ SEARCH_CAP = 14       # exact chromatic backtracking
 CACHE_GRAPHS = 16
 
 
-def _check_scan_cap(g: Graph) -> None:
-    if g.n > SUBSET_SCAN_CAP:
+def check_scan_cap(n: int) -> None:
+    """CapacityError if the enumerations would refuse a graph on n
+    vertices; callers can check before they allocate its rows."""
+    if n > SUBSET_SCAN_CAP:
         raise CapacityError(
-            f"subset scan is capped at n <= {SUBSET_SCAN_CAP}, got n={g.n}")
+            f"subset scan is capped at n <= {SUBSET_SCAN_CAP}, got n={n}")
 
 
 @lru_cache(maxsize=CACHE_GRAPHS)
 def _maximal_cb_masks(g: Graph) -> tuple[int, ...]:
     adj = g.adj
-    out = []
-    for m in range(3, 1 << g.n):
-        if m.bit_count() < 2:
-            continue
-        sides = cb_sides(adj, m)
-        if sides is not None and is_maximal_cb(adj, m, sides):
-            out.append(m)
-    return tuple(out)
+    return tuple(a | b for a, b in maximal_cb_candidates(adj, (1 << g.n) - 1)
+                 if is_maximal_cb(adj, a | b, (a, b)))
 
 
 @lru_cache(maxsize=CACHE_GRAPHS)
 def _maximal_star_masks(g: Graph) -> tuple[int, ...]:
     adj = g.adj
-    out = []
-    for m in range(3, 1 << g.n):
-        if m.bit_count() < 2:
-            continue
-        if is_star_set(adj, m) and is_maximal_star(adj, m):
-            out.append(m)
-    return tuple(out)
+    # a set, since a single-edge star can come out once from each end
+    return tuple({m for m in maximal_star_candidates(adj)
+                  if is_star_set(adj, m) and is_maximal_star(adj, m)})
 
 
 def maximal_bicliques(g: Graph) -> list[Biclique]:
     """All maximal complete-bipartite vertex sets of g (>= 1 edge each),
-    sorted by vertex list.  Exhaustive subset scan, n <= SUBSET_SCAN_CAP."""
-    _check_scan_cap(g)
+    sorted by vertex list.  Enumerated from (v0, B, A') triples with A' a
+    maximal independent set (graphs.maximal_cb_candidates), each checked
+    against the whole graph; n <= SUBSET_SCAN_CAP."""
+    check_scan_cap(g.n)
     out = [Biclique(tuple(bits(m)), _shape(g, m)) for m in _maximal_cb_masks(g)]
     out.sort(key=lambda b: b.vertices)
     return out
@@ -79,7 +84,7 @@ def maximal_bicliques(g: Graph) -> list[Biclique]:
 def maximal_stars(g: Graph) -> list[tuple[int, ...]]:
     """All maximal induced-star vertex sets of g, sorted.  Maximality is
     under inclusion among stars, so a P3 inside a C4 still counts."""
-    _check_scan_cap(g)
+    check_scan_cap(g.n)
     return sorted(tuple(bits(m)) for m in _maximal_star_masks(g))
 
 
@@ -113,7 +118,7 @@ def verify_colouring(g: Graph, colouring, mode: str = "biclique",
 
     Hyperedges default to the oracle enumeration for the requested mode
     (biclique or star); callers with a generated power graph can pass the
-    closed-form family instead to dodge the subset-scan cap.
+    closed-form family instead to dodge the oracle's cap.
     """
     colours = colour_tuple(colouring, g.n)
     if hyperedges is None:

@@ -97,6 +97,16 @@ def power_graph(kind: str, n: int, k: int) -> Graph:
     return power_path(n, k) if kind == "path" else power_cycle(n, k)
 
 
+def power_edge_count(kind: str, n: int, k: int) -> int:
+    """Edge count of power_graph(kind, n, k), by formula: a complete graph
+    when n <= k+1 (path) or n <= 2k+1 (cycle); else vertex i of P_n^k has
+    min(k, n-1-i) higher neighbours, and every vertex of C_n^k has 2k."""
+    check_params(n, k)
+    if n <= (k + 1 if kind == "path" else 2 * k + 1):
+        return n * (n - 1) // 2
+    return k * n - k * (k + 1) // 2 if kind == "path" else k * n
+
+
 def circulant(n: int, distances) -> Graph:
     """Circulant graph C_n(d1, ..., dm): edge iff the cyclic distance of the
     endpoints equals some di.  C_n(1, 2, ..., k) is the power of a cycle."""

@@ -11,9 +11,10 @@ no two clauses sharing more than one literal.
 Containment is decided without walking the 2^|V'| subsets of V'.  The
 bipartition of a complete bipartite set with an edge is forced, so each such
 set inside V' is one triple (v0, B, A'): its lowest vertex v0, its side
-B = N(v0) inside the set, and the rest A' of v0's side.  Enumerating the
-triples lists every complete bipartite subset of V' exactly once, and each
-is tested for maximality against the whole graph (biclique_containment).
+B = N(v0) inside the set, and the rest A' of v0's side.  A maximal set has a
+maximal independent A', so only those triples are listed (the oracle's
+enumerator, graphs.maximal_cb_candidates, over the mask of V'), and each is
+tested for maximality against the whole graph (biclique_containment).
 
 Literals follow the DIMACS convention: nonzero signed ints, variable numbers
 1..num_vars.
@@ -35,6 +36,7 @@ from .graphs import (
     graph_to_dict,
     is_maximal_cb,
     mask_of,
+    maximal_cb_candidates,
     vertex_set,
 )
 
@@ -249,34 +251,18 @@ def write_instance(inst: ReductionInstance, path: str) -> None:
 # ---------------------------------------------------------------------------
 # containment and certification
 
-def _independent_subsets(adj, mask: int):
-    """Every independent subset of the vertex mask, the empty one included,
-    each once: a set is grown in increasing vertex order, and a vertex added
-    removes its neighbours from the vertices still free to join."""
-    stack = [(0, mask)]
-    while stack:
-        chosen, free = stack.pop()
-        yield chosen
-        while free:
-            low = free & -free
-            free ^= low
-            stack.append((chosen | low, free & ~adj[low.bit_length() - 1]))
-
-
 def biclique_containment(g: Graph, v_prime):
     """Lexicographically smallest maximal biclique of g lying inside
     v_prime, or None.  Maximality is checked against the whole of g.
 
-    A complete bipartite set S with an edge is connected, so its bipartition
-    is forced: with v0 the lowest vertex of S, one side is B = N(v0) & S and
-    the other is v0 plus A' = S - B - v0.  So S is exactly one triple
-    (v0, B, A'): B a non-empty independent subset of N(v0) & V' above v0,
-    and A' an independent subset of the vertices of V' above v0 outside
-    N(v0) that are adjacent to all of B.  Every such triple is complete
-    bipartite, so enumerating the triples lists each complete bipartite
-    subset of V' once, and the work grows with their number rather than
-    with the 2^|V'| subsets.  Each one is tested for maximality with the
-    sides it was built from.  The lowest vertex is compared first, so the
+    A maximal biclique S inside V' is one triple (v0, B, A') of
+    graphs.maximal_cb_candidates over the mask of V': v0 its lowest vertex,
+    B = N(v0) & S, and A' the rest of v0's side, a maximal independent set
+    of the vertices of V' above v0 outside N(v0) that see all of B (a
+    vertex of V' left out would extend S).  So the work grows with the
+    number of such triples rather than with the 2^|V'| subsets.  Each
+    candidate is tested for maximality with the sides it was built from.
+    Candidates come grouped by lowest vertex in increasing order, so the
     first v0 that yields a maximal set holds the answer.
     """
     vp = vertex_set(v_prime, g.n)
@@ -284,30 +270,15 @@ def biclique_containment(g: Graph, v_prime):
         raise CapacityError(
             f"containment scan is capped at |V'| <= 22, got {len(vp)}")
     adj = g.adj
-    vmask = mask_of(vp)
-    for v0 in vp:
-        above = vmask >> (v0 + 1) << (v0 + 1)
-        a0 = 1 << v0
-        best = None
-        # (B, vertices free to join B, vertices free to join A')
-        stack = [(0, adj[v0] & above, above & ~adj[v0])]
-        while stack:
-            b, free, common = stack.pop()
-            if b:
-                for rest in _independent_subsets(adj, common):
-                    a = a0 | rest
-                    if is_maximal_cb(adj, a | b, (a, b)):
-                        vs = tuple(bits(a | b))
-                        if best is None or vs < best:
-                            best = vs
-            while free:
-                low = free & -free
-                free ^= low
-                v = low.bit_length() - 1
-                stack.append((b | low, free & ~adj[v], common & adj[v]))
-        if best is not None:
-            return best
-    return None
+    best = None
+    for a, b in maximal_cb_candidates(adj, mask_of(vp)):
+        if best is not None and a & -a != 1 << best[0]:
+            break
+        if is_maximal_cb(adj, a | b, (a, b)):
+            vs = tuple(bits(a | b))
+            if best is None or vs < best:
+                best = vs
+    return best
 
 
 def decode_assignment(inst: ReductionInstance, witness):

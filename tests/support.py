@@ -4,7 +4,9 @@ These deliberately take different routes than the library: BFS bipartition
 instead of forced-neighbourhood masks, nested has_edge loops instead of
 bitset algebra, a second truth-table walker for CNF.  Closed forms and the
 oracle are both tested against these, so a shared bug would have to be made
-twice in different styles.
+twice in different styles.  The brute_scan functions are the exception: they
+run the library's own mask kernels on every vertex subset, the exhaustive
+scan that the oracle's enumeration must reproduce set for set.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from bicliques.graphs import Graph
+from bicliques.graphs import (
+    Graph,
+    bits,
+    cb_sides,
+    induced_shape,
+    is_maximal_cb,
+    is_maximal_star,
+    is_star_set,
+)
 from bicliques.reduction import CnfFormula, normalize
 
 
@@ -102,6 +112,44 @@ def brute_maximal_star_sets(g: Graph) -> set[tuple[int, ...]]:
              if is_star_by_loops(g, vs)]
     return {vs for vs in found
             if not any(set(vs) < set(other) for other in found)}
+
+
+def brute_scan_bicliques(g: Graph) -> list[tuple[tuple[int, ...], str]]:
+    """(vertices, shape) of every maximal complete bipartite set of g, sorted:
+    the library's mask kernels applied to each of the 2^n vertex subsets.
+    The oracle's output-sensitive enumeration must list the same sets."""
+    adj = g.adj
+    out = []
+    for m in range(3, 1 << g.n):
+        if m.bit_count() < 2:
+            continue
+        sides = cb_sides(adj, m)
+        if sides is not None and is_maximal_cb(adj, m, sides):
+            vs = tuple(bits(m))
+            out.append((vs, induced_shape(g, vs)))
+    return sorted(out)
+
+
+def brute_scan_stars(g: Graph) -> list[tuple[int, ...]]:
+    """Every maximal star of g as a sorted vertex tuple, sorted: the
+    library's mask kernels applied to each of the 2^n vertex subsets."""
+    adj = g.adj
+    return sorted(tuple(bits(m)) for m in range(3, 1 << g.n)
+                  if m.bit_count() >= 2 and is_star_set(adj, m)
+                  and is_maximal_star(adj, m))
+
+
+def brute_maximal_independent_sets(g: Graph, mask: int) -> set[int]:
+    """Masks of the maximal independent subsets of the vertex mask, found
+    among all its submasks with nested has_edge loops."""
+    vs = list(bits(mask))
+    found = []
+    for r in range(len(vs) + 1):
+        for sub in combinations(vs, r):
+            if not any(g.has_edge(x, y) for x, y in combinations(sub, 2)):
+                found.append(set(sub))
+    return {sum(1 << v for v in sub) for sub in found
+            if not any(sub < other for other in found)}
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4,

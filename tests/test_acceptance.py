@@ -105,7 +105,7 @@ def test_03_enumerations_match_oracle_and_shape_ranges():
                 assert shapes == {"C4"}, (n, k)
             assert "C4" not in {b.shape for b in path_bicliques(n, k)}, (n, k)
     _report(3, started, 120,
-            "biclique and star families equal the subset-scan oracle on the "
+            "biclique and star families equal the oracle enumeration on the "
             "full grid; shape ranges hold to n = 60")
 
 

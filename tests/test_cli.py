@@ -6,6 +6,8 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from bicliques import oracle, powers, reduction
 from bicliques.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
@@ -121,7 +123,7 @@ def test_verify_star_mode_rejects_biclique_optimum(tmp_path, capsys):
 
 def test_verify_unlabeled_graph_uses_oracle(tmp_path, capsys):
     # P_5^1 adjacency plus a chord: the label no longer matches, so the
-    # subset-scan oracle decides; the CLI must agree with it
+    # oracle enumeration decides; the CLI must agree with it
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)],
                          label="P_5^1")
     graph = tmp_path / "g.json"
@@ -186,6 +188,132 @@ def test_verify_input_errors_and_capacity(tmp_path, capsys, monkeypatch):
     assert main(["verify", str(graph), str(col)]) == EXIT_INPUT
     assert capsys.readouterr().err == \
         "error: colouring has 1 entries for n=10000000\n"
+
+
+def test_oracle_cap_checked_before_rows_are_allocated(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 10000000, "edges": []}))
+    for mode in ("biclique", "star"):
+        start = time.perf_counter()
+        assert main(["bicliques", "--graph", str(graph),
+                     "--mode", mode]) == EXIT_CAPACITY
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == \
+            "error: subset scan is capped at n <= 22, got n=10000000\n"
+
+
+def test_labelled_power_graph_rebuilt_only_on_matching_edge_count(
+        tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.json"
+    col = tmp_path / "c.json"
+
+    def rebuilt(*args):
+        raise AssertionError(f"power graph {args} rebuilt")
+    with monkeypatch.context() as m:
+        m.setattr(powers, "power_graph", rebuilt)
+        graph.write_text(json.dumps({"n": 10000000, "edges": [],
+                                     "label": "P_10000000^1"}))
+        start = time.perf_counter()
+        assert main(["bicliques", "--graph", str(graph),
+                     "--closed-form"]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1
+        assert "--closed-form needs a generated power graph" in \
+            capsys.readouterr().err
+        # a colouring of matching length: the oracle's cap decides
+        graph.write_text(json.dumps({"n": 60000, "edges": [],
+                                     "label": "P_60000^1"}))
+        col.write_text(json.dumps({"n": 60000, "colours": [0] * 60000}))
+        start = time.perf_counter()
+        assert main(["verify", str(graph), str(col)]) == EXIT_CAPACITY
+        assert time.perf_counter() - start < 1
+        capsys.readouterr()
+
+    # edges listed twice still make the named graph; a moved edge does not
+    edges = [list(e) for e in powers.power_path(7, 2).edges()]
+    graph.write_text(json.dumps({"n": 7, "edges": edges + edges[:3],
+                                 "label": "P_7^2"}))
+    assert main(["bicliques", "--graph", str(graph), "--closed-form"]) == \
+        EXIT_OK
+    assert json.loads(capsys.readouterr().out)["source"] == "closed-form"
+    moved = edges[:-1] + [[0, 6]]
+    graph.write_text(json.dumps({"n": 7, "edges": moved, "label": "P_7^2"}))
+    assert main(["bicliques", "--graph", str(graph), "--closed-form"]) == \
+        EXIT_INPUT
+    capsys.readouterr()
+
+
+_JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(),
+                       st.integers(-2, 14), st.text(max_size=4))
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+_N = st.one_of(st.integers(-1, 12), st.just(10000000), _JSON_LEAF)
+# Labels name small powers only: the huge labelled graph has its own test
+# above, which fails at once, rather than growing memory, if it is rebuilt.
+_LABEL = st.one_of(
+    st.builds("{}_{}^{}".format, st.sampled_from("PC"),
+              st.integers(0, 13), st.integers(0, 4)), _JSON)
+
+
+@st.composite
+def _graph_text(draw):
+    """Graph file contents: mostly graph-shaped objects with small n,
+    sometimes any JSON value or text that is not JSON at all."""
+    choice = draw(st.integers(0, 9))
+    if choice == 0:
+        return draw(st.text(max_size=12))
+    if choice == 1:
+        return json.dumps(draw(_JSON))
+    n = draw(_N)
+    top = n if isinstance(n, int) and not isinstance(n, bool) and \
+        0 < n <= 12 else 12
+    pair = st.lists(st.integers(-1, top), min_size=2, max_size=2)
+    doc = {"n": n, "edges": draw(st.lists(pair | _JSON, max_size=14))}
+    if draw(st.booleans()):
+        doc["label"] = draw(_LABEL)
+    return json.dumps(doc)
+
+
+@st.composite
+def _colouring_text(draw):
+    choice = draw(st.integers(0, 9))
+    if choice == 0:
+        return draw(st.text(max_size=12))
+    if choice == 1:
+        return json.dumps(draw(_JSON))
+    colours = draw(st.lists(st.integers(-1, 3), max_size=13))
+    doc = {"n": draw(st.just(len(colours)) | _N), "colours": colours}
+    if draw(st.booleans()):
+        doc["num_colours"] = draw(st.integers(-1, 5) | _JSON_LEAF)
+    return json.dumps(doc)
+
+
+@given(graph=_graph_text(), colouring=_colouring_text(),
+       mode=st.sampled_from(["biclique", "star"]),
+       closed_form=st.booleans())
+@example(graph='{"n": 1, "edges": []}',  # num_colours is not expanded
+         colouring='{"n": 1, "colours": [0], "num_colours": 10000000}',
+         mode="biclique", closed_form=False)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_file_contents_fuzz_ends_in_a_documented_exit_code(
+        tmp_path_factory, graph, colouring, mode, closed_form):
+    """Whatever the graph and colouring files hold, verify and
+    bicliques --graph end in exit code 0-3 (main lets any other exception
+    through as a traceback) within a second."""
+    work = tmp_path_factory.mktemp("fuzz")
+    gpath, cpath = work / "g.json", work / "c.json"
+    gpath.write_text(graph)
+    cpath.write_text(colouring)
+    for argv in (["verify", str(gpath), str(cpath), "--mode", mode],
+                 ["bicliques", "--graph", str(gpath), "--mode", mode]
+                 + (["--closed-form"] if closed_form else [])):
+        start = time.perf_counter()
+        assert main(argv) in (EXIT_OK, EXIT_INVALID, EXIT_INPUT,
+                              EXIT_CAPACITY)
+        assert time.perf_counter() - start < 1
 
 
 def test_bicliques_closed_form_and_oracle_agree(tmp_path, capsys):

@@ -3,6 +3,7 @@ chromatic closed forms, cross-checked through the oracle verifier."""
 
 import json
 import re
+import time
 from itertools import combinations
 
 import pytest
@@ -57,6 +58,15 @@ def test_colouring_validation():
         Colouring((0, 0), 2)  # id 1 unused
     assert Colouring.from_sequence([2, 0, 1, 0]).num_colours == 3
     assert Colouring.from_sequence([]).num_colours == 0
+    with pytest.raises(InputError, match=r"^colour ids \[1, 3\] unused$"):
+        Colouring((0, 2, 0), 4)
+    # num_colours is read from files: a huge one is reported, not expanded
+    start = time.perf_counter()
+    with pytest.raises(InputError) as err:
+        Colouring((0, 2), 10 ** 7)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == "colour ids [1, " + ", ".join(
+        map(str, range(3, 22))) + ", ...] unused"
 
 
 def test_even_division_frozen_and_unique():

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from bicliques.graphs import (
@@ -26,6 +27,9 @@ from bicliques.graphs import (
     is_maximal_star,
     is_star_set,
     mask_of,
+    maximal_cb_candidates,
+    maximal_independent_subsets,
+    maximal_star_candidates,
     read_graph,
     vertex_set,
     write_dot,
@@ -133,6 +137,42 @@ def test_maximality_kernels_match_extension_scan(g):
             if star:
                 assert is_maximal_star(g.adj, m) == (not any(
                     support.is_star_by_loops(g, vs + (w,)) for w in outside))
+
+
+@given(support.graph_strategy(max_n=10), st.integers(0, (1 << 10) - 1))
+@settings(max_examples=80, deadline=None)
+def test_maximal_independent_subsets_match_submask_scan(g, mask):
+    mask &= (1 << g.n) - 1
+    found = list(maximal_independent_subsets(g.adj, mask))
+    assert len(found) == len(set(found))
+    assert set(found) == support.brute_maximal_independent_sets(g, mask)
+
+
+@given(support.graph_strategy(max_n=9), st.integers(0, (1 << 9) - 1))
+@settings(max_examples=80, deadline=None)
+def test_candidates_cover_sets_maximal_within_the_mask(g, vmask):
+    """The biclique candidates are complete bipartite sets inside the mask
+    with the sides given, and include every one that no vertex of the mask
+    extends; the star candidates are stars and include every maximal one.
+    Both decided here by the independent loop checkers."""
+    vmask &= (1 << g.n) - 1
+    inside = list(bits(vmask))
+    cb = list(maximal_cb_candidates(g.adj, vmask))
+    lows = [a & -a for a, _ in cb]
+    assert lows == sorted(lows)
+    for a, b in cb:
+        assert a | b == (a | b) & vmask and cb_sides(g.adj, a | b) == (a, b)
+    cb_sets = {a | b for a, b in cb}
+    for r in range(2, len(inside) + 1):
+        for vs in combinations(inside, r):
+            outside = [w for w in inside if w not in vs]
+            if support.bfs_complete_bipartite(g, vs) is not None and not any(
+                    support.bfs_complete_bipartite(g, tuple(sorted(vs + (w,))))
+                    is not None for w in outside):
+                assert mask_of(vs) in cb_sets
+    stars = set(maximal_star_candidates(g.adj))
+    assert all(is_star_set(g.adj, s) for s in stars)
+    assert {mask_of(vs) for vs in support.brute_maximal_star_sets(g)} <= stars
 
 
 def _k4_by_permutations(g):

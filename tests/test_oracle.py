@@ -1,5 +1,9 @@
-"""Brute-force oracle: subset-scan enumerations against an independent
-subset checker, the exact chromatic search, and the P3 / block analyzers."""
+"""Oracle: the output-sensitive biclique and star enumerations against the
+exhaustive subset scan and an independent subset checker, the exact
+chromatic search, and the P3 / block analyzers."""
+
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,7 @@ from bicliques.oracle import (
     maximal_stars,
     verify_colouring,
 )
-from bicliques.powers import power_cycle, power_path
+from bicliques.powers import circulant, power_cycle, power_path
 
 
 def test_oracle_frozen_enumerations():
@@ -40,6 +44,47 @@ def test_oracle_families_match_brute_subset_checker(g):
     assert {b.vertices for b in maximal_bicliques(g)} == \
         support.brute_maximal_cb_sets(g)
     assert set(maximal_stars(g)) == support.brute_maximal_star_sets(g)
+
+
+@given(support.graph_strategy(max_n=11))
+@settings(max_examples=80, deadline=None)
+def test_oracle_families_match_subset_scan(g):
+    assert [(b.vertices, b.shape) for b in maximal_bicliques(g)] == \
+        support.brute_scan_bicliques(g)
+    assert maximal_stars(g) == support.brute_scan_stars(g)
+
+
+def _relabelled(rng, g):
+    perm = rng.sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges()])
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_oracle_families_match_subset_scan_on_benchmark_graph_types(n):
+    # the graph types of the benchmark's oracle deck: relabelled powers with
+    # k = 3, circulants with distances {1, 1 + n // 4}, and G(n, 0.3)
+    rng = random.Random(n)
+    for g in (_relabelled(rng, power_path(n, 3)),
+              _relabelled(rng, power_cycle(n, 3)),
+              circulant(n, [1, 1 + n // 4]),
+              support.random_graph(rng, n, 0.3)):
+        assert [(b.vertices, b.shape) for b in maximal_bicliques(g)] == \
+            support.brute_scan_bicliques(g)
+        assert maximal_stars(g) == support.brute_scan_stars(g)
+
+
+def test_enumeration_does_not_walk_subsets_of_a_large_side():
+    # K_{1,21} and K_{11,11} have one maximal biclique each; the side of
+    # vertex 0's neighbours has 2^21 (2^11) independent subsets, which the
+    # enumeration must not visit one by one
+    star = Graph.from_edges(22, [(0, v) for v in range(1, 22)])
+    k11 = Graph.from_edges(22, [(u, v) for u in range(11)
+                                for v in range(11, 22)])
+    start = time.perf_counter()
+    assert [b.vertices for b in maximal_bicliques(star)] == [tuple(range(22))]
+    assert [b.vertices for b in maximal_bicliques(k11)] == [tuple(range(22))]
+    assert maximal_stars(star) == [tuple(range(22))]
+    assert time.perf_counter() - start < 1
 
 
 def test_scan_cap():

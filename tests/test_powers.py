@@ -1,5 +1,5 @@
 """Power-graph generators and closed-form biclique / star enumerations,
-checked against the subset-scan oracle and independent test-side scanners."""
+checked against the oracle enumeration and independent test-side scanners."""
 
 from itertools import combinations
 
@@ -18,6 +18,8 @@ from bicliques.powers import (
     path_bicliques,
     path_stars,
     power_cycle,
+    power_edge_count,
+    power_graph,
     power_path,
 )
 
@@ -51,6 +53,16 @@ def test_power_cycle_structure():
     big = power_cycle(11, 4)
     assert big.edge_count == 44
     assert all(big.degree(v) == 8 for v in range(11))
+
+
+@pytest.mark.parametrize("kind", ["path", "cycle"])
+def test_power_edge_count_formula(kind):
+    for k in range(1, 10):
+        for n in range(1, 4 * k + 8):
+            assert power_edge_count(kind, n, k) == \
+                power_graph(kind, n, k).edge_count, (kind, n, k)
+    with pytest.raises(InputError):
+        power_edge_count(kind, 5, 0)
 
 
 def test_power_param_validation():
