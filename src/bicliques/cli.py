@@ -27,6 +27,7 @@ from .graphs import (
     CapacityError,
     Graph,
     InputError,
+    first_monochromatic,
     graph_fields,
     graph_to_dict,
     read_json,
@@ -53,25 +54,25 @@ def _closed_form(kind: str, mode: str):
     }[(kind, mode)]
 
 
-def _label_params(label, n: int):
-    """(kind, n, k) when label names P_n^k or C_n^k on n vertices, else None.
-    A k or n that no power graph has is an InputError, as in power_graph."""
+def _power_params(label, n: int, edges):
+    """(kind, n, k) when label names P_n^k or C_n^k on n vertices and the
+    edge pairs (checked by graph_fields: in range, no loops) are exactly
+    that graph's, else None.  They are when the distinct pairs number as
+    many as its edges and each lies within index distance k (cyclic
+    distance for C_n^k), so no graph is built.  A k or n that no power
+    graph has is an InputError, as in power_graph."""
     m = _POWER_LABEL.match(label or "")
     if not m or int(m.group(2)) != n:
         return None
-    k = int(m.group(3))
-    powers.check_params(n, k)
-    return ("path" if m.group(1) == "P" else "cycle"), n, k
-
-
-def _is_power_graph(params, edges) -> bool:
-    """Whether the edge pairs are exactly those of the power graph that
-    params (kind, n, k) names.  Rebuilding it takes O(n^2) bits (a row of
-    P_n^k is an int as wide as its highest neighbour), so that is done only
-    when the pairs hold as many distinct edges as the formula gives."""
+    kind, k = ("path" if m.group(1) == "P" else "cycle"), int(m.group(3))
     distinct = {(min(i, j), max(i, j)) for i, j in edges}
-    return (len(distinct) == powers.power_edge_count(*params)
-            and distinct == set(powers.power_graph(*params).edges()))
+    if len(distinct) != powers.power_edge_count(kind, n, k):
+        return None
+    if kind == "cycle":
+        near = all(powers.cyclic_reach(n, i, j) <= k for i, j in distinct)
+    else:
+        near = all(j - i <= k for i, j in distinct)
+    return (kind, n, k) if near else None
 
 
 def _certificate_text(result: ChromaticResult) -> str:
@@ -133,19 +134,19 @@ def cmd_chromatic(args) -> int:
 
 def cmd_verify(args) -> int:
     # The colouring's length is checked before the graph's n rows are
-    # allocated and before a power graph named by the label is rebuilt, so
-    # a huge declared n is rejected at once.
+    # allocated, so a huge declared n is rejected at once.  A file that is
+    # the power graph its label names is checked against the family alone.
     n, edges, label = graph_fields(read_json(args.graph))
     col = read_colouring(args.colouring)
-    params = _label_params(label, n)
+    params = _power_params(label, n, edges)
     colours = oracle.colour_tuple(col, n)
-    g = Graph.from_edges(n, edges, label)
-    hyperedges = None
-    if params is not None and _is_power_graph(params, edges):
+    if params is not None:
         _, family = _closed_form(params[0], args.mode)
-        hyperedges = family(*params[1:])
-    witness = oracle.verify_colouring(g, colours, args.mode,
-                                      hyperedges=hyperedges)
+        witness = first_monochromatic(
+            colours, [getattr(h, "vertices", h) for h in family(n, params[2])])
+    else:
+        witness = oracle.verify_colouring(
+            Graph.from_edges(n, edges, label), colours, args.mode)
     if witness is None:
         print("valid")
         return EXIT_OK
@@ -159,20 +160,19 @@ def cmd_bicliques(args) -> int:
         # rows are allocated, so a huge declared n is rejected at once.
         n, edges, label = graph_fields(read_json(args.graph))
         if args.closed_form:
-            params = _label_params(label, n)
-            if params is None or not _is_power_graph(params, edges):
+            params = _power_params(label, n, edges)
+            if params is None:
                 raise InputError(
                     "--closed-form needs a generated power graph "
                     "(matching P_n^k / C_n^k label)")
         else:
             params = None
             oracle.check_scan_cap(n)
-        g = Graph.from_edges(n, edges, label)
     else:
         if args.kind is None or args.n is None or args.k is None:
             raise InputError("need --graph FILE, or --kind with --n and --k")
         params = args.kind, args.n, args.k
-        g = powers.power_graph(*params)
+        label = powers.power_label(*params)
 
     if params is not None:
         kind, n, k = params
@@ -180,6 +180,7 @@ def cmd_bicliques(args) -> int:
         source = "closed-form"
         fam = family(n, k)
     else:
+        g = Graph.from_edges(n, edges, label)
         source = "oracle"
         fam = oracle.maximal_bicliques(g) if args.mode == "biclique" \
             else oracle.maximal_stars(g)
@@ -191,7 +192,7 @@ def cmd_bicliques(args) -> int:
         body = [list(s) for s in fam]
 
     key = "bicliques" if args.mode == "biclique" else "stars"
-    doc = {"label": g.label, "mode": args.mode, "source": source,
+    doc = {"label": label, "mode": args.mode, "source": source,
            "count": len(body), key: body}
     text = json.dumps(doc, indent=1)
     if args.out:

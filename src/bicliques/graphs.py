@@ -273,8 +273,8 @@ def maximal_independent_subsets(adj, mask: int):
 def maximal_cb_candidates(adj, vmask: int):
     """Side masks (a, b) of complete bipartite sets with an edge inside the
     vertex mask vmask, among them every such set that no vertex of vmask
-    extends; grouped by lowest vertex, in increasing order.  Callers still
-    test each candidate with is_maximal_cb against the whole graph.
+    extends; grouped by lowest vertex, in increasing order.
+    maximal_cb_sides tests each one against the whole graph.
 
     The bipartition of a complete bipartite set S with an edge is forced:
     with v0 its lowest vertex, b = N(v0) & S and a is v0 plus A'.  So S is
@@ -316,13 +316,37 @@ def maximal_star_candidates(adj):
     """Masks of stars, among them every maximal one: each centre c with a
     non-empty maximal independent subset of N(c) as its leaves, since a
     leaf left out would extend the star.  A single edge can come out once
-    from each end.  Callers still test each candidate with is_star_set and
+    from each end.  maximal_star_masks tests each one with is_star_set and
     is_maximal_star.
     """
     for c, row in enumerate(adj):
         for leaves in maximal_independent_subsets(adj, row):
             if leaves:
                 yield 1 << c | leaves
+
+
+def maximal_cb_sides(adj, vmask: int):
+    """Side masks (a, b) of the maximal complete bipartite sets inside the
+    vertex mask vmask, maximal in the whole graph: the candidates of
+    maximal_cb_candidates, in its order, that pass is_maximal_cb."""
+    for a, b in maximal_cb_candidates(adj, vmask):
+        if is_maximal_cb(adj, a | b, (a, b)):
+            yield a, b
+
+
+def maximal_star_masks(adj) -> set[int]:
+    """Masks of the maximal stars of the graph: the candidates of
+    maximal_star_candidates that pass is_star_set and is_maximal_star, as a
+    set, since a single-edge star comes out once from each end."""
+    return {m for m in maximal_star_candidates(adj)
+            if is_star_set(adj, m) and is_maximal_star(adj, m)}
+
+
+def cb_shape(a: int, b: int) -> str:
+    """Shape of the complete bipartite set with side masks a and b: "P2"
+    for sides 1+1, "P3" for 1+2, "C4" for 2+2, else "OTHER"."""
+    sides = tuple(sorted((a.bit_count(), b.bit_count())))
+    return {(1, 1): "P2", (1, 2): "P3", (2, 2): "C4"}.get(sides, "OTHER")
 
 
 def first_monochromatic(colours, sets):
@@ -471,14 +495,30 @@ def graph_from_dict(d: dict) -> Graph:
     return Graph.from_edges(*graph_fields(d))
 
 
-def read_json(path: str):
-    """The JSON value stored at path; a syntax error is an InputError that
-    names the file and line."""
+def read_text(path: str) -> str:
+    """The contents of the UTF-8 text file at path, newlines translated as
+    when reading lines; other bytes are an InputError that names the file."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(
+            f"{path}: byte {e.start}: not UTF-8 text ({e.reason})") from e
+
+
+def read_json(path: str):
+    """The JSON value stored at path; a syntax error, an integer too long
+    to convert or nesting too deep for the parser is an InputError that
+    names the file."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: line {e.lineno}: {e.msg}") from e
+    except ValueError as e:
+        raise InputError(f"{path}: {e}") from e
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
 
 
 def read_graph(path: str) -> Graph:

@@ -1,18 +1,16 @@
-"""Ground truth for any graph, independent of the closed-form machinery.
+"""Maximal bicliques and stars of any graph, exact chromatic search, and
+the P3 / block analysis.
 
-The maximal bicliques and stars are enumerated from the graph alone, with
-work that grows with the number of candidates rather than with the 2^n
-vertex subsets.  A biclique is listed from its lowest vertex v0, its side
-B inside N(v0) and a maximal independent set A' of the vertices above v0
-outside N(v0) that see all of B; a star from a centre and a maximal
-independent set of its neighbours (graphs.maximal_cb_candidates and
-graphs.maximal_star_candidates).  Every candidate is checked with the
-complete-bipartite (star) and maximality kernels against the whole graph,
-and the tests compare the result with the exhaustive subset scan.  Both
-are capped at SUBSET_SCAN_CAP vertices.  The exact chromatic search is a
-backtracking search over canonical colourings capped at SEARCH_CAP.  The
-closed-form modules are tested against these functions, never the other
-way around.
+The maximal bicliques and stars are enumerated with work that grows with
+the number of candidates rather than with the 2^n vertex subsets: a
+biclique from its lowest vertex v0, its side B inside N(v0) and a maximal
+independent set A' of the vertices above v0 outside N(v0) that see all of
+B; a star from a centre and a maximal independent set of its neighbours.
+Each candidate is checked against the whole graph (graphs.maximal_cb_sides
+and graphs.maximal_star_masks).  The power-graph families run the same
+enumeration, so the tests hold both to the exhaustive subset scan.  The
+enumerations are capped at SUBSET_SCAN_CAP vertices, the backtracking
+search over canonical colourings at SEARCH_CAP.
 """
 
 from __future__ import annotations
@@ -26,13 +24,10 @@ from .graphs import (
     Graph,
     InputError,
     bits,
+    cb_shape,
     first_monochromatic,
-    induced_shape,
-    is_maximal_cb,
-    is_maximal_star,
-    is_star_set,
-    maximal_cb_candidates,
-    maximal_star_candidates,
+    maximal_cb_sides,
+    maximal_star_masks,
 )
 from .powers import Biclique, cyclic_reach
 
@@ -56,27 +51,23 @@ def check_scan_cap(n: int) -> None:
 
 
 @lru_cache(maxsize=CACHE_GRAPHS)
-def _maximal_cb_masks(g: Graph) -> tuple[int, ...]:
-    adj = g.adj
-    return tuple(a | b for a, b in maximal_cb_candidates(adj, (1 << g.n) - 1)
-                 if is_maximal_cb(adj, a | b, (a, b)))
+def _maximal_cb_sides(g: Graph) -> tuple[tuple[int, int], ...]:
+    return tuple(maximal_cb_sides(g.adj, (1 << g.n) - 1))
 
 
 @lru_cache(maxsize=CACHE_GRAPHS)
 def _maximal_star_masks(g: Graph) -> tuple[int, ...]:
-    adj = g.adj
-    # a set, since a single-edge star can come out once from each end
-    return tuple({m for m in maximal_star_candidates(adj)
-                  if is_star_set(adj, m) and is_maximal_star(adj, m)})
+    return tuple(maximal_star_masks(g.adj))
 
 
 def maximal_bicliques(g: Graph) -> list[Biclique]:
     """All maximal complete-bipartite vertex sets of g (>= 1 edge each),
     sorted by vertex list.  Enumerated from (v0, B, A') triples with A' a
-    maximal independent set (graphs.maximal_cb_candidates), each checked
-    against the whole graph; n <= SUBSET_SCAN_CAP."""
+    maximal independent set, each checked against the whole graph
+    (graphs.maximal_cb_sides); n <= SUBSET_SCAN_CAP."""
     check_scan_cap(g.n)
-    out = [Biclique(tuple(bits(m)), _shape(g, m)) for m in _maximal_cb_masks(g)]
+    out = [Biclique(tuple(bits(a | b)), cb_shape(a, b))
+           for a, b in _maximal_cb_sides(g)]
     out.sort(key=lambda b: b.vertices)
     return out
 
@@ -86,10 +77,6 @@ def maximal_stars(g: Graph) -> list[tuple[int, ...]]:
     under inclusion among stars, so a P3 inside a C4 still counts."""
     check_scan_cap(g.n)
     return sorted(tuple(bits(m)) for m in _maximal_star_masks(g))
-
-
-def _shape(g: Graph, m: int) -> str:
-    return induced_shape(g, tuple(bits(m)))
 
 
 def _maximal_sets(g: Graph, mode: str) -> list[tuple[int, ...]]:

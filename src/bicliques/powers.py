@@ -2,18 +2,12 @@
 
 P_n^k joins path vertices at index distance <= k; C_n^k joins cycle vertices
 at cyclic distance <= k.  Both are K_{1,3}-free, and path powers are also
-C4-free, so every maximal complete bipartite set has 2, 3, or 4 vertices.
-The enumerators below generate candidate sets from index arithmetic and then
-filter each one with explicit complete-bipartite and maximality checks
-against the host graph, so a wrong candidate range cannot produce a wrong
-answer, only a missing one (the oracle tests cover that direction).
-
-Both checks are one pass over a few neighbourhoods.  A complete bipartite
-set with an edge is connected, so its bipartition is forced (the side away
-from the lowest vertex is that vertex's neighbourhood in the set), and any
-extension by one vertex w keeps it: w extends the set exactly when its
-neighbourhood in the set is one whole side.  Likewise w extends a star
-exactly when its only neighbour in the set is a centre.
+C4-free, so every maximal complete bipartite set is an edge, an induced P3
+or an induced C4.  The families are listed by the same output-sensitive
+enumeration the oracle runs on any graph (graphs.maximal_cb_sides and
+graphs.maximal_star_masks), applied to P_n^k or C_n^k, so their cost grows
+with the number of maximal sets rather than with the 2^n vertex subsets.
+The tests compare them with the exhaustive subset scan.
 """
 
 from __future__ import annotations
@@ -24,12 +18,9 @@ from .graphs import (
     Graph,
     InputError,
     bits,
-    cb_sides,
-    induced_shape,
-    is_maximal_cb,
-    is_maximal_star,
-    is_star_set,
-    mask_of,
+    cb_shape,
+    maximal_cb_sides,
+    maximal_star_masks,
 )
 
 
@@ -60,6 +51,11 @@ def cyclic_reach(n: int, i: int, j: int) -> int:
     return min(d, n - d)
 
 
+def power_label(kind: str, n: int, k: int) -> str:
+    """The label of power_graph(kind, n, k): "P_n^k" or "C_n^k"."""
+    return f"{'P' if kind == 'path' else 'C'}_{n}^{k}"
+
+
 def power_path(n: int, k: int) -> Graph:
     """P_n^k: vertices 0..n-1, edge iff |i - j| <= k.  n <= k+1 gives K_n."""
     check_params(n, k)
@@ -69,7 +65,7 @@ def power_path(n: int, k: int) -> Graph:
         hi = min(n - 1, i + k)
         row = ((1 << (hi - lo + 1)) - 1) << lo
         adj.append(row & ~(1 << i))
-    return Graph(n, tuple(adj), f"P_{n}^{k}")
+    return Graph(n, tuple(adj), power_label("path", n, k))
 
 
 def power_cycle(n: int, k: int) -> Graph:
@@ -89,7 +85,7 @@ def power_cycle(n: int, k: int) -> Graph:
                 row |= 1 << ((i + d) % n)
                 row |= 1 << ((i - d) % n)
         adj.append(row)
-    return Graph(n, tuple(adj), f"C_{n}^{k}")
+    return Graph(n, tuple(adj), power_label("cycle", n, k))
 
 
 def power_graph(kind: str, n: int, k: int) -> Graph:
@@ -133,22 +129,8 @@ def circulant(n: int, distances) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# candidate generation from index arithmetic
-
-def _path_p3s(n: int, k: int) -> list[tuple[int, int, int]]:
-    """All induced P3s of P_n^k as sorted triples.
-
-    An induced P3 has its two ends on opposite sides of the centre (same-side
-    ends are at distance <= k-1, hence adjacent), so triples are centre b with
-    ends b-d1, b+d2 for 1 <= d1, d2 <= k and d1+d2 > k.
-    """
-    out = []
-    for b in range(n):
-        for d1 in range(1, min(k, b) + 1):
-            for d2 in range(max(1, k - d1 + 1), min(k, n - 1 - b) + 1):
-                out.append((b - d1, b, b + d2))
-    return out
-
+# maximal families, from the enumeration the oracle uses, and the induced
+# P3s of cycle powers by index arithmetic (the three-colouring's own check)
 
 def cycle_induced_p3s(n: int, k: int) -> list[tuple[tuple[int, int, int], int]]:
     """All induced P3s of C_n^k with their reach, sorted by vertex triple.
@@ -171,54 +153,16 @@ def cycle_induced_p3s(n: int, k: int) -> list[tuple[tuple[int, int, int], int]]:
     return sorted(found.items())
 
 
-def _cycle_c4_candidates(n: int, k: int) -> set[tuple[int, ...]]:
-    """Candidate induced-C4 quads of C_n^k.
-
-    The sides of an induced C4 alternate around the cycle, and each of the
-    four gaps between consecutive chosen vertices is at most k (a gap > k
-    forces the opposite arc <= k and makes a diagonal adjacent), so quads are
-    generated from gap triples in [1, k]; the complete-bipartite filter
-    downstream discards quads whose diagonals are adjacent.
-    """
-    quads: set[tuple[int, ...]] = set()
-    if n < 4 or n > 4 * k:
-        return quads
-    for a in range(n):
-        for g1 in range(1, k + 1):
-            for g2 in range(1, k + 1):
-                for g3 in range(1, k + 1):
-                    g4 = n - (g1 + g2 + g3)
-                    if not 1 <= g4 <= k:
-                        continue
-                    quad = tuple(sorted(
-                        (a, (a + g1) % n, (a + g1 + g2) % n,
-                         (a + g1 + g2 + g3) % n)))
-                    if len(set(quad)) == 4:
-                        quads.add(quad)
-    return quads
-
-
-def _filter_maximal_cb(g: Graph, masks) -> list[tuple[int, ...]]:
-    out = []
-    for m in masks:
-        sides = cb_sides(g.adj, m)
-        if sides is not None and is_maximal_cb(g.adj, m, sides):
-            out.append(tuple(bits(m)))
-    out.sort()
-    return out
-
-
 def path_bicliques(n: int, k: int) -> list[Biclique]:
     """Maximal bicliques of P_n^k, sorted by vertex list.
 
     Complete range (n <= k+1) yields only edges; the middle range k+2..2k
     mixes maximal edges and P3s; n >= 2k+1 yields only P3s.
     """
-    g = power_path(n, k)
-    masks = {1 << i | 1 << j for i, j in g.edges()}
-    masks.update(mask_of(t) for t in _path_p3s(n, k))
-    return [Biclique(vs, induced_shape(g, vs))
-            for vs in _filter_maximal_cb(g, masks)]
+    out = [Biclique(tuple(bits(a | b)), cb_shape(a, b))
+           for a, b in maximal_cb_sides(power_path(n, k).adj, (1 << n) - 1)]
+    out.sort(key=lambda b: b.vertices)
+    return out
 
 
 def cycle_bicliques(n: int, k: int) -> list[Biclique]:
@@ -226,27 +170,18 @@ def cycle_bicliques(n: int, k: int) -> list[Biclique]:
 
     Only edges survive in the complete range n <= 2k+1; only C4s in
     2k+2..3k+1; C4s and P3s in 3k+2..4k; only P3s for n >= 4k+1.  P3 entries
-    carry their reach.
+    carry their reach, summed from the centre (the side of one vertex).
     """
-    g = power_cycle(n, k)
-    p3s = cycle_induced_p3s(n, k)
-    reach_of = {t: r for t, r in p3s}
-    masks = {1 << i | 1 << j for i, j in g.edges()}
-    masks.update(mask_of(t) for t in reach_of)
-    masks.update(mask_of(q) for q in _cycle_c4_candidates(n, k))
     out = []
-    for vs in _filter_maximal_cb(g, masks):
-        reach = reach_of.get(vs) if len(vs) == 3 else None
-        out.append(Biclique(vs, induced_shape(g, vs), reach))
-    return out
-
-
-def _filter_maximal_star(g: Graph, masks) -> list[tuple[int, ...]]:
-    out = []
-    for m in masks:
-        if is_star_set(g.adj, m) and is_maximal_star(g.adj, m):
-            out.append(tuple(bits(m)))
-    out.sort()
+    for a, b in maximal_cb_sides(power_cycle(n, k).adj, (1 << n) - 1):
+        shape = cb_shape(a, b)
+        reach = None
+        if shape == "P3":
+            centre, ends = (a, b) if a & (a - 1) == 0 else (b, a)
+            c = centre.bit_length() - 1
+            reach = sum(cyclic_reach(n, c, e) for e in bits(ends))
+        out.append(Biclique(tuple(bits(a | b)), shape, reach))
+    out.sort(key=lambda b: b.vertices)
     return out
 
 
@@ -259,7 +194,6 @@ def path_stars(n: int, k: int) -> list[tuple[int, ...]]:
 def cycle_stars(n: int, k: int) -> list[tuple[int, ...]]:
     """Maximal stars of C_n^k: K_{1,3}-freeness limits stars to edges and
     induced P3s.  Unlike bicliques, a P3 inside a C4 is still a maximal star."""
-    g = power_cycle(n, k)
-    masks = {1 << i | 1 << j for i, j in g.edges()}
-    masks.update(mask_of(t) for t, _ in cycle_induced_p3s(n, k))
-    return _filter_maximal_star(g, masks)
+    return sorted(tuple(bits(m))
+                  for m in maximal_star_masks(power_cycle(n, k).adj))
+

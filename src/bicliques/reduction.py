@@ -12,9 +12,9 @@ Containment is decided without walking the 2^|V'| subsets of V'.  The
 bipartition of a complete bipartite set with an edge is forced, so each such
 set inside V' is one triple (v0, B, A'): its lowest vertex v0, its side
 B = N(v0) inside the set, and the rest A' of v0's side.  A maximal set has a
-maximal independent A', so only those triples are listed (the oracle's
-enumerator, graphs.maximal_cb_candidates, over the mask of V'), and each is
-tested for maximality against the whole graph (biclique_containment).
+maximal independent A', so only those triples are listed, and each is
+tested for maximality against the whole graph (the oracle's enumerator,
+graphs.maximal_cb_sides, over the mask of V'; biclique_containment).
 
 Literals follow the DIMACS convention: nonzero signed ints, variable numbers
 1..num_vars.
@@ -34,9 +34,9 @@ from .graphs import (
     contains_induced_c4,
     contains_k4,
     graph_to_dict,
-    is_maximal_cb,
     mask_of,
-    maximal_cb_candidates,
+    maximal_cb_sides,
+    read_text,
     vertex_set,
 )
 
@@ -256,28 +256,25 @@ def biclique_containment(g: Graph, v_prime):
     v_prime, or None.  Maximality is checked against the whole of g.
 
     A maximal biclique S inside V' is one triple (v0, B, A') of
-    graphs.maximal_cb_candidates over the mask of V': v0 its lowest vertex,
+    graphs.maximal_cb_sides over the mask of V': v0 its lowest vertex,
     B = N(v0) & S, and A' the rest of v0's side, a maximal independent set
     of the vertices of V' above v0 outside N(v0) that see all of B (a
     vertex of V' left out would extend S).  So the work grows with the
-    number of such triples rather than with the 2^|V'| subsets.  Each
-    candidate is tested for maximality with the sides it was built from.
-    Candidates come grouped by lowest vertex in increasing order, so the
-    first v0 that yields a maximal set holds the answer.
+    number of such triples rather than with the 2^|V'| subsets.  Sets
+    come grouped by lowest vertex in increasing order, so the first v0 that
+    yields one holds the answer.
     """
     vp = vertex_set(v_prime, g.n)
     if len(vp) > 22:
         raise CapacityError(
             f"containment scan is capped at |V'| <= 22, got {len(vp)}")
-    adj = g.adj
     best = None
-    for a, b in maximal_cb_candidates(adj, mask_of(vp)):
+    for a, b in maximal_cb_sides(g.adj, mask_of(vp)):
         if best is not None and a & -a != 1 << best[0]:
             break
-        if is_maximal_cb(adj, a | b, (a, b)):
-            vs = tuple(bits(a | b))
-            if best is None or vs < best:
-                best = vs
+        vs = tuple(bits(a | b))
+        if best is None or vs < best:
+            best = vs
     return best
 
 
@@ -370,39 +367,38 @@ def read_dimacs(path: str) -> CnfFormula:
     num_vars = num_clauses = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c") or line.startswith("%"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if (len(parts) != 4 or parts[1] != "cnf" or num_vars is not None):
-                    raise InputError(f"{path}: line {lineno}: bad header {line!r}")
-                try:
-                    num_vars, num_clauses = int(parts[2]), int(parts[3])
-                except ValueError as e:
-                    raise InputError(
-                        f"{path}: line {lineno}: bad header {line!r}") from e
-                continue
-            if num_vars is None:
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c") or line.startswith("%"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if (len(parts) != 4 or parts[1] != "cnf" or num_vars is not None):
+                raise InputError(f"{path}: line {lineno}: bad header {line!r}")
+            try:
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
+            except ValueError as e:
                 raise InputError(
-                    f"{path}: line {lineno}: clause before 'p cnf' header")
-            for tok in line.split():
-                try:
-                    lit = int(tok)
-                except ValueError as e:
-                    raise InputError(
-                        f"{path}: line {lineno}: bad literal {tok!r}") from e
-                if lit == 0:
-                    clauses.append(tuple(pending))
-                    pending = []
-                elif abs(lit) > num_vars:
-                    raise InputError(
-                        f"{path}: line {lineno}: literal {lit} exceeds "
-                        f"declared {num_vars} variables")
-                else:
-                    pending.append(lit)
+                    f"{path}: line {lineno}: bad header {line!r}") from e
+            continue
+        if num_vars is None:
+            raise InputError(
+                f"{path}: line {lineno}: clause before 'p cnf' header")
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError as e:
+                raise InputError(
+                    f"{path}: line {lineno}: bad literal {tok!r}") from e
+            if lit == 0:
+                clauses.append(tuple(pending))
+                pending = []
+            elif abs(lit) > num_vars:
+                raise InputError(
+                    f"{path}: line {lineno}: literal {lit} exceeds "
+                    f"declared {num_vars} variables")
+            else:
+                pending.append(lit)
     if num_vars is None:
         raise InputError(f"{path}: missing 'p cnf' header")
     if pending:

@@ -242,6 +242,36 @@ def test_labelled_power_graph_rebuilt_only_on_matching_edge_count(
     capsys.readouterr()
 
 
+def test_matching_labelled_verify_builds_no_graph(
+        tmp_path, capsys, monkeypatch):
+    """A file that is the power graph its label names is checked by index
+    distance and verified against the family, with no graph built."""
+    graph, col = tmp_path / "g.json", tmp_path / "c.json"
+    cases = []
+    for kind, n, k in (("path", 12, 2), ("cycle", 11, 4), ("cycle", 17, 3)):
+        g = powers.power_graph(kind, n, k)
+        for colours in (biclique_colour_cycle(n, k).colouring.colours
+                        if kind == "cycle" else (0, 1) * (n // 2), (0,) * n):
+            for mode in ("biclique", "star"):
+                cases.append((g, colours, mode,
+                              oracle.verify_colouring(g, colours, mode)))
+
+    def built(*args):
+        raise AssertionError(f"graph {args} built")
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(built))
+    monkeypatch.setattr(powers, "power_graph", built)
+    for g, colours, mode, expected in cases:
+        write_graph(g, graph)
+        col.write_text(json.dumps({"n": g.n, "colours": list(colours)}))
+        code = main(["verify", str(graph), str(col), "--mode", mode])
+        out = capsys.readouterr().out
+        if expected is None:
+            assert (code, out) == (EXIT_OK, "valid\n"), (g.label, mode)
+        else:
+            assert code == EXIT_INVALID, (g.label, mode)
+            assert json.loads(out)["witness"] == list(expected)
+
+
 _JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(),
                        st.integers(-2, 14), st.text(max_size=4))
 _JSON = st.recursive(
@@ -258,14 +288,14 @@ _LABEL = st.one_of(
 
 
 @st.composite
-def _graph_text(draw):
+def _graph_bytes(draw):
     """Graph file contents: mostly graph-shaped objects with small n,
-    sometimes any JSON value or text that is not JSON at all."""
+    sometimes any JSON value, or bytes that are not JSON at all."""
     choice = draw(st.integers(0, 9))
     if choice == 0:
-        return draw(st.text(max_size=12))
+        return draw(st.binary(max_size=12) | st.text(max_size=12).map(str.encode))
     if choice == 1:
-        return json.dumps(draw(_JSON))
+        return json.dumps(draw(_JSON)).encode()
     n = draw(_N)
     top = n if isinstance(n, int) and not isinstance(n, bool) and \
         0 < n <= 12 else 12
@@ -273,40 +303,50 @@ def _graph_text(draw):
     doc = {"n": n, "edges": draw(st.lists(pair | _JSON, max_size=14))}
     if draw(st.booleans()):
         doc["label"] = draw(_LABEL)
-    return json.dumps(doc)
+    return json.dumps(doc).encode()
 
 
 @st.composite
-def _colouring_text(draw):
+def _colouring_bytes(draw):
     choice = draw(st.integers(0, 9))
     if choice == 0:
-        return draw(st.text(max_size=12))
+        return draw(st.binary(max_size=12) | st.text(max_size=12).map(str.encode))
     if choice == 1:
-        return json.dumps(draw(_JSON))
+        return json.dumps(draw(_JSON)).encode()
     colours = draw(st.lists(st.integers(-1, 3), max_size=13))
     doc = {"n": draw(st.just(len(colours)) | _N), "colours": colours}
     if draw(st.booleans()):
         doc["num_colours"] = draw(st.integers(-1, 5) | _JSON_LEAF)
-    return json.dumps(doc)
+    return json.dumps(doc).encode()
 
 
-@given(graph=_graph_text(), colouring=_colouring_text(),
+_VALID_GRAPH = b'{"n": 1, "edges": []}'
+_VALID_COLOURING = b'{"n": 1, "colours": [0]}'
+
+
+@given(graph=_graph_bytes(), colouring=_colouring_bytes(),
        mode=st.sampled_from(["biclique", "star"]),
        closed_form=st.booleans())
-@example(graph='{"n": 1, "edges": []}',  # num_colours is not expanded
-         colouring='{"n": 1, "colours": [0], "num_colours": 10000000}',
+@example(graph=_VALID_GRAPH,  # num_colours is not expanded
+         colouring=b'{"n": 1, "colours": [0], "num_colours": 10000000}',
          mode="biclique", closed_form=False)
+@example(graph=b"\xff\xfe", colouring=_VALID_COLOURING,  # not UTF-8
+         mode="biclique", closed_form=False)
+@example(graph=_VALID_GRAPH, colouring=b"[" * 200000,  # parser recursion
+         mode="biclique", closed_form=False)
+@example(graph=b'{"n": ' + b"1" * 5000 + b', "edges": []}',  # int too long
+         colouring=_VALID_COLOURING, mode="star", closed_form=True)
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_file_contents_fuzz_ends_in_a_documented_exit_code(
         tmp_path_factory, graph, colouring, mode, closed_form):
-    """Whatever the graph and colouring files hold, verify and
+    """Whatever bytes the graph and colouring files hold, verify and
     bicliques --graph end in exit code 0-3 (main lets any other exception
     through as a traceback) within a second."""
     work = tmp_path_factory.mktemp("fuzz")
     gpath, cpath = work / "g.json", work / "c.json"
-    gpath.write_text(graph)
-    cpath.write_text(colouring)
+    gpath.write_bytes(graph)
+    cpath.write_bytes(colouring)
     for argv in (["verify", str(gpath), str(cpath), "--mode", mode],
                  ["bicliques", "--graph", str(gpath), "--mode", mode]
                  + (["--closed-form"] if closed_form else [])):
@@ -314,6 +354,44 @@ def test_file_contents_fuzz_ends_in_a_documented_exit_code(
         assert main(argv) in (EXIT_OK, EXIT_INVALID, EXIT_INPUT,
                               EXIT_CAPACITY)
         assert time.perf_counter() - start < 1
+
+
+@st.composite
+def _cnf_bytes(draw):
+    """DIMACS file contents: mostly small formulas with a header that may
+    be missing or wrong, sometimes any bytes, or one byte spliced in."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=16))
+    nv = draw(st.integers(-1, 3))
+    clauses = draw(st.lists(st.lists(st.integers(-4, 4), max_size=4),
+                            max_size=4))
+    text = "c fuzz\n" + "".join(" ".join(map(str, c)) + " 0\n"
+                                for c in clauses)
+    if draw(st.integers(0, 5)):
+        text = f"p cnf {nv} {draw(st.integers(-1, 5))}\n" + text
+    data = text.encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at:]
+    return data
+
+
+@given(cnf=_cnf_bytes())
+@example(cnf=b"p cnf 1 1\nc \xff\n1 0\n")  # not UTF-8
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_dimacs_contents_fuzz_ends_in_a_documented_exit_code(
+        tmp_path_factory, cnf):
+    """Whatever bytes the DIMACS file holds, reduce --certify ends in exit
+    code 0-3 within a second."""
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "f.cnf"
+    path.write_bytes(cnf)
+    start = time.perf_counter()
+    assert main(["reduce", str(path), "--out-prefix", str(work / "f"),
+                 "--certify"]) in (EXIT_OK, EXIT_INVALID, EXIT_INPUT,
+                                   EXIT_CAPACITY)
+    assert time.perf_counter() - start < 1
 
 
 def test_bicliques_closed_form_and_oracle_agree(tmp_path, capsys):

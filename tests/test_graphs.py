@@ -273,6 +273,15 @@ def test_read_graph_error_reporting(tmp_path):
     for d in ({"n": True, "edges": []}, {"n": 3, "edges": [[0, True]]}):
         with pytest.raises(InputError):
             graph_from_dict(d)
+    # bytes that are not UTF-8, nesting past the parser's recursion limit
+    # and an integer too long to convert all name the file
+    for data, fragment in ((b'{"n": 3, "label": "\xe9"}', "byte 19: not UTF-8"),
+                           (b"[" * 200000, "nested too deeply"),
+                           (b"1" * 5000, "digits")):
+        bad.write_bytes(data)
+        with pytest.raises(InputError) as exc:
+            read_graph(bad)
+        assert f"{bad}: " in str(exc.value) and fragment in str(exc.value)
 
 
 def test_write_dot_palette_and_colours():

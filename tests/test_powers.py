@@ -155,6 +155,11 @@ def test_cycle_p3_reaches():
                 others = [v for v in triple if v != centre[0]]
                 assert reach == sum(cyclic_reach(n, centre[0], u)
                                     for u in others)
+            # the biclique family's P3s carry the same reach
+            reach_of = dict(cycle_induced_p3s(n, k))
+            for b in cycle_bicliques(n, k):
+                assert b.reach == (reach_of[b.vertices] if b.shape == "P3"
+                                   else None), (n, k, b)
             if n >= 3 * k + 2:
                 # a P3 of full reach 2k exists whenever the range is nonempty
                 assert any(r == 2 * k for _, r in cycle_induced_p3s(n, k))
@@ -166,14 +171,20 @@ def _as_family(bicliques):
 
 
 def test_closed_form_matches_oracle_small_grid():
+    # the families and the oracle share one enumerator, so both are also
+    # held to the subset scan, which enumerates nothing
     for k in range(1, 4):
         for n in range(1, 11):
             pg = power_path(n, k)
             assert _as_family(path_bicliques(n, k)) == _as_family(maximal_bicliques(pg))
+            assert _as_family(path_bicliques(n, k)) == support.brute_scan_bicliques(pg)
             assert path_stars(n, k) == maximal_stars(pg)
+            assert path_stars(n, k) == support.brute_scan_stars(pg)
             cg = power_cycle(n, k)
             assert _as_family(cycle_bicliques(n, k)) == _as_family(maximal_bicliques(cg))
+            assert _as_family(cycle_bicliques(n, k)) == support.brute_scan_bicliques(cg)
             assert cycle_stars(n, k) == maximal_stars(cg)
+            assert cycle_stars(n, k) == support.brute_scan_stars(cg)
 
 
 def test_closed_form_outputs_are_maximal_cb_by_independent_checker():

@@ -277,10 +277,11 @@ def test_dimacs_parsing(tmp_path):
     ("p cnf 2 2\n1 2 0\n", "declares 2 clauses"),
     ("p cnf 2 1\np cnf 2 1\n1 0\n", "bad header"),
     ("c nothing\n", "missing 'p cnf'"),
+    ("p cnf 1 1\nc \xff\n1 0\n", "bad.cnf: byte 12: not UTF-8"),
 ])
 def test_dimacs_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.cnf"
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))
     with pytest.raises(InputError) as exc:
         read_dimacs(path)
     assert fragment in str(exc.value)
