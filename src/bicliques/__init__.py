@@ -6,7 +6,14 @@ when no maximal induced star is.  This package computes both chromatic
 numbers exactly for P_n^k and C_n^k via closed forms, emits optimal
 colourings with certificates, verifies arbitrary colourings against a
 brute-force oracle, and builds the 3SAT-to-biclique-containment gadget.
+
+The oracle's and the reduction's names are re-exported lazily (PEP 562):
+their module is imported on first use of one of them, so the closed-form
+subcommands, which need only the modules imported here at once, do not
+load them.
 """
+
+from importlib import import_module as _import_module
 
 from .colouring import (
     AbCertificate,
@@ -37,14 +44,6 @@ from .graphs import (
     write_dot,
     write_graph,
 )
-from .oracle import (
-    block_profile,
-    exact_chromatic,
-    find_mono_p3,
-    maximal_bicliques,
-    maximal_stars,
-    verify_colouring,
-)
 from .powers import (
     Biclique,
     circulant,
@@ -56,18 +55,44 @@ from .powers import (
     power_cycle,
     power_path,
 )
-from .reduction import (
-    CnfFormula,
-    ReductionInstance,
-    ReductionReport,
-    biclique_containment,
-    build_instance,
-    certify_reduction,
-    evaluate,
-    find_satisfying_assignment,
-    normalize,
-    read_dimacs,
-    write_dimacs,
-)
+
+# submodule -> the names re-exported from it on first use
+_LAZY = {
+    "oracle": (
+        "block_profile",
+        "exact_chromatic",
+        "find_mono_p3",
+        "maximal_bicliques",
+        "maximal_stars",
+        "verify_colouring",
+    ),
+    "reduction": (
+        "CnfFormula",
+        "ReductionInstance",
+        "ReductionReport",
+        "biclique_containment",
+        "build_instance",
+        "certify_reduction",
+        "evaluate",
+        "find_satisfying_assignment",
+        "normalize",
+        "read_dimacs",
+        "write_dimacs",
+    ),
+}
+_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOURCE))

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 a verification answered "invalid" (monochromatic
 witness found, or a certification mismatch), 2 bad input, 3 a brute-force
 cap was exceeded.
+
+The oracle and the reduction are imported by the subcommands that use them,
+so the closed-form subcommands (chromatic, sweep, verify of a generated
+power graph) do not load them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import re
 import sys
 
-from . import oracle, powers, reduction
+from . import powers
 from .colouring import (
     ChromaticResult,
     biclique_colour_cycle,
@@ -27,7 +31,6 @@ from .graphs import (
     CapacityError,
     Graph,
     InputError,
-    first_monochromatic,
     graph_fields,
     graph_to_dict,
     read_json,
@@ -43,14 +46,15 @@ EXIT_CAPACITY = 3
 _POWER_LABEL = re.compile(r"^([PC])_(\d+)\^(\d+)$")
 
 
-def _closed_form(kind: str, mode: str):
-    """(constructor, family) of the power of a path or cycle in a mode.  The
-    constructor checks its colouring against this family before returning."""
+def _constructor(kind: str, mode: str):
+    """The closed-form constructor of the power of a path or cycle in a
+    mode.  It checks its colouring for the mode's family before returning
+    (powers.first_mono_set)."""
     return {
-        ("path", "biclique"): (biclique_colour_path, powers.path_bicliques),
-        ("cycle", "biclique"): (biclique_colour_cycle, powers.cycle_bicliques),
-        ("path", "star"): (star_colour_path, powers.path_stars),
-        ("cycle", "star"): (star_colour_cycle, powers.cycle_stars),
+        ("path", "biclique"): biclique_colour_path,
+        ("cycle", "biclique"): biclique_colour_cycle,
+        ("path", "star"): star_colour_path,
+        ("cycle", "star"): star_colour_cycle,
     }[(kind, mode)]
 
 
@@ -73,6 +77,15 @@ def _power_params(label, n: int, edges):
     else:
         near = all(j - i <= k for i, j in distinct)
     return (kind, n, k) if near else None
+
+
+def _oracle_graph(n: int, edges, label) -> Graph:
+    """The graph of a file that the oracle will scan, after the oracle's
+    cap is checked, so a huge declared n is rejected before its n
+    adjacency rows are allocated."""
+    from . import oracle
+    oracle.check_scan_cap(n)
+    return Graph.from_edges(n, edges, label)
 
 
 def _certificate_text(result: ChromaticResult) -> str:
@@ -112,13 +125,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_chromatic(args) -> int:
-    construct, _ = _closed_form(args.kind, args.mode)
-    result = construct(args.n, args.k)
+    result = _constructor(args.kind, args.mode)(args.n, args.k)
     print(result.value)
     cert = _certificate_text(result)
     if cert:
         print(f"certificate: {cert}")
-    if args.certify:  # the constructor has checked the family already
+    if args.certify:  # the constructor has checked its colouring already
         print("certified: colouring verified against the "
               f"{args.mode} family")
     if args.emit_colouring:
@@ -133,20 +145,21 @@ def cmd_chromatic(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # The colouring's length is checked before the graph's n rows are
-    # allocated, so a huge declared n is rejected at once.  A file that is
-    # the power graph its label names is checked against the family alone.
+    # The colouring's length, then the oracle's cap, are checked before the
+    # graph's n rows are allocated, so a huge declared n is rejected at
+    # once.  A file that is the power graph its label names is checked as
+    # that graph's family (powers.first_mono_set), with no graph built.
+    from . import oracle
     n, edges, label = graph_fields(read_json(args.graph))
     col = read_colouring(args.colouring)
     params = _power_params(label, n, edges)
     colours = oracle.colour_tuple(col, n)
     if params is not None:
-        _, family = _closed_form(params[0], args.mode)
-        witness = first_monochromatic(
-            colours, [getattr(h, "vertices", h) for h in family(n, params[2])])
+        witness = powers.first_mono_set(params[0], args.mode, n, params[2],
+                                        colours)
     else:
         witness = oracle.verify_colouring(
-            Graph.from_edges(n, edges, label), colours, args.mode)
+            _oracle_graph(n, edges, label), colours, args.mode)
     if witness is None:
         print("valid")
         return EXIT_OK
@@ -159,15 +172,11 @@ def cmd_bicliques(args) -> int:
         # The oracle's cap and the label are checked before the n adjacency
         # rows are allocated, so a huge declared n is rejected at once.
         n, edges, label = graph_fields(read_json(args.graph))
-        if args.closed_form:
-            params = _power_params(label, n, edges)
-            if params is None:
-                raise InputError(
-                    "--closed-form needs a generated power graph "
-                    "(matching P_n^k / C_n^k label)")
-        else:
-            params = None
-            oracle.check_scan_cap(n)
+        params = _power_params(label, n, edges) if args.closed_form else None
+        if args.closed_form and params is None:
+            raise InputError(
+                "--closed-form needs a generated power graph "
+                "(matching P_n^k / C_n^k label)")
     else:
         if args.kind is None or args.n is None or args.k is None:
             raise InputError("need --graph FILE, or --kind with --n and --k")
@@ -176,11 +185,11 @@ def cmd_bicliques(args) -> int:
 
     if params is not None:
         kind, n, k = params
-        _, family = _closed_form(kind, args.mode)
         source = "closed-form"
-        fam = family(n, k)
+        fam = powers.power_family(kind, args.mode, n, k)
     else:
-        g = Graph.from_edges(n, edges, label)
+        from . import oracle
+        g = _oracle_graph(n, edges, label)
         source = "oracle"
         fam = oracle.maximal_bicliques(g) if args.mode == "biclique" \
             else oracle.maximal_stars(g)
@@ -204,6 +213,7 @@ def cmd_bicliques(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import reduction
     f = reduction.read_dimacs(args.cnf)
     nf = reduction.normalize(f)
     inst = reduction.build_instance(nf)
@@ -236,7 +246,7 @@ def cmd_sweep(args) -> int:
         raise InputError(
             f"empty sweep range: k {args.k_from}..{args.k_to}, "
             f"n {args.n_from}..{args.n_to}")
-    construct, _ = _closed_form(args.kind, args.mode)
+    construct = _constructor(args.kind, args.mode)
     rows = []
     for k in range(args.k_from, args.k_to + 1):
         for n in range(args.n_from, args.n_to + 1):
@@ -287,8 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-colouring", help="write the optimal colouring here")
     p.add_argument("--certify", action="store_true",
                    help="print that the colouring is certified: the "
-                        "construction checks it once against the closed-form "
-                        "family")
+                        "construction checks it once for the closed-form "
+                        "family, by the windowed P3 scan where the family "
+                        "is the induced P3s and against the listed family "
+                        "elsewhere")
     p.add_argument("--dot", help="write a coloured Graphviz rendering here")
     p.set_defaults(func=cmd_chromatic)
 

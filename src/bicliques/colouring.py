@@ -1,9 +1,14 @@
 """Colouring constructions and chromatic decisions for powers of paths and
 cycles.
 
-Every public construction checks its own output once, against the
-closed-form hyperedge family of its mode, before returning; a monochromatic
-set there is a bug in this module, not bad input, and raises AssertionError.
+Every public construction checks its own output once before returning,
+for the hyperedge family of its mode (powers.first_mono_set): where that
+family is exactly the induced P3s (paths with n >= 2k+1, cycles with
+n >= 4k+1 for bicliques and n >= 2k+2 for stars) by the windowed P3 scan
+powers.first_mono_p3, in O(n*k) time with no graph and no family built;
+elsewhere, where n <= 4k and the family's size is bounded in k, against the
+listed family.  A monochromatic set is a bug in this module, not bad input,
+and raises AssertionError.
 
 Colour ids are 0 = blue, 1 = red, 2 = green; further ids only appear in the
 all-distinct colourings of complete graphs.
@@ -12,46 +17,47 @@ all-distinct colourings of complete graphs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .graphs import InputError, first_monochromatic, is_int, read_json
-from .powers import (
-    cycle_bicliques,
-    cycle_induced_p3s,
-    cycle_stars,
-    path_bicliques,
-)
+from .graphs import InputError, is_int, read_json
+from .powers import first_mono_p3, first_mono_set
 
 BLUE, RED, GREEN = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class Colouring:
-    """Vertex colouring: colours[v] is the colour id of vertex v.
-
-    Invariant: every id in [0, num_colours) is used at least once.
-    """
-
+class _ColouringFields(NamedTuple):
     colours: tuple[int, ...]
     num_colours: int
 
-    def __post_init__(self):
-        used = set(self.colours)
+
+class Colouring(_ColouringFields):
+    """Vertex colouring: colours[v] is the colour id of vertex v.
+
+    Invariant: every id in [0, num_colours) is used at least once, checked
+    when it is built.  The records of this module are named tuples, not
+    dataclasses, since importing dataclasses costs every command line run
+    about 12 ms.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, colours: tuple[int, ...], num_colours: int):
+        used = set(colours)
         for c in used:
-            if not 0 <= c < self.num_colours:
+            if not 0 <= c < num_colours:
                 raise InputError(
-                    f"colour id {c} outside [0, {self.num_colours})")
-        if self.colours and len(used) != self.num_colours:
+                    f"colour id {c} outside [0, {num_colours})")
+        if colours and len(used) != num_colours:
             # num_colours comes from the file, so at most 20 of the missing
             # ids are listed rather than all of range(num_colours)
             missing = list(islice(
-                (c for c in range(self.num_colours) if c not in used), 21))
+                (c for c in range(num_colours) if c not in used), 21))
             shown = ", ".join(map(str, missing[:20]))
             if len(missing) > 20:
                 shown += ", ..."
             raise InputError(f"colour ids [{shown}] unused")
+        return super().__new__(cls, colours, num_colours)
 
     @staticmethod
     def from_sequence(colours) -> "Colouring":
@@ -70,8 +76,7 @@ class EvenDivision(NamedTuple):
     t: int
 
 
-@dataclass(frozen=True)
-class AbCertificate:
+class AbCertificate(NamedTuple):
     """Witness that n = a*k + b*(k+1) with a + b even, certifying a
     2-colouring by a size-k blocks and b size-(k+1) blocks."""
 
@@ -85,8 +90,7 @@ class AbCertificate:
                 and self.a + self.b >= 2)
 
 
-@dataclass(frozen=True)
-class ChromaticResult:
+class ChromaticResult(NamedTuple):
     """Exact chromatic value with an optimal colouring and, when one exists,
     a certificate: an (a, b) block decomposition for 2-colourable cycles, or
     a set of pairwise-adjacent universal vertices forcing the lower bound in
@@ -180,15 +184,15 @@ def _ab_block_colouring(n: int, k: int, cert: AbCertificate) -> Colouring:
     return Colouring(colours, 2)
 
 
-def _check_no_mono(colours, sets, what: str) -> None:
-    vs = first_monochromatic(colours, sets)
+def _check_no_mono(vs, what: str) -> None:
+    """AssertionError naming vs, a monochromatic set found by a check."""
     if vs is not None:
         raise AssertionError(f"construction bug: monochromatic {what} {vs}")
 
 
 def _three_colouring(n: int, k: int) -> Colouring:
     """The layout of three_colour_no_mono_p3 without its P3 scan; the cycle
-    constructors check it against their own family instead."""
+    constructors check it for their own family instead."""
     a, t = even_division(n, k)
     if t <= k:
         blocks = _alternating(a, k)
@@ -209,16 +213,16 @@ def three_colour_no_mono_p3(n: int, k: int) -> Colouring:
     With n = a*k + t from even_division: for t <= k, a alternating red/blue
     size-k blocks then a green t-block.  For k < t < 2k, a-1 alternating
     size-k blocks (odd count, red at both ends) then green k, blue k,
-    green t-k, which restores the block total to n.  The output is validated
-    by an exhaustive monochromatic-P3 scan before being returned.
+    green t-k, which restores the block total to n.  The output is checked
+    for a monochromatic induced P3 by the windowed scan before being
+    returned.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got k={k}")
     if n < 2 * k + 2:
         raise InputError(f"three-colouring needs n >= 2k+2, got n={n}, k={k}")
     colouring = _three_colouring(n, k)
-    _check_no_mono(colouring.colours,
-                   (t for t, _ in cycle_induced_p3s(n, k)), "P3")
+    _check_no_mono(first_mono_p3("cycle", n, k, colouring.colours), "P3")
     return colouring
 
 
@@ -269,8 +273,8 @@ def biclique_colour_path(n: int, k: int) -> ChromaticResult:
             blocks.append((RED if a % 2 == 0 else BLUE, t))
         colours = _lay_blocks(blocks)
         result = ChromaticResult(value=2, colouring=Colouring(colours, 2))
-    _check_no_mono(result.colouring.colours,
-                   (b.vertices for b in path_bicliques(n, k)), "biclique")
+    _check_no_mono(first_mono_set("path", "biclique", n, k,
+                                  result.colouring.colours), "biclique")
     return result
 
 
@@ -297,8 +301,8 @@ def biclique_colour_cycle(n: int, k: int) -> ChromaticResult:
         else:
             result = ChromaticResult(
                 value=3, colouring=_three_colouring(n, k))
-    _check_no_mono(result.colouring.colours,
-                   (b.vertices for b in cycle_bicliques(n, k)), "biclique")
+    _check_no_mono(first_mono_set("cycle", "biclique", n, k,
+                                  result.colouring.colours), "biclique")
     return result
 
 
@@ -330,7 +334,8 @@ def star_colour_cycle(n: int, k: int) -> ChromaticResult:
         else:
             result = ChromaticResult(
                 value=3, colouring=_three_colouring(n, k))
-    _check_no_mono(result.colouring.colours, cycle_stars(n, k), "star")
+    _check_no_mono(first_mono_set("cycle", "star", n, k,
+                                  result.colouring.colours), "star")
     return result
 
 

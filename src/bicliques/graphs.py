@@ -8,8 +8,8 @@ word-parallel on arbitrary-width ints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -65,29 +65,35 @@ def _check_edge(n: int, i: int, j: int) -> None:
         raise InputError(f"self-loop edge ({i}, {j})")
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1."""
-
+class _GraphFields(NamedTuple):
     n: int
     adj: tuple[int, ...]
     label: str | None = None
 
-    def __post_init__(self):
-        if self.n < 0:
+
+class Graph(_GraphFields):
+    """Immutable undirected simple graph on vertices 0..n-1, checked when it
+    is built.  A named tuple rather than a dataclass, since importing
+    dataclasses costs every command line run about 12 ms."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, adj: tuple[int, ...], label: str | None = None):
+        if n < 0:
             raise InputError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise InputError(
-                f"adjacency has {len(self.adj)} rows for {self.n} vertices")
-        for v, row in enumerate(self.adj):
-            if row >> self.n:
-                raise InputError(f"vertex {v} has a neighbour outside [0, {self.n})")
+                f"adjacency has {len(adj)} rows for {n} vertices")
+        for v, row in enumerate(adj):
+            if row >> n:
+                raise InputError(f"vertex {v} has a neighbour outside [0, {n})")
             if row >> v & 1:
                 raise InputError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        for v in range(n):
+            for u in bits(adj[v]):
+                if not adj[u] >> v & 1:
                     raise InputError(f"asymmetric adjacency between {v} and {u}")
+        return super().__new__(cls, n, adj, label)
 
     @staticmethod
     def from_edges(n: int, edges, label: str | None = None) -> "Graph":
@@ -109,7 +115,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list, each pair once with i < j, lexicographically sorted."""
-        return [(i, j) for i in range(self.n) for j in bits(self.adj[i]) if i < j]
+        adj = self.adj
+        return [(i, j) for i in range(self.n) for j in bits(adj[i]) if i < j]
 
     @property
     def edge_count(self) -> int:
@@ -316,8 +323,9 @@ def maximal_star_candidates(adj):
     """Masks of stars, among them every maximal one: each centre c with a
     non-empty maximal independent subset of N(c) as its leaves, since a
     leaf left out would extend the star.  A single edge can come out once
-    from each end.  maximal_star_masks tests each one with is_star_set and
-    is_maximal_star.
+    from each end.  Every candidate is a star (is_star_set holds), since its
+    leaves are independent neighbours of its centre; maximal_star_masks
+    tests each one with is_maximal_star.
     """
     for c, row in enumerate(adj):
         for leaves in maximal_independent_subsets(adj, row):
@@ -336,10 +344,10 @@ def maximal_cb_sides(adj, vmask: int):
 
 def maximal_star_masks(adj) -> set[int]:
     """Masks of the maximal stars of the graph: the candidates of
-    maximal_star_candidates that pass is_star_set and is_maximal_star, as a
-    set, since a single-edge star comes out once from each end."""
+    maximal_star_candidates that pass is_maximal_star, as a set, since a
+    single-edge star comes out once from each end."""
     return {m for m in maximal_star_candidates(adj)
-            if is_star_set(adj, m) and is_maximal_star(adj, m)}
+            if is_maximal_star(adj, m)}
 
 
 def cb_shape(a: int, b: int) -> str:

@@ -140,8 +140,10 @@ def exact_chromatic(g: Graph, mode: str = "biclique") -> tuple[int, Colouring]:
                 return True
         return False
 
+    n = g.n
+
     def search(v: int, used: int, limit: int) -> bool:
-        if v == g.n:
+        if v == n:
             return True
         for col in range(min(used + 1, limit)):
             colours[v] = col
@@ -168,15 +170,15 @@ def _induced_p3s_with_reach(g: Graph) -> tuple[tuple[tuple[int, int, int], int],
 
     Enumerated as non-adjacent neighbour pairs of each centre; an induced P3
     has exactly one centre, so no triple repeats."""
+    n, adj = g.n, g.adj
     out = []
-    for centre in range(g.n):
-        nb = list(bits(g.adj[centre]))
+    for centre in range(n):
+        nb = list(bits(adj[centre]))
         for x, y in combinations(nb, 2):
-            if g.adj[x] >> y & 1:
+            if adj[x] >> y & 1:
                 continue
             triple = tuple(sorted((x, centre, y)))
-            reach = (cyclic_reach(g.n, centre, x)
-                     + cyclic_reach(g.n, centre, y))
+            reach = cyclic_reach(n, centre, x) + cyclic_reach(n, centre, y)
             out.append((triple, reach))
     out.sort()
     return tuple(out)

@@ -8,11 +8,16 @@ enumeration the oracle runs on any graph (graphs.maximal_cb_sides and
 graphs.maximal_star_masks), applied to P_n^k or C_n^k, so their cost grows
 with the number of maximal sets rather than with the 2^n vertex subsets.
 The tests compare them with the exhaustive subset scan.
+
+Outside a band of width about 4k the families are exactly the induced P3s
+(p3_range), and a colouring is checked against them by a windowed scan of
+the colour positions (first_mono_p3) that builds neither the graph nor the
+family; first_mono_set picks the scan or the family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -24,8 +29,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class Biclique:
+class Biclique(NamedTuple):
     """Maximal complete bipartite vertex set with its induced shape.
 
     reach is only set for P3 bicliques of cycle powers: the sum of the cyclic
@@ -130,7 +134,7 @@ def circulant(n: int, distances) -> Graph:
 
 # ---------------------------------------------------------------------------
 # maximal families, from the enumeration the oracle uses, and the induced
-# P3s of cycle powers by index arithmetic (the three-colouring's own check)
+# P3s of cycle powers by index arithmetic (a reference for first_mono_p3)
 
 def cycle_induced_p3s(n: int, k: int) -> list[tuple[tuple[int, int, int], int]]:
     """All induced P3s of C_n^k with their reach, sorted by vertex triple.
@@ -194,6 +198,145 @@ def path_stars(n: int, k: int) -> list[tuple[int, ...]]:
 def cycle_stars(n: int, k: int) -> list[tuple[int, ...]]:
     """Maximal stars of C_n^k: K_{1,3}-freeness limits stars to edges and
     induced P3s.  Unlike bicliques, a P3 inside a C4 is still a maximal star."""
-    return sorted(tuple(bits(m))
-                  for m in maximal_star_masks(power_cycle(n, k).adj))
+    return sorted(tuple(bits(m)) for m in family_masks("cycle", "star", n, k))
 
+
+def power_family(kind: str, mode: str, n: int, k: int) -> list:
+    """The maximal bicliques (mode "biclique", as Biclique) or maximal stars
+    (mode "star", as vertex tuples) of P_n^k (kind "path") or C_n^k."""
+    if mode == "biclique":
+        return path_bicliques(n, k) if kind == "path" else cycle_bicliques(n, k)
+    return path_stars(n, k) if kind == "path" else cycle_stars(n, k)
+
+
+def family_masks(kind: str, mode: str, n: int, k: int):
+    """The vertex masks of power_family(kind, mode, n, k), in no order and
+    with no shape: the same enumeration, without the per-set records."""
+    adj = (power_path if kind == "path" else power_cycle)(n, k).adj
+    if kind == "cycle" and mode == "star":
+        return maximal_star_masks(adj)
+    return [a | b for a, b in maximal_cb_sides(adj, (1 << n) - 1)]
+
+
+# ---------------------------------------------------------------------------
+# the windowed check: monochromatic induced P3s without the family
+
+def p3_range(kind: str, mode: str, n: int, k: int) -> bool:
+    """True when the family of mode on P_n^k / C_n^k is exactly its induced
+    P3s: paths with n >= 2k+1 (either mode), cycles with n >= 4k+1 for
+    bicliques and n >= 2k+2 for stars."""
+    if kind == "path":
+        return n >= 2 * k + 1
+    return n >= (4 * k + 1 if mode == "biclique" else 2 * k + 2)
+
+
+def _first_pair(xs, ys, k: int, top: int, ascending: bool):
+    """(x, y) for the first x of xs that has a y of ys with k < x + y < top,
+    and the first such y in ys order; None if no x has one.
+
+    ys is ascending when xs descends (ascending=True), else descending while
+    xs ascends.  Either way the y that must be passed over for one x (too
+    small, or too large) must be for every later x as well, so one pointer
+    walks ys once, and the y it stops at fits iff any later y would.
+    """
+    p, m = 0, len(ys)
+    for x in xs:
+        if ascending:
+            while p < m and x + ys[p] <= k:
+                p += 1
+        else:
+            while p < m and x + ys[p] >= top:
+                p += 1
+        if p < m and k < x + ys[p] < top:
+            return x, ys[p]
+    return None
+
+
+def _first_p3_at(b: int, left, right, n: int, k: int, top: int):
+    """The smallest sorted monochromatic induced P3 centred at b, or None.
+
+    left and right are the ascending positions of b's colour within k
+    below and above b, unrolled for a cycle (below 0 or from n on, the
+    position wraps); ends at offsets d1 (left) and d2 (right) form an
+    induced P3 iff k < d1 + d2 < top.  With no wrap the triple is
+    (b-d1, b, b+d2): the largest d1 that fits, then the smallest d2.  An
+    end that wraps comes last (left) or first (right) in the sorted triple,
+    so there the smallest d2 comes first, then the largest d1.
+    """
+    found = []
+    d1 = [b - v for v in left if v >= 0]
+    d2 = [v - b for v in right if v < n]
+    pair = _first_pair(d1, d2, k, top, True)
+    if pair is not None:
+        found.append(pair)
+    if left and left[0] < 0:
+        pair = _first_pair([v - b for v in right],
+                           [b - v for v in left if v < 0], k, top, False)
+        if pair is not None:
+            found.append(pair[::-1])
+    if right and right[-1] >= n:
+        pair = _first_pair([v - b for v in right if v >= n],
+                           [b - v for v in left], k, top, False)
+        if pair is not None:
+            found.append(pair[::-1])
+    return min((tuple(sorted(((b - x) % n, b, (b + y) % n)))
+                for x, y in found), default=None)
+
+
+def first_mono_p3(kind: str, n: int, k: int, colours):
+    """The lexicographically smallest monochromatic induced P3 of P_n^k
+    (kind "path") or C_n^k (kind "cycle") as a sorted vertex triple, or
+    None.  colours[v] is the colour of vertex v, for v in 0..n-1.
+
+    An induced P3 is a centre b with ends b-d1 and b+d2, 1 <= d1, d2 <= k,
+    that are not adjacent: d1 + d2 > k, and on a cycle also d1 + d2 < n-k
+    (n >= 2k+2, else C_n^k is complete).  Each colour's positions are
+    walked once with two pointers that hold the window [b-k, b+k] of each
+    centre b (on a cycle the list is unrolled by k at both ends).  b can be
+    a centre only if the farthest same-colour positions in its window are
+    more than k apart; only such centres have their window searched, in
+    O(k).  So the check takes O(n*k) time and O(n) memory and builds no
+    graph, no n-bit row and no family.
+    """
+    cyclic = kind == "cycle"
+    if cyclic and n <= 2 * k + 1:
+        return None
+    top = n - k if cyclic else 2 * k + 1  # on a path d1 + d2 <= 2k always fits
+    at: dict = {}
+    for v, c in enumerate(colours):
+        at.setdefault(c, []).append(v)
+    best = None
+    for q in at.values():
+        if cyclic:
+            q = [v - n for v in q if v >= n - k] + q + [v + n for v in q if v < k]
+        lo = hi = 0
+        last = len(q) - 1
+        for j, b in enumerate(q):
+            if not 0 <= b < n:
+                continue
+            while q[lo] < b - k:
+                lo += 1
+            while hi < last and q[hi + 1] <= b + k:
+                hi += 1
+            if q[hi] - q[lo] > k:
+                found = _first_p3_at(b, q[lo:j], q[j + 1:hi + 1], n, k, top)
+                if found is not None and (best is None or found < best):
+                    best = found
+    return best
+
+
+def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
+    """What first_monochromatic(colours, power_family(kind, mode, n, k))
+    returns: the lexicographically smallest monochromatic set of the family,
+    or None.  In p3_range that is first_mono_p3, with no family built;
+    elsewhere (n <= 4k) the family's masks are listed, their number bounded
+    in k, and a set is monochromatic when it lies inside the colour class of
+    its lowest vertex."""
+    if p3_range(kind, mode, n, k):
+        return first_mono_p3(kind, n, k, colours)
+    classes: dict = {}
+    for v, c in enumerate(colours):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return min((tuple(bits(m)) for m in family_masks(kind, mode, n, k)
+                if m & ~classes[colours[(m & -m).bit_length() - 1]] == 0),
+               default=None)

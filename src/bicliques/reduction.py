@@ -77,12 +77,16 @@ def evaluate(f: CnfFormula, assignment) -> bool:
         for clause in f.clauses)
 
 
-def find_satisfying_assignment(f: CnfFormula):
-    """First satisfying assignment by truth table, or None."""
+def _check_truth_table_cap(f: CnfFormula) -> None:
     if f.num_vars > TRUTH_TABLE_CAP:
         raise CapacityError(
             f"truth table capped at {TRUTH_TABLE_CAP} variables, "
             f"got {f.num_vars}")
+
+
+def find_satisfying_assignment(f: CnfFormula):
+    """First satisfying assignment by truth table, or None."""
+    _check_truth_table_cap(f)
     for m in range(1 << f.num_vars):
         values = tuple(bool(m >> i & 1) for i in range(f.num_vars))
         if evaluate(f, values):
@@ -251,6 +255,12 @@ def write_instance(inst: ReductionInstance, path: str) -> None:
 # ---------------------------------------------------------------------------
 # containment and certification
 
+def _check_containment_cap(size: int) -> None:
+    if size > 22:
+        raise CapacityError(
+            f"containment scan is capped at |V'| <= 22, got {size}")
+
+
 def biclique_containment(g: Graph, v_prime):
     """Lexicographically smallest maximal biclique of g lying inside
     v_prime, or None.  Maximality is checked against the whole of g.
@@ -265,9 +275,7 @@ def biclique_containment(g: Graph, v_prime):
     yields one holds the answer.
     """
     vp = vertex_set(v_prime, g.n)
-    if len(vp) > 22:
-        raise CapacityError(
-            f"containment scan is capped at |V'| <= 22, got {len(vp)}")
+    _check_containment_cap(len(vp))
     best = None
     for a, b in maximal_cb_sides(g.adj, mask_of(vp)):
         if best is not None and a & -a != 1 << best[0]:
@@ -335,9 +343,12 @@ def certify_reduction(f: CnfFormula,
     gadget is K4-free and induced-C4-free, and when a witness exists decode
     it back to an assignment and re-evaluate the formula with it.  inst is
     build_instance(f), which checks that f is normalized; it is built here
-    when the caller does not already hold it."""
+    when the caller does not already hold it.  Both caps are checked, the
+    truth table's first, before either exhaustive step runs."""
     if inst is None:
         inst = build_instance(f)
+    _check_truth_table_cap(f)
+    _check_containment_cap(len(inst.v_prime))
     assignment = find_satisfying_assignment(f)
     witness = biclique_containment(inst.graph, inst.v_prime)
     decoded = decode_assignment(inst, witness) if witness else None

@@ -25,6 +25,7 @@ from bicliques.graphs import (
     is_maximal_star,
     is_star_set,
 )
+from bicliques import powers
 from bicliques.reduction import CnfFormula, normalize
 
 
@@ -223,3 +224,19 @@ def random_raw_formula(rng: random.Random) -> CnfFormula:
                        for _ in range(size))
         clauses.append(clause)
     return CnfFormula.of(nv, clauses)
+
+
+# every function of powers that builds n-bit rows or lists a family
+ROWS_AND_FAMILIES = ("power_path", "power_cycle", "power_graph",
+                     "path_bicliques", "cycle_bicliques", "path_stars",
+                     "cycle_stars", "power_family", "family_masks",
+                     "cycle_induced_p3s")
+
+
+def forbid_rows_and_families(monkeypatch) -> None:
+    """Make every function of powers that builds rows or lists a family
+    raise when called."""
+    def built(*args):
+        raise AssertionError(f"rows or family built for {args}")
+    for name in ROWS_AND_FAMILIES:
+        monkeypatch.setattr(powers, name, built)

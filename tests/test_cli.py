@@ -3,12 +3,17 @@ file round-trips between subcommands."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import support
 from bicliques import oracle, powers, reduction
 from bicliques.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
 from bicliques.colouring import biclique_colour_cycle, read_colouring
@@ -188,6 +193,92 @@ def test_verify_input_errors_and_capacity(tmp_path, capsys, monkeypatch):
     assert main(["verify", str(graph), str(col)]) == EXIT_INPUT
     assert capsys.readouterr().err == \
         "error: colouring has 1 entries for n=10000000\n"
+
+
+def test_labelled_verify_builds_no_rows_and_no_family(
+        tmp_path, capsys, monkeypatch):
+    """verify of a file that is the P_20000^1 its label names runs the
+    windowed P3 scan: no graph, no n-bit row and no family is built."""
+    n = 20000
+    graph, col = tmp_path / "g.json", tmp_path / "c.json"
+    graph.write_text(json.dumps({"n": n, "label": f"P_{n}^1",
+                                 "edges": [[i, i + 1] for i in range(n - 1)]}))
+    colours = [i % 2 for i in range(n)]
+    col.write_text(json.dumps({"n": n, "colours": colours}))
+
+    def built(*args):
+        raise AssertionError(f"graph {args} built")
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(built))
+    support.forbid_rows_and_families(monkeypatch)
+    assert main(["verify", str(graph), str(col)]) == EXIT_OK
+    assert capsys.readouterr().out == "valid\n"
+    colours[n - 2] = colours[n - 1]
+    col.write_text(json.dumps({"n": n, "colours": colours}))
+    for mode in ("biclique", "star"):
+        assert main(["verify", str(graph), str(col), "--mode", mode]) == \
+            EXIT_INVALID
+        assert json.loads(capsys.readouterr().out) == \
+            {"mode": mode, "witness": [n - 3, n - 2, n - 1]}
+
+
+def test_unlabelled_verify_checks_the_cap_before_rows(
+        tmp_path, capsys, monkeypatch):
+    """An unlabelled star on 40000 vertices with its centre last would give
+    every leaf a 40000-bit row; the oracle's cap rejects it first, after the
+    field errors and the colouring's length, as before."""
+    n = 40000
+    graph, col = tmp_path / "g.json", tmp_path / "c.json"
+    graph.write_text(json.dumps(
+        {"n": n, "edges": [[i, n - 1] for i in range(n - 1)]}))
+    col.write_text(json.dumps({"n": n, "colours": [0] * (n - 1) + [1]}))
+
+    def built(*args):
+        raise AssertionError("rows allocated")
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(built))
+    start = time.perf_counter()
+    assert main(["verify", str(graph), str(col)]) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        f"error: subset scan is capped at n <= 22, got n={n}\n"
+    # the colouring's length is still reported before the cap
+    col.write_text(json.dumps({"n": 1, "colours": [0]}))
+    assert main(["verify", str(graph), str(col)]) == EXIT_INPUT
+    assert capsys.readouterr().err == \
+        f"error: colouring has 1 entries for n={n}\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["chromatic", "cycle", "--n", "14", "--k", "3", "--certify"],
+     ("bicliques.oracle", "bicliques.reduction")),
+    (["sweep", "--kind", "path", "--k-from", "1", "--k-to", "2",
+      "--n-from", "1", "--n-to", "9"],
+     ("bicliques.oracle", "bicliques.reduction")),
+    (["verify", "{graph}", "{col}"], ("bicliques.reduction",)),
+])
+def test_closed_form_subcommands_skip_the_oracle_and_reduction(
+        tmp_path, argv, absent):
+    """The closed-form subcommands leave the oracle and the reduction
+    unimported, so a command line run does not pay to load them."""
+    graph, col = tmp_path / "g.json", tmp_path / "c.json"
+    assert main(["gen", "path", "--n", "9", "--k", "2",
+                 "--out", str(graph)]) == EXIT_OK
+    assert main(["chromatic", "path", "--n", "9", "--k", "2",
+                 "--emit-colouring", str(col)]) == EXIT_OK
+    argv = [a.format(graph=graph, col=col) for a in argv]
+    code = ("import sys\n"
+            "from bicliques.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('bicliques')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = out.splitlines()[-1]
+    assert "bicliques.cli" in loaded
+    for module in absent:
+        assert repr(module) not in loaded
 
 
 def test_oracle_cap_checked_before_rows_are_allocated(tmp_path, capsys):
@@ -469,6 +560,27 @@ def test_reduce_unsat_formula(tmp_path, capsys):
     assert report["containment"] is False
     assert report["equivalent"] is True
     capsys.readouterr()
+
+
+def test_reduce_certify_checks_the_containment_cap_first(tmp_path, capsys):
+    """A 20-variable formula is inside the truth table's cap, but its |V'|
+    of 41 is past the containment cap: that is reported at once, not after
+    the 2^20-row truth table."""
+    cnf = tmp_path / "f.cnf"
+    clauses = [(1,), (-1,)] + [(a, a + 1, a + 2) for a in range(2, 18, 3)]
+    write_dimacs(CnfFormula.of(20, clauses + [(20,)]), cnf)
+    start = time.perf_counter()
+    assert main(["reduce", str(cnf), "--out-prefix", str(tmp_path / "f"),
+                 "--certify"]) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        "error: containment scan is capped at |V'| <= 22, got 41\n"
+    # over both caps, the truth table's is still reported first
+    write_dimacs(CnfFormula.of(21, [(v,) for v in range(1, 22)]), cnf)
+    assert main(["reduce", str(cnf), "--out-prefix", str(tmp_path / "f"),
+                 "--certify"]) == EXIT_CAPACITY
+    assert capsys.readouterr().err == \
+        "error: truth table capped at 20 variables, got 21\n"
 
 
 def test_reduce_input_error(tmp_path, capsys):

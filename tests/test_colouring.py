@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
-from bicliques import colouring as colouring_mod
+from bicliques import colouring as colouring_mod, powers
 from bicliques.colouring import (
     BLUE,
     GREEN,
@@ -33,10 +33,9 @@ from bicliques.colouring import (
     three_colour_no_mono_p3,
     write_colouring,
 )
-from bicliques.graphs import InputError
+from bicliques.graphs import InputError, mask_of
 from bicliques.oracle import find_mono_p3, verify_colouring
 from bicliques.powers import (
-    Biclique,
     cycle_bicliques,
     cycle_stars,
     path_bicliques,
@@ -252,13 +251,24 @@ def test_construction_param_validation():
 def test_construction_check_raises_on_monochromatic_set(
         monkeypatch, builder, family, what, n, k):
     # the one check of a closed-form colouring is the constructor's own scan
-    # of its family: a family holding a set the construction colours alike
-    # must make the constructor raise, naming that set
+    # of its family, or the windowed P3 scan where the family is the induced
+    # P3s: a family holding a set the construction colours alike, or a scan
+    # that reports one, must make the constructor raise, naming that set
     colours = builder(n, k).colouring.colours
     mono = next(pair for pair in combinations(range(n), 2)
                 if colours[pair[0]] == colours[pair[1]])
-    fake = Biclique(mono, "OTHER") if what == "biclique" else mono
-    monkeypatch.setattr(colouring_mod, family, lambda n, k: [fake])
+    kind = family.split("_")[0]
+    mode = "biclique" if what == "biclique" else "star"
+
+    def fake_masks(*args):
+        assert args == (kind, mode, n, k)
+        return [mask_of(mono)]
+
+    def fake_p3(*args):
+        assert args[:3] == (kind, n, k)
+        return mono
+    monkeypatch.setattr(powers, "family_masks", fake_masks)
+    monkeypatch.setattr(powers, "first_mono_p3", fake_p3)
     with pytest.raises(AssertionError, match=re.escape(
             f"construction bug: monochromatic {what} {mono}")):
         builder(n, k)
@@ -267,10 +277,25 @@ def test_construction_check_raises_on_monochromatic_set(
 def test_three_colouring_check_raises_on_monochromatic_p3(monkeypatch):
     colours = three_colour_no_mono_p3(11, 3).colours
     assert colours[0] == colours[1] == colours[2]
-    monkeypatch.setattr(colouring_mod, "cycle_induced_p3s",
-                        lambda n, k: [((0, 1, 2), 2)])
+    monkeypatch.setattr(colouring_mod, "first_mono_p3",
+                        lambda kind, n, k, colours: (0, 1, 2))
     with pytest.raises(AssertionError, match=re.escape("P3 (0, 1, 2)")):
         three_colour_no_mono_p3(11, 3)
+
+
+def test_long_constructions_build_no_rows_and_no_family(monkeypatch):
+    """In the ranges where the family is the induced P3s the constructors
+    check their colouring by the windowed scan alone: at n = 20000 they run
+    with every function that builds rows or lists a family made to fail."""
+    support.forbid_rows_and_families(monkeypatch)
+    assert biclique_colour_cycle(20000, 3).value == 2
+    assert star_colour_cycle(20000, 3).value == 2
+    assert biclique_colour_path(20000, 3).value == 2
+    assert star_colour_path(20000, 3).value == 2
+    assert three_colour_no_mono_p3(20000, 3).n == 20000
+    # n = 3k+2 with no (a, b) certificate: value 3 by the three-colouring,
+    # still in the P3 range of stars
+    assert star_colour_cycle(11, 3).value == 3
 
 
 def test_colouring_serialization(tmp_path):

@@ -175,6 +175,16 @@ def test_candidates_cover_sets_maximal_within_the_mask(g, vmask):
     assert {mask_of(vs) for vs in support.brute_maximal_star_sets(g)} <= stars
 
 
+@given(support.graph_strategy(max_n=14))
+@settings(max_examples=80, deadline=None)
+def test_every_star_candidate_is_a_star(g):
+    """maximal_star_masks tests its candidates for maximality only: each is
+    a centre and an independent set of its neighbours, so a star."""
+    for s in maximal_star_candidates(g.adj):
+        assert is_star_set(g.adj, s)
+        assert support.is_star_by_loops(g, tuple(bits(s)))
+
+
 def _k4_by_permutations(g):
     for quad in combinations(range(g.n), 4):
         if all(g.has_edge(a, b) for a, b in combinations(quad, 2)):

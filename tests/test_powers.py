@@ -1,12 +1,26 @@
 """Power-graph generators and closed-form biclique / star enumerations,
 checked against the oracle enumeration and independent test-side scanners."""
 
+import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import support
-from bicliques.graphs import InputError, induced_shape, is_complete_bipartite
+from bicliques.colouring import (
+    biclique_colour_cycle,
+    biclique_colour_path,
+    star_colour_cycle,
+)
+from bicliques.graphs import (
+    InputError,
+    first_monochromatic,
+    induced_shape,
+    is_complete_bipartite,
+)
 from bicliques.oracle import maximal_bicliques, maximal_stars
 from bicliques.powers import (
     Biclique,
@@ -15,10 +29,14 @@ from bicliques.powers import (
     cycle_induced_p3s,
     cycle_stars,
     cyclic_reach,
+    first_mono_p3,
+    first_mono_set,
+    p3_range,
     path_bicliques,
     path_stars,
     power_cycle,
     power_edge_count,
+    power_family,
     power_graph,
     power_path,
 )
@@ -229,3 +247,112 @@ def test_biclique_record_fields():
     assert is_complete_bipartite(g, b.vertices)[0]
     # C4 entries never carry a reach
     assert all(x.reach is None for x in cycle_bicliques(11, 4))
+
+
+# ---------------------------------------------------------------------------
+# the windowed check against the listed families
+
+@lru_cache(maxsize=None)
+def _family_sets(kind, mode, n, k):
+    return [getattr(s, "vertices", s) for s in power_family(kind, mode, n, k)]
+
+
+@lru_cache(maxsize=None)
+def _induced_p3s(kind, n, k):
+    """Every induced P3 of P_n^k / C_n^k, sorted: for paths the P3 entries of
+    the biclique family (P_n^k is claw- and C4-free, so each is maximal)."""
+    if kind == "cycle":
+        return [t for t, _ in cycle_induced_p3s(n, k)]
+    return [b.vertices for b in path_bicliques(n, k) if b.shape == "P3"]
+
+
+_CONSTRUCT = {("path", "biclique"): biclique_colour_path,
+              ("path", "star"): biclique_colour_path,
+              ("cycle", "biclique"): biclique_colour_cycle,
+              ("cycle", "star"): star_colour_cycle}
+
+
+def _test_colouring(rng, kind, mode, n, k, base: bool, c: int, flips: int):
+    """A random c-colouring, or the closed-form colouring with a few
+    vertices recoloured: the first mostly has monochromatic sets, the second
+    has none or a few, near the recoloured vertices."""
+    if base:
+        colours = list(_CONSTRUCT[kind, mode](n, k).colouring.colours)
+        for _ in range(flips):
+            colours[rng.randrange(n)] = rng.randrange(max(colours) + 1)
+        return colours
+    return [rng.randrange(c) for _ in range(n)]
+
+
+def _check_windowed(kind, mode, n, k, colours):
+    family = _family_sets(kind, mode, n, k)
+    assert first_mono_set(kind, mode, n, k, colours) == \
+        first_monochromatic(colours, family), (kind, mode, n, k, colours)
+    assert first_mono_p3(kind, n, k, colours) == \
+        first_monochromatic(colours, _induced_p3s(kind, n, k))
+    if p3_range(kind, mode, n, k):
+        assert family == _induced_p3s(kind, n, k)
+
+
+@st.composite
+def _windowed_case(draw):
+    kind = draw(st.sampled_from(["path", "cycle"]))
+    mode = draw(st.sampled_from(["biclique", "star"]))
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8 * k + 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    colours = _test_colouring(rng, kind, mode, n, k, draw(st.booleans()),
+                              draw(st.sampled_from([2, 3])),
+                              draw(st.integers(0, 2)))
+    return kind, mode, n, k, colours
+
+
+@given(_windowed_case())
+@example(("cycle", "star", 10, 4, [0, 0, 1, 1, 1, 1, 0, 0, 0, 1]))
+@example(("cycle", "star", 12, 4, [0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1]))
+@example(("cycle", "biclique", 17, 4, [0] * 17))
+@settings(max_examples=300, deadline=None)
+def test_windowed_check_equals_family_scan(case):
+    """first_mono_set returns the listed family's first monochromatic set
+    for random 2- and 3-colourings and perturbed closed-form colourings,
+    including C_n^k with n <= 3k in star mode, where ends more than k apart
+    can still meet around the cycle."""
+    _check_windowed(*case)
+
+
+def test_windowed_check_equals_family_scan_on_grid():
+    rng = random.Random(7)
+    for k in range(1, 7):
+        for n in range(1, 8 * k + 4):
+            for kind, mode in _CONSTRUCT:
+                for trial in range(4):
+                    colours = _test_colouring(rng, kind, mode, n, k,
+                                              trial < 2, 2 + trial % 2,
+                                              trial)
+                    _check_windowed(kind, mode, n, k, colours)
+
+
+def test_windowed_check_on_long_powers():
+    """At n = 2000 the listed family is out of reach of the test, so the
+    check is held to the cycle's induced P3s by index arithmetic, and to the
+    definition on planted hits."""
+    n, k = 2000, 5
+    for kind, mode, build in (("path", "biclique", biclique_colour_path),
+                              ("cycle", "biclique", biclique_colour_cycle),
+                              ("cycle", "star", star_colour_cycle)):
+        colours = list(build(n, k).colouring.colours)
+        assert first_mono_set(kind, mode, n, k, colours) is None
+    colours = list(biclique_colour_cycle(n, k).colouring.colours)
+    p3s = [t for t, _ in cycle_induced_p3s(n, k)]
+    rng = random.Random(3)
+    for _ in range(20):
+        bad = list(colours)
+        bad[rng.randrange(n)] ^= 1
+        assert first_mono_p3("cycle", n, k, bad) == \
+            first_monochromatic(bad, p3s)
+    # a hit that wraps: 0 centred between n-3 and 3 (reach 6 > k)
+    wrap = list(range(n))
+    for v in (n - 3, 0, 3):
+        wrap[v] = n
+    assert first_mono_p3("cycle", n, k, wrap) == (0, 3, n - 3)
+    assert first_mono_p3("path", n, k, wrap) is None
