@@ -1,18 +1,19 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 a verification answered "invalid" (monochromatic
-witness found, or a certification mismatch), 2 bad input, 3 a brute-force
-cap was exceeded.
+witness found, or a certification mismatch), 2 bad input, 3 a size cap was
+exceeded: the oracle's and the reduction's brute-force caps, or the caps
+below on what one command builds, which are checked before anything is
+allocated or printed.
 
-The oracle and the reduction are imported by the subcommands that use them,
-so the closed-form subcommands (chromatic, sweep, verify of a generated
-power graph) do not load them.
+The oracle, the reduction and csv are imported by the subcommands that use
+them, so chromatic, gen, bicliques --kind and verify of a generated power
+graph load none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -22,6 +23,7 @@ from .colouring import (
     ChromaticResult,
     biclique_colour_cycle,
     biclique_colour_path,
+    colour_tuple,
     read_colouring,
     star_colour_cycle,
     star_colour_path,
@@ -42,6 +44,14 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+
+# What one command may build.  Each cap is measured on the worst case just
+# under it; the figures are in CHANGES.md.
+CLOSED_FORM_CAP = 1_000_000  # n of a closed form: O(n) memory, about 0.5 s
+ROWS_CAP = 20_000            # n of a graph built with its n-bit rows
+EDGES_CAP = 1_000_000        # edges written by gen and --dot
+FAMILY_CAP = 1_000_000       # listing a family: its sets times the degree
+SWEEP_ROWS_CAP = 10_000      # rows of one sweep
 
 _POWER_LABEL = re.compile(r"^([PC])_(\d+)\^(\d+)$")
 
@@ -88,6 +98,45 @@ def _oracle_graph(n: int, edges, label) -> Graph:
     return Graph.from_edges(n, edges, label)
 
 
+def _check_cap(what: str, name: str, size: int, cap: int) -> None:
+    """CapacityError naming the requested size and the cap when size is
+    over it."""
+    if size > cap:
+        raise CapacityError(
+            f"{what} is capped at {name} <= {cap}, got {name}={size}")
+
+
+def family_work(kind: str, n: int, k: int) -> int:
+    """An estimate of the work of listing the family of P_n^k / C_n^k
+    (n, k >= 1): its sets times the degree 2m/n (m edges), which is about
+    what checking one set costs.  A complete graph's sets are its m edges;
+    otherwise each is an induced P3 or C4, at most 2*k*m of them."""
+    m = powers.power_edge_count(kind, n, k)
+    sets = m if 2 * m == n * (n - 1) else 2 * k * m
+    return sets * (2 * m // n)
+
+
+def _check_family(kind: str, n: int, k: int) -> None:
+    _check_cap(f"listing the family of {powers.power_label(kind, n, k)}",
+               "sets*degree", family_work(kind, n, k), FAMILY_CAP)
+
+
+def _check_closed_form(kind: str, mode: str, n: int, k: int) -> None:
+    """The caps on a closed-form value: n, and, where its constructor lists
+    the family to check the colouring (outside powers.p3_range), that
+    listing.  A bad n or k is left for the constructor to report."""
+    if n >= 1 and k >= 1:
+        _check_cap("a closed form", "n", n, CLOSED_FORM_CAP)
+        if not powers.p3_range(kind, mode, n, k):
+            _check_family(kind, n, k)
+
+
+def _check_graph(n: int, edges: int = 0) -> None:
+    """The caps on building a graph's n-bit rows and writing its edges."""
+    _check_cap("building a graph's rows", "n", n, ROWS_CAP)
+    _check_cap("writing a graph", "edges", edges, EDGES_CAP)
+
+
 def _certificate_text(result: ChromaticResult) -> str:
     if result.ab is not None:
         return f"a={result.ab.a};b={result.ab.b}"
@@ -108,10 +157,14 @@ def cmd_gen(args) -> int:
         except ValueError:
             raise InputError("--distances must be comma-separated integers, "
                              f"got {args.distances!r}") from None
+        if args.n >= 1:  # each distance gives at most n edges
+            _check_graph(args.n, args.n * len(set(distances)))
         g = powers.circulant(args.n, distances)
     else:
         if args.k is None:
             raise InputError(f"{args.kind} needs --k")
+        _check_graph(args.n,
+                     powers.power_edge_count(args.kind, args.n, args.k))
         g = powers.power_graph(args.kind, args.n, args.k)
     if args.out:
         write_graph(g, args.out)
@@ -125,6 +178,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_chromatic(args) -> int:
+    _check_closed_form(args.kind, args.mode, args.n, args.k)
+    if args.dot and args.n >= 1 and args.k >= 1:
+        _check_graph(args.n,
+                     powers.power_edge_count(args.kind, args.n, args.k))
     result = _constructor(args.kind, args.mode)(args.n, args.k)
     print(result.value)
     cert = _certificate_text(result)
@@ -148,16 +205,19 @@ def cmd_verify(args) -> int:
     # The colouring's length, then the oracle's cap, are checked before the
     # graph's n rows are allocated, so a huge declared n is rejected at
     # once.  A file that is the power graph its label names is checked as
-    # that graph's family (powers.first_mono_set), with no graph built.
-    from . import oracle
+    # that graph's family (powers.first_mono_set), with no graph built and
+    # the oracle not imported.
     n, edges, label = graph_fields(read_json(args.graph))
     col = read_colouring(args.colouring)
     params = _power_params(label, n, edges)
-    colours = oracle.colour_tuple(col, n)
+    colours = colour_tuple(col, n)
     if params is not None:
+        if not powers.p3_range(params[0], args.mode, n, params[2]):
+            _check_family(params[0], n, params[2])
         witness = powers.first_mono_set(params[0], args.mode, n, params[2],
                                         colours)
     else:
+        from . import oracle
         witness = oracle.verify_colouring(
             _oracle_graph(n, edges, label), colours, args.mode)
     if witness is None:
@@ -185,6 +245,8 @@ def cmd_bicliques(args) -> int:
 
     if params is not None:
         kind, n, k = params
+        _check_family(kind, n, k)
+        _check_graph(n)
         source = "closed-form"
         fam = powers.power_family(kind, args.mode, n, k)
     else:
@@ -242,20 +304,26 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import csv
     if args.k_from > args.k_to or args.n_from > args.n_to:
         raise InputError(
             f"empty sweep range: k {args.k_from}..{args.k_to}, "
             f"n {args.n_from}..{args.n_to}")
+    _check_cap("a sweep", "rows", (args.k_to - args.k_from + 1)
+               * (args.n_to - args.n_from + 1), SWEEP_ROWS_CAP)
+    grid = [(n, k) for k in range(args.k_from, args.k_to + 1)
+            for n in range(args.n_from, args.n_to + 1)]
+    for n, k in grid:
+        _check_closed_form(args.kind, args.mode, n, k)
     construct = _constructor(args.kind, args.mode)
     rows = []
-    for k in range(args.k_from, args.k_to + 1):
-        for n in range(args.n_from, args.n_to + 1):
-            result = construct(n, k)
-            rows.append({
-                "n": n, "k": k, "kind": args.kind, "mode": args.mode,
-                "value": result.value,
-                "certificate": _certificate_text(result),
-            })
+    for n, k in grid:
+        result = construct(n, k)
+        rows.append({
+            "n": n, "k": k, "kind": args.kind, "mode": args.mode,
+            "value": result.value,
+            "certificate": _certificate_text(result),
+        })
     fieldnames = ["n", "k", "kind", "mode", "value", "certificate"]
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -276,7 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bicliques",
         description="Biclique- and star-chromatic numbers of powers of "
                     "paths and cycles, with certified colourings and a 3SAT "
-                    "biclique-containment gadget.")
+                    "biclique-containment gadget.",
+        epilog="Exit codes: 0 ok, 1 a verification found a monochromatic "
+               "set or a certification mismatch, 2 bad input, 3 over a "
+               "size cap.  Caps, checked before anything is built or "
+               f"printed: n <= {CLOSED_FORM_CAP} for a closed form "
+               f"(chromatic, sweep); n <= {ROWS_CAP} for a graph built "
+               "with its rows (gen, chromatic --dot, bicliques --kind or "
+               f"--closed-form) and edges <= {EDGES_CAP} for one written "
+               f"(gen, --dot); sets*degree <= {FAMILY_CAP} for listing a "
+               "family, which chromatic, sweep and verify do where n <= 4k; "
+               f"rows <= {SWEEP_ROWS_CAP} for a sweep.  The oracle's and the "
+               "reduction's brute-force caps exit 3 as well.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph as JSON")

@@ -69,6 +69,16 @@ class Colouring(_ColouringFields):
         return len(self.colours)
 
 
+def colour_tuple(colouring, n: int) -> tuple[int, ...]:
+    """The colours of a Colouring or a sequence as a tuple; InputError
+    unless there are exactly n of them."""
+    colours = tuple(colouring.colours if isinstance(colouring, Colouring)
+                    else colouring)
+    if len(colours) != n:
+        raise InputError(f"colouring has {len(colours)} entries for n={n}")
+    return colours
+
+
 class EvenDivision(NamedTuple):
     """n = a*k + t with a even, a >= 2, 0 <= t < 2k."""
 

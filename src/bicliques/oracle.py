@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, groupby
 
-from .colouring import Colouring
+from .colouring import Colouring, colour_tuple
 from .graphs import (
     CapacityError,
     Graph,
@@ -86,16 +86,6 @@ def _maximal_sets(g: Graph, mode: str) -> list[tuple[int, ...]]:
     if mode == "star":
         return maximal_stars(g)
     raise InputError(f"unknown mode {mode!r}")
-
-
-def colour_tuple(colouring, n: int) -> tuple[int, ...]:
-    """The colours of a Colouring or a sequence as a tuple; InputError
-    unless there are exactly n of them."""
-    colours = tuple(colouring.colours if isinstance(colouring, Colouring)
-                    else colouring)
-    if len(colours) != n:
-        raise InputError(f"colouring has {len(colours)} entries for n={n}")
-    return colours
 
 
 def verify_colouring(g: Graph, colouring, mode: str = "biclique",

@@ -18,13 +18,18 @@ graphs.maximal_cb_sides, over the mask of V'; biclique_containment).
 
 Literals follow the DIMACS convention: nonzero signed ints, variable numbers
 1..num_vars.
+
+The records (CnfFormula, ReductionInstance, ReductionReport) are named
+tuples, as Graph and Colouring are: importing dataclasses, which loads
+inspect, and building three dataclasses cost every reduce run about 7 ms.
+CnfFormula checks its literals when it is built.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import (
     CapacityError,
@@ -43,23 +48,27 @@ from .graphs import (
 TRUTH_TABLE_CAP = 20  # exhaustive satisfiability check
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    """CNF with at most three literals per clause."""
-
+class _CnfFields(NamedTuple):
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.num_vars < 0:
+
+class CnfFormula(_CnfFields):
+    """CNF with at most three literals per clause, checked when it is
+    built."""
+
+    __slots__ = ()
+
+    def __new__(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        if num_vars < 0:
             raise InputError("variable count must be non-negative")
-        for clause in self.clauses:
+        for clause in clauses:
             if len(clause) > 3:
                 raise InputError(f"clause {clause} has more than 3 literals")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise InputError(
-                        f"literal {lit} outside 1..{self.num_vars}")
+                if lit == 0 or abs(lit) > num_vars:
+                    raise InputError(f"literal {lit} outside 1..{num_vars}")
+        return super().__new__(cls, num_vars, clauses)
 
     @staticmethod
     def of(num_vars: int, clauses) -> "CnfFormula":
@@ -196,8 +205,7 @@ def normalize(f: CnfFormula) -> CnfFormula:
 # ---------------------------------------------------------------------------
 # instance construction
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(NamedTuple):
     """Gadget graph with the designated subset V' and per-vertex roles.
 
     Layout: u = 0; variable i (1-based) has its positive literal at vertex
@@ -303,8 +311,7 @@ def decode_assignment(inst: ReductionInstance, witness):
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     """Everything certify_reduction checked, bundled for serialization."""
 
     num_vars: int

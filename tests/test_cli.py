@@ -1,20 +1,25 @@
 """End-to-end CLI behaviour through main(argv), including exit codes and
 file round-trips between subcommands."""
 
+import ast
 import csv
+import io
 import json
 import os
+import resource
+import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import support
-from bicliques import oracle, powers, reduction
+from bicliques import cli, oracle, powers, reduction
 from bicliques.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
 from bicliques.colouring import biclique_colour_cycle, read_colouring
 from bicliques.graphs import DOT_PALETTE, Graph, read_graph, write_graph
@@ -252,33 +257,146 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.mark.parametrize("argv, absent", [
     (["chromatic", "cycle", "--n", "14", "--k", "3", "--certify"],
-     ("bicliques.oracle", "bicliques.reduction")),
+     ("bicliques.oracle", "bicliques.reduction", "csv")),
     (["sweep", "--kind", "path", "--k-from", "1", "--k-to", "2",
       "--n-from", "1", "--n-to", "9"],
      ("bicliques.oracle", "bicliques.reduction")),
-    (["verify", "{graph}", "{col}"], ("bicliques.reduction",)),
+    (["verify", "{graph}", "{col}"],
+     ("bicliques.oracle", "bicliques.reduction", "csv")),
+    (["reduce", "{cnf}", "--out-prefix", "{prefix}", "--certify"],
+     ("dataclasses", "inspect", "bicliques.oracle", "csv")),
+    (["gen", "cycle", "--n", "9", "--k", "2", "--out", "{prefix}.json"],
+     ("bicliques.oracle", "bicliques.reduction", "csv")),
+    (["bicliques", "--kind", "cycle", "--n", "9", "--k", "2"],
+     ("bicliques.oracle", "bicliques.reduction", "csv")),
+    (["bicliques", "--graph", "{plain}"], ("bicliques.reduction", "csv")),
 ])
 def test_closed_form_subcommands_skip_the_oracle_and_reduction(
         tmp_path, argv, absent):
-    """The closed-form subcommands leave the oracle and the reduction
-    unimported, so a command line run does not pay to load them."""
+    """A command line run imports only what its subcommand uses: the
+    closed-form subcommands and verify of a labelled power graph leave the
+    oracle and the reduction unimported, reduce loads neither dataclasses
+    nor inspect, and only sweep loads csv.  Importing the package still
+    loads colouring, graphs and powers at once, so an in-process caller
+    does not pay for them on its first call."""
     graph, col = tmp_path / "g.json", tmp_path / "c.json"
     assert main(["gen", "path", "--n", "9", "--k", "2",
                  "--out", str(graph)]) == EXIT_OK
     assert main(["chromatic", "path", "--n", "9", "--k", "2",
                  "--emit-colouring", str(col)]) == EXIT_OK
-    argv = [a.format(graph=graph, col=col) for a in argv]
+    cnf, plain = tmp_path / "f.cnf", tmp_path / "plain.json"
+    write_dimacs(CnfFormula.of(3, [(1, -2), (2, 3), (-1, -3)]), cnf)
+    write_graph(Graph.from_edges(4, [(0, 1), (1, 2)]), plain)
+    argv = [a.format(graph=graph, col=col, cnf=cnf, plain=plain,
+                     prefix=tmp_path / "f") for a in argv]
     code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import bicliques\n"
+            "eager = sorted(set(sys.modules) - before)\n"
             "from bicliques.cli import main\n"
             f"assert main({argv!r}) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('bicliques')))")
+            "print(eager)\n"
+            "print(sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    loaded = out.splitlines()[-1]
-    assert "bicliques.cli" in loaded
-    for module in absent:
-        assert repr(module) not in loaded
+    eager, added = (set(ast.literal_eval(line))
+                    for line in out.splitlines()[-2:])
+    assert {"bicliques.colouring", "bicliques.graphs",
+            "bicliques.powers"} <= eager
+    assert "bicliques.cli" in added
+    assert not added & set(absent)
+
+
+def _run_limited(argv, cwd):
+    """Run the command line in a child whose address space is capped at
+    1 GiB, so a request that would outgrow it fails at once rather than
+    running the machine out of memory.  Returns the exit code, stdout,
+    stderr, the wall time in seconds and the child's peak RSS in MB."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out, err = cwd / "stdout.txt", cwd / "stderr.txt"
+    start = time.perf_counter()
+    with open(out, "w") as fo, open(err, "w") as fe:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "bicliques.cli", *argv], cwd=cwd,
+            env=env, stdout=fo, stderr=fe, preexec_fn=limit)
+        _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return (child.returncode, out.read_text(), err.read_text(), wall,
+            usage.ru_maxrss / 1024)
+
+
+def _write_long_path(tmp_path, n):
+    """A labelled P_n^1 file with its valid colouring and a colouring in
+    blocks of three, written directly since gen caps n at ROWS_CAP."""
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"n": n, "label": f"P_{n}^1",
+         "edges": [[i, i + 1] for i in range(n - 1)]}))
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"n": n, "colours": [i % 2 for i in range(n)]}))
+    (tmp_path / "bad.json").write_text(json.dumps(
+        {"n": n, "colours": [i // 3 % 2 for i in range(n)]}))
+
+
+def test_labelled_verify_at_n_200000_in_bounded_time_and_memory(tmp_path):
+    """verify of a labelled P_200000^1 runs the windowed scan in linear
+    memory: a child limited to 1 GiB of address space answers in seconds
+    and well under 200 MB."""
+    _write_long_path(tmp_path, 200000)
+    code, out, err, wall, rss = _run_limited(["verify", "g.json", "c.json"],
+                                             tmp_path)
+    assert (code, out, err) == (EXIT_OK, "valid\n", "")
+    assert wall < 5 and rss < 200, (wall, rss)
+    code, out, err, wall, rss = _run_limited(
+        ["verify", "g.json", "bad.json"], tmp_path)
+    assert (code, err) == (EXIT_INVALID, "")
+    assert json.loads(out) == {"mode": "biclique", "witness": [0, 1, 2]}
+    assert wall < 5 and rss < 200, (wall, rss)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chromatic", "cycle", "--n", "100000000", "--k", "3"],
+     "a closed form is capped at n <= 1000000, got n=100000000"),
+    (["chromatic", "path", "--n", "1000000000000", "--k", "3"],
+     "a closed form is capped at n <= 1000000, got n=1000000000000"),
+    (["gen", "path", "--n", "100000000", "--k", "50"],
+     "building a graph's rows is capped at n <= 20000, got n=100000000"),
+    (["gen", "cycle", "--n", "20000", "--k", "10000"],
+     "writing a graph is capped at edges <= 1000000, got edges=199990000"),
+    (["gen", "circulant", "--n", "100000000", "--distances", "1,2"],
+     "building a graph's rows is capped at n <= 20000, got n=100000000"),
+    (["bicliques", "--kind", "path", "--n", "200000", "--k", "1"],
+     "building a graph's rows is capped at n <= 20000, got n=200000"),
+    (["bicliques", "--graph", "g.json", "--closed-form"],
+     "building a graph's rows is capped at n <= 20000, got n=200000"),
+    (["chromatic", "path", "--n", "200000", "--k", "1", "--dot", "x.dot"],
+     "building a graph's rows is capped at n <= 20000, got n=200000"),
+    (["chromatic", "cycle", "--n", "200", "--k", "100"],
+     "listing the family of C_200^100 is capped at sets*degree <= 1000000, "
+     "got sets*degree=3960100"),
+    (["sweep", "--kind", "cycle", "--k-from", "1", "--k-to", "100000",
+      "--n-from", "1", "--n-to", "100000"],
+     "a sweep is capped at rows <= 10000, got rows=10000000000"),
+    (["sweep", "--kind", "cycle", "--k-from", "20", "--k-to", "21",
+      "--n-from", "40", "--n-to", "90"],
+     "listing the family of C_42^20 is capped at sets*degree <= 1000000, "
+     "got sets*degree=1344000"),
+])
+def test_huge_requests_exit_3_before_anything_is_built(tmp_path, argv,
+                                                       message):
+    """A request over one of the command line's caps exits 3 with a message
+    that gives the requested size and the cap, at once, with nothing
+    printed or written.  Without the caps these ran out of memory, or ran
+    until they were stopped."""
+    if "g.json" in argv:
+        _write_long_path(tmp_path, 200000)
+    code, out, err, wall, _ = _run_limited(argv, tmp_path)
+    assert (code, out, err) == (EXIT_CAPACITY, "", f"error: {message}\n")
+    assert wall < 1
+    assert not (tmp_path / "x.dot").exists()
 
 
 def test_oracle_cap_checked_before_rows_are_allocated(tmp_path, capsys):
@@ -445,6 +563,119 @@ def test_file_contents_fuzz_ends_in_a_documented_exit_code(
         assert main(argv) in (EXIT_OK, EXIT_INVALID, EXIT_INPUT,
                               EXIT_CAPACITY)
         assert time.perf_counter() - start < 1
+
+
+# n, k and sweep bounds: bad, small, or past the caps.  Values just under a
+# cap are left out: a request there may take seconds by design.
+_ARG = st.one_of(st.integers(-3, 0), st.integers(1, 200),
+                 st.sampled_from([cli.ROWS_CAP + 1, cli.CLOSED_FORM_CAP + 1,
+                                  10 ** 12]))
+
+
+@st.composite
+def _sweep_range(draw):
+    """A sweep range that is narrow, swapped, or reaches past the row
+    cap."""
+    lo = draw(_ARG)
+    shape = draw(st.sampled_from(["narrow", "swapped", "wide"]))
+    if shape == "narrow":
+        return lo, lo + draw(st.integers(0, 3))
+    if shape == "swapped":
+        return lo, lo - draw(st.integers(1, 5))
+    return lo, lo + draw(st.sampled_from([cli.SWEEP_ROWS_CAP, 10 ** 12]))
+
+
+@st.composite
+def _argv(draw):
+    """argv for chromatic, sweep, gen or bicliques --kind, sometimes with
+    an unknown flag spliced in."""
+    command = draw(st.sampled_from(["chromatic", "sweep", "gen", "bicliques"]))
+    kind = draw(st.sampled_from(["path", "cycle"]))
+    mode = ["--mode", draw(st.sampled_from(["biclique", "star"]))]
+    if command == "sweep":
+        (k_from, k_to), (n_from, n_to) = draw(_sweep_range()), \
+            draw(_sweep_range())
+        argv = ["sweep", "--kind", kind, *mode, "--k-from", str(k_from),
+                "--k-to", str(k_to), "--n-from", str(n_from),
+                "--n-to", str(n_to)]
+    else:
+        nk = ["--n", str(draw(_ARG)), "--k", str(draw(_ARG))]
+        argv = {"chromatic": ["chromatic", kind, *nk, *mode],
+                "gen": ["gen", kind, *nk],
+                "bicliques": ["bicliques", "--kind", kind, *nk, *mode]
+                }[command]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(["--bogus", "-x", "--n"])))
+    return argv
+
+
+def _sweep_work(args) -> int:
+    """The family work of a sweep whose rows all pass the caps, else 0."""
+    ks = range(args.k_from, args.k_to + 1)
+    ns = range(args.n_from, args.n_to + 1)
+    if not 0 < len(ks) * len(ns) <= cli.SWEEP_ROWS_CAP:
+        return 0
+    total = 0
+    for k in ks:
+        for n in ns:
+            if not 1 <= n <= cli.CLOSED_FORM_CAP or k < 1:
+                return 0
+            if not powers.p3_range(args.kind, args.mode, n, k):
+                work = cli.family_work(args.kind, n, k)
+                if work > cli.FAMILY_CAP:
+                    return 0
+                total += work
+    return total
+
+
+class _Overran(Exception):
+    """A fuzzed run outlasted twice its time bound."""
+
+
+def _overran(signum, frame):
+    raise _Overran
+
+
+@given(argv=_argv())
+@example(argv=["chromatic", "cycle", "--n", "200", "--k", "100"])
+@example(argv=["sweep", "--kind", "cycle", "--mode", "biclique",
+               "--k-from", "1", "--k-to", "100000",
+               "--n-from", "1", "--n-to", "100000"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_argv_fuzz_ends_in_a_documented_exit_code(argv):
+    """Whatever n, k, sweep bounds and flags chromatic, sweep, gen and
+    bicliques --kind are given, they end in exit code 0-3 with no traceback
+    within a second."""
+    if argv[0] == "sweep":
+        # a sweep whose rows each pass the caps, but whose families together
+        # take about the family cap's work, is just under a cap
+        with redirect_stderr(io.StringIO()):
+            try:
+                args = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                args = None
+        if args is not None:
+            assume(_sweep_work(args) <= cli.FAMILY_CAP // 4)
+    err = io.StringIO()
+    start = time.perf_counter()
+    # a run that outlasts its bound twice over is stopped, so that a cap
+    # that stops working fails the test rather than hanging it
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse rejects the flags
+                code = e.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_INPUT, EXIT_CAPACITY)
+    assert time.perf_counter() - start < 1
+    assert "Traceback" not in err.getvalue()
 
 
 @st.composite
