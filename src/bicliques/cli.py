@@ -38,6 +38,7 @@ from .graphs import (
     read_json,
     write_dot,
     write_graph,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -169,8 +170,7 @@ def cmd_gen(args) -> int:
     if args.out:
         write_graph(g, args.out)
     else:
-        json.dump(graph_to_dict(g), sys.stdout, indent=1)
-        print()
+        write_json(graph_to_dict(g))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(write_dot(g))
@@ -263,14 +263,8 @@ def cmd_bicliques(args) -> int:
         body = [list(s) for s in fam]
 
     key = "bicliques" if args.mode == "biclique" else "stars"
-    doc = {"label": label, "mode": args.mode, "source": source,
-           "count": len(body), key: body}
-    text = json.dumps(doc, indent=1)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    write_json({"label": label, "mode": args.mode, "source": source,
+                "count": len(body), key: body}, args.out)
     return EXIT_OK
 
 
@@ -289,9 +283,7 @@ def cmd_reduce(args) -> int:
         return EXIT_OK
     report = reduction.certify_reduction(nf, inst)
     report_path = f"{args.out_prefix}.report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
-        fh.write("\n")
+    write_json(report.to_dict(), report_path)
     print(f"satisfiable: {report.satisfiable}  "
           f"containment: {report.containment}  "
           f"equivalent: {report.equivalent}")
@@ -426,15 +418,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except (InputError, CapacityError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_CAPACITY if isinstance(e, CapacityError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -16,11 +16,10 @@ all-distinct colourings of complete graphs.
 
 from __future__ import annotations
 
-import json
 from itertools import islice
 from typing import NamedTuple
 
-from .graphs import InputError, is_int, read_json
+from .graphs import InputError, is_int, read_json, write_json
 from .powers import first_mono_p3, first_mono_set
 
 BLUE, RED, GREEN = 0, 1, 2
@@ -248,6 +247,17 @@ def _complete_result(n: int) -> ChromaticResult:
     )
 
 
+def _ab_or_three(n: int, k: int) -> ChromaticResult:
+    """For C_n^k with n >= 2k+2: value 2 by (a, b) blocks when ab_certificate
+    finds a certificate, else value 3 by the three-colouring.  Unchecked;
+    each cycle constructor checks it for its own family."""
+    cert = ab_certificate(n, k)
+    if cert is not None:
+        return ChromaticResult(
+            value=2, colouring=_ab_block_colouring(n, k, cert), ab=cert)
+    return ChromaticResult(value=3, colouring=_three_colouring(n, k))
+
+
 def biclique_colour_path(n: int, k: int) -> ChromaticResult:
     """Exact biclique-chromatic number of P_n^k with an optimal colouring.
 
@@ -304,13 +314,7 @@ def biclique_colour_cycle(n: int, k: int) -> ChromaticResult:
         colours = _lay_blocks([(RED, k), (BLUE, n - k)])
         result = ChromaticResult(value=2, colouring=Colouring(colours, 2))
     else:
-        value, cert = decide_two_vs_three(n, k)
-        if cert is not None:
-            result = ChromaticResult(
-                value=2, colouring=_ab_block_colouring(n, k, cert), ab=cert)
-        else:
-            result = ChromaticResult(
-                value=3, colouring=_three_colouring(n, k))
+        result = _ab_or_three(n, k)
     _check_no_mono(first_mono_set("cycle", "biclique", n, k,
                                   result.colouring.colours), "biclique")
     return result
@@ -337,13 +341,7 @@ def star_colour_cycle(n: int, k: int) -> ChromaticResult:
     if n <= 2 * k + 1:
         result = _complete_result(n)
     else:
-        cert = ab_certificate(n, k)
-        if cert is not None:
-            result = ChromaticResult(
-                value=2, colouring=_ab_block_colouring(n, k, cert), ab=cert)
-        else:
-            result = ChromaticResult(
-                value=3, colouring=_three_colouring(n, k))
+        result = _ab_or_three(n, k)
     _check_no_mono(first_mono_set("cycle", "star", n, k,
                                   result.colouring.colours), "star")
     return result
@@ -389,7 +387,5 @@ def read_colouring(path: str) -> Colouring:
 
 def write_colouring(c: Colouring, path: str, *, ab: AbCertificate | None = None,
                     universal_witness=None) -> None:
-    with open(path, "w") as fh:
-        json.dump(colouring_to_dict(c, ab=ab, universal_witness=universal_witness),
-                  fh, indent=1)
-        fh.write("\n")
+    write_json(colouring_to_dict(c, ab=ab, universal_witness=universal_witness),
+               path)

@@ -8,6 +8,7 @@ word-parallel on arbitrary-width ints.
 from __future__ import annotations
 
 import json
+import sys
 from itertools import combinations
 from typing import NamedTuple
 
@@ -167,10 +168,10 @@ def cb_sides(adj, smask: int):
     return a, b
 
 
-def is_maximal_cb(adj, smask: int, sides=None) -> bool:
+def is_maximal_cb(adj, smask: int, sides) -> bool:
     """True if no single vertex extends the complete bipartite set smask to a
-    larger complete bipartite set.  sides is cb_sides(adj, smask), computed
-    here when the caller does not already hold it.
+    larger complete bipartite set.  sides is cb_sides(adj, smask), which
+    every caller already holds: the enumerator yields sets as their sides.
 
     smask is connected, so its bipartition (a, b) is forced, and a bipartition
     of smask | w restricts to it: w joins side a or side b.  Joining a needs
@@ -178,10 +179,6 @@ def is_maximal_cb(adj, smask: int, sides=None) -> bool:
     Such a w is adjacent to the lowest vertex of b or of a, so only those two
     neighbourhoods are scanned, one AND and compare per vertex.
     """
-    if sides is None:
-        sides = cb_sides(adj, smask)
-        if sides is None:
-            raise ValueError("maximality test needs a complete bipartite set")
     a, b = sides
     ext = (adj[(a & -a).bit_length() - 1]
            | adj[(b & -b).bit_length() - 1]) & ~smask
@@ -247,6 +244,11 @@ def is_maximal_star(adj, smask: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # output-sensitive enumeration (mask level)
+
+# Reach of the enumerations (the oracle's, the containment scan's): the size
+# that the exhaustive subset scan they are tested against covers in minutes.
+SUBSET_SCAN_CAP = 22
+
 
 def maximal_independent_subsets(adj, mask: int):
     """Every maximal independent subset of the vertex mask, each once; an
@@ -320,16 +322,17 @@ def maximal_cb_candidates(adj, vmask: int):
 
 
 def maximal_star_candidates(adj):
-    """Masks of stars, among them every maximal one: each centre c with a
-    non-empty maximal independent subset of N(c) as its leaves, since a
-    leaf left out would extend the star.  A single edge can come out once
-    from each end.  Every candidate is a star (is_star_set holds), since its
-    leaves are independent neighbours of its centre; maximal_star_masks
-    tests each one with is_maximal_star.
+    """Masks of stars, each once, among them every maximal one: each centre
+    c with a non-empty maximal independent subset of N(c) as its leaves,
+    since a leaf left out would extend the star.  Each is a star, as its
+    leaves are independent neighbours of c; maximal_star_masks tests each
+    with is_maximal_star.  A single edge {c, l} is maximal only when {l} is
+    a maximal independent set of N(c) and {c} one of N(l), so it is yielded
+    from its lower end only (K_n gives n(n-1)/2 candidates, not n(n-1)).
     """
     for c, row in enumerate(adj):
         for leaves in maximal_independent_subsets(adj, row):
-            if leaves:
+            if leaves & (leaves - 1) or leaves > 1 << c:
                 yield 1 << c | leaves
 
 
@@ -342,12 +345,11 @@ def maximal_cb_sides(adj, vmask: int):
             yield a, b
 
 
-def maximal_star_masks(adj) -> set[int]:
-    """Masks of the maximal stars of the graph: the candidates of
-    maximal_star_candidates that pass is_maximal_star, as a set, since a
-    single-edge star comes out once from each end."""
-    return {m for m in maximal_star_candidates(adj)
-            if is_maximal_star(adj, m)}
+def maximal_star_masks(adj) -> list[int]:
+    """Masks of the maximal stars of the graph, each once: the candidates of
+    maximal_star_candidates, in its order, that pass is_maximal_star."""
+    return [m for m in maximal_star_candidates(adj)
+            if is_maximal_star(adj, m)]
 
 
 def cb_shape(a: int, b: int) -> str:
@@ -533,10 +535,20 @@ def read_graph(path: str) -> Graph:
     return graph_from_dict(read_json(path))
 
 
-def write_graph(g: Graph, path: str) -> None:
+def write_json(value, path: str | None = None) -> None:
+    """value as indent-1 JSON and a newline, to the file at path or stdout,
+    streamed by json.dump rather than held whole as one string."""
+    if path is None:
+        json.dump(value, sys.stdout, indent=1)
+        sys.stdout.write("\n")
+        return
     with open(path, "w") as fh:
-        json.dump(graph_to_dict(g), fh, indent=1)
+        json.dump(value, fh, indent=1)
         fh.write("\n")
+
+
+def write_graph(g: Graph, path: str) -> None:
+    write_json(graph_to_dict(g), path)
 
 
 # colour ids 0.. map onto this fixed palette (mod 8) in DOT output

@@ -23,6 +23,7 @@ from .graphs import (
     CapacityError,
     Graph,
     InputError,
+    SUBSET_SCAN_CAP,
     bits,
     cb_shape,
     first_monochromatic,
@@ -31,9 +32,6 @@ from .graphs import (
 )
 from .powers import Biclique, cyclic_reach
 
-# The enumerations' reach, kept at the size the exhaustive subset scan that
-# they are tested against still covers in minutes.
-SUBSET_SCAN_CAP = 22
 SEARCH_CAP = 14       # exact chromatic backtracking
 # Graphs whose scan results stay cached.  verify_colouring followed by
 # exact_chromatic on the same graph needs one entry; a few more cover
@@ -72,35 +70,30 @@ def maximal_bicliques(g: Graph) -> list[Biclique]:
     return out
 
 
+def _maximal_sets(g: Graph, mode: str) -> list[tuple[int, ...]]:
+    """The maximal bicliques (mode "biclique") or stars of g as sorted
+    vertex tuples, sorted, read from the cached masks with no record built."""
+    if mode not in ("biclique", "star"):
+        raise InputError(f"unknown mode {mode!r}")
+    check_scan_cap(g.n)
+    masks = _maximal_star_masks(g) if mode == "star" \
+        else (a | b for a, b in _maximal_cb_sides(g))
+    return sorted(tuple(bits(m)) for m in masks)
+
+
 def maximal_stars(g: Graph) -> list[tuple[int, ...]]:
     """All maximal induced-star vertex sets of g, sorted.  Maximality is
     under inclusion among stars, so a P3 inside a C4 still counts."""
-    check_scan_cap(g.n)
-    return sorted(tuple(bits(m)) for m in _maximal_star_masks(g))
+    return _maximal_sets(g, "star")
 
 
-def _maximal_sets(g: Graph, mode: str) -> list[tuple[int, ...]]:
-    """The oracle's hyperedges for mode, as sorted vertex tuples."""
-    if mode == "biclique":
-        return [b.vertices for b in maximal_bicliques(g)]
-    if mode == "star":
-        return maximal_stars(g)
-    raise InputError(f"unknown mode {mode!r}")
-
-
-def verify_colouring(g: Graph, colouring, mode: str = "biclique",
-                     hyperedges=None):
-    """None if no hyperedge is monochromatic, else the lexicographically
-    smallest monochromatic hyperedge as a witness.
-
-    Hyperedges default to the oracle enumeration for the requested mode
-    (biclique or star); callers with a generated power graph can pass the
-    closed-form family instead to dodge the oracle's cap.
-    """
+def verify_colouring(g: Graph, colouring, mode: str = "biclique"):
+    """None if no maximal biclique (mode "biclique") or star of g is
+    monochromatic, else the lexicographically smallest monochromatic one;
+    n <= SUBSET_SCAN_CAP.  powers.first_mono_set checks a power of a path
+    or cycle past that cap."""
     colours = colour_tuple(colouring, g.n)
-    if hyperedges is None:
-        hyperedges = _maximal_sets(g, mode)
-    sets = sorted(tuple(getattr(h, "vertices", h)) for h in hyperedges)
+    sets = _maximal_sets(g, mode)
     return first_monochromatic(colours, sets)
 
 

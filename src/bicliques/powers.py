@@ -7,7 +7,9 @@ or an induced C4.  The families are listed by the same output-sensitive
 enumeration the oracle runs on any graph (graphs.maximal_cb_sides and
 graphs.maximal_star_masks), applied to P_n^k or C_n^k, so their cost grows
 with the number of maximal sets rather than with the 2^n vertex subsets.
-The tests compare them with the exhaustive subset scan.
+family_masks is the one place that runs it, and power_family the one place
+that turns its masks into sorted records.  The tests compare them with the
+exhaustive subset scan.
 
 Outside a band of width about 4k the families are exactly the induced P3s
 (p3_range), and a colouring is checked against them by a windowed scan of
@@ -23,7 +25,6 @@ from .graphs import (
     Graph,
     InputError,
     bits,
-    cb_shape,
     maximal_cb_sides,
     maximal_star_masks,
 )
@@ -157,65 +158,58 @@ def cycle_induced_p3s(n: int, k: int) -> list[tuple[tuple[int, int, int], int]]:
     return sorted(found.items())
 
 
-def path_bicliques(n: int, k: int) -> list[Biclique]:
-    """Maximal bicliques of P_n^k, sorted by vertex list.
-
-    Complete range (n <= k+1) yields only edges; the middle range k+2..2k
-    mixes maximal edges and P3s; n >= 2k+1 yields only P3s.
-    """
-    out = [Biclique(tuple(bits(a | b)), cb_shape(a, b))
-           for a, b in maximal_cb_sides(power_path(n, k).adj, (1 << n) - 1)]
-    out.sort(key=lambda b: b.vertices)
-    return out
-
-
-def cycle_bicliques(n: int, k: int) -> list[Biclique]:
-    """Maximal bicliques of C_n^k, sorted by vertex list.
-
-    Only edges survive in the complete range n <= 2k+1; only C4s in
-    2k+2..3k+1; C4s and P3s in 3k+2..4k; only P3s for n >= 4k+1.  P3 entries
-    carry their reach, summed from the centre (the side of one vertex).
-    """
-    out = []
-    for a, b in maximal_cb_sides(power_cycle(n, k).adj, (1 << n) - 1):
-        shape = cb_shape(a, b)
-        reach = None
-        if shape == "P3":
-            centre, ends = (a, b) if a & (a - 1) == 0 else (b, a)
-            c = centre.bit_length() - 1
-            reach = sum(cyclic_reach(n, c, e) for e in bits(ends))
-        out.append(Biclique(tuple(bits(a | b)), shape, reach))
-    out.sort(key=lambda b: b.vertices)
-    return out
-
-
-def path_stars(n: int, k: int) -> list[tuple[int, ...]]:
-    """Maximal stars of P_n^k.  Path powers are C4-free, so this family
-    equals the biclique family (returned as plain vertex sets)."""
-    return [b.vertices for b in path_bicliques(n, k)]
-
-
-def cycle_stars(n: int, k: int) -> list[tuple[int, ...]]:
-    """Maximal stars of C_n^k: K_{1,3}-freeness limits stars to edges and
-    induced P3s.  Unlike bicliques, a P3 inside a C4 is still a maximal star."""
-    return sorted(tuple(bits(m)) for m in family_masks("cycle", "star", n, k))
-
-
-def power_family(kind: str, mode: str, n: int, k: int) -> list:
-    """The maximal bicliques (mode "biclique", as Biclique) or maximal stars
-    (mode "star", as vertex tuples) of P_n^k (kind "path") or C_n^k."""
-    if mode == "biclique":
-        return path_bicliques(n, k) if kind == "path" else cycle_bicliques(n, k)
-    return path_stars(n, k) if kind == "path" else cycle_stars(n, k)
-
-
-def family_masks(kind: str, mode: str, n: int, k: int):
-    """The vertex masks of power_family(kind, mode, n, k), in no order and
-    with no shape: the same enumeration, without the per-set records."""
+def family_masks(kind: str, mode: str, n: int, k: int) -> list[int]:
+    """The masks of the maximal bicliques (mode "biclique") or stars of
+    P_n^k (kind "path") or C_n^k, in the enumeration's order; a path power's
+    stars are its bicliques.  power_graph is left out: the tests patch it
+    to catch a rebuild of a labelled file's graph."""
     adj = (power_path if kind == "path" else power_cycle)(n, k).adj
     if kind == "cycle" and mode == "star":
         return maximal_star_masks(adj)
     return [a | b for a, b in maximal_cb_sides(adj, (1 << n) - 1)]
+
+
+def _p3_reach(n: int, vs) -> int:
+    """Reach of the P3 vs of C_n^k: its pairwise distances less the non-edge's."""
+    a, b, c = vs
+    ds = (cyclic_reach(n, a, b), cyclic_reach(n, b, c), cyclic_reach(n, a, c))
+    return sum(ds) - max(ds)
+
+
+def power_family(kind: str, mode: str, n: int, k: int) -> list:
+    """The maximal bicliques (mode "biclique", as Biclique) or stars (as
+    vertex tuples) of P_n^k (kind "path") or C_n^k, sorted.  Both graphs are
+    claw-free, so a set's size gives its shape: P2, P3 or C4."""
+    sets = sorted(tuple(bits(m)) for m in family_masks(kind, mode, n, k))
+    if mode == "star":
+        return sets
+    cyclic = kind == "cycle"
+    return [Biclique(vs, ("P2", "P3", "C4")[len(vs) - 2],
+                     _p3_reach(n, vs) if cyclic and len(vs) == 3 else None)
+            for vs in sets]
+
+
+def path_bicliques(n: int, k: int) -> list[Biclique]:
+    """Maximal bicliques of P_n^k: edges for n <= k+1, edges and P3s in
+    k+2..2k, P3s for n >= 2k+1."""
+    return power_family("path", "biclique", n, k)
+
+
+def cycle_bicliques(n: int, k: int) -> list[Biclique]:
+    """Maximal bicliques of C_n^k: edges for n <= 2k+1, C4s in 2k+2..3k+1,
+    C4s and P3s in 3k+2..4k, P3s (with their reach) for n >= 4k+1."""
+    return power_family("cycle", "biclique", n, k)
+
+
+def path_stars(n: int, k: int) -> list[tuple[int, ...]]:
+    """Maximal stars of P_n^k: the vertex sets of its bicliques."""
+    return power_family("path", "star", n, k)
+
+
+def cycle_stars(n: int, k: int) -> list[tuple[int, ...]]:
+    """Maximal stars of C_n^k: edges and induced P3s, including a P3 inside
+    a C4, which is no maximal biclique."""
+    return power_family("cycle", "star", n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ CnfFormula checks its literals when it is built.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 from typing import NamedTuple
 
@@ -35,6 +34,7 @@ from .graphs import (
     CapacityError,
     Graph,
     InputError,
+    SUBSET_SCAN_CAP,
     bits,
     contains_induced_c4,
     contains_k4,
@@ -43,6 +43,7 @@ from .graphs import (
     maximal_cb_sides,
     read_text,
     vertex_set,
+    write_json,
 )
 
 TRUTH_TABLE_CAP = 20  # exhaustive satisfiability check
@@ -255,18 +256,16 @@ def instance_to_dict(inst: ReductionInstance) -> dict:
 
 
 def write_instance(inst: ReductionInstance, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=1)
-        fh.write("\n")
+    write_json(instance_to_dict(inst), path)
 
 
 # ---------------------------------------------------------------------------
 # containment and certification
 
 def _check_containment_cap(size: int) -> None:
-    if size > 22:
-        raise CapacityError(
-            f"containment scan is capped at |V'| <= 22, got {size}")
+    if size > SUBSET_SCAN_CAP:
+        raise CapacityError(f"containment scan is capped at "
+                            f"|V'| <= {SUBSET_SCAN_CAP}, got {size}")
 
 
 def biclique_containment(g: Graph, v_prime):

@@ -131,7 +131,6 @@ def test_maximality_kernels_match_extension_scan(g):
                     support.bfs_complete_bipartite(g, vs + (w,)) is not None
                     for w in outside)
                 assert is_maximal_cb(g.adj, m, cb_sides(g.adj, m)) == expect
-                assert is_maximal_cb(g.adj, m) == expect
             star = support.is_star_by_loops(g, vs)
             assert is_star_set(g.adj, m) == star
             if star:
@@ -183,6 +182,24 @@ def test_every_star_candidate_is_a_star(g):
     for s in maximal_star_candidates(g.adj):
         assert is_star_set(g.adj, s)
         assert support.is_star_by_loops(g, tuple(bits(s)))
+
+
+@given(support.graph_strategy(max_n=14), st.integers(1, 30), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_star_candidates_come_out_once(g, n, extra):
+    """A single-edge star comes out from its lower end only, so no mask is
+    yielded twice and every maximal star is still among the candidates; on
+    C_n^k with n <= 2k+1, the complete graph K_n, the candidates are its
+    n(n-1)/2 edges."""
+    found = list(maximal_star_candidates(g.adj))
+    assert len(found) == len(set(found))
+    assert {mask_of(vs) for vs in support.brute_maximal_star_sets(g)} \
+        <= set(found)
+    k = max(1, n // 2) + extra
+    complete = list(maximal_star_candidates(power_cycle(n, k).adj))
+    assert len(complete) == n * (n - 1) // 2
+    assert set(complete) == {1 << i | 1 << j
+                             for i, j in combinations(range(n), 2)}
 
 
 def _k4_by_permutations(g):

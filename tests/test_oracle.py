@@ -102,11 +102,6 @@ def test_verify_colouring_witnesses():
     assert verify_colouring(g, (0, 0, 0, 1, 1, 1)) == (0, 1, 2)
     assert verify_colouring(g, (0, 1, 0, 1, 0, 1)) is None
     assert verify_colouring(g, Colouring((0, 0, 0, 1, 1, 1), 2)) == (0, 1, 2)
-    # explicit hyperedges bypass enumeration entirely
-    assert verify_colouring(g, (0, 1, 1, 1, 1, 0), hyperedges=[(0, 5)]) == (0, 5)
-    # the witness is the smallest monochromatic set, not the first listed
-    assert verify_colouring(g, (0, 0, 0, 1, 1, 1),
-                            hyperedges=[(3, 4, 5), (1, 2), (0, 1, 2)]) == (0, 1, 2)
     with pytest.raises(InputError):
         verify_colouring(g, (0, 1))
     with pytest.raises(InputError):
