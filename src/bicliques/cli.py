@@ -80,13 +80,11 @@ def _power_params(label, n: int, edges):
     if not m or int(m.group(2)) != n:
         return None
     kind, k = ("path" if m.group(1) == "P" else "cycle"), int(m.group(3))
-    distinct = {(min(i, j), max(i, j)) for i, j in edges}
+    distinct = {(i, j) if i < j else (j, i) for i, j in edges}
     if len(distinct) != powers.power_edge_count(kind, n, k):
         return None
-    if kind == "cycle":
-        near = all(powers.cyclic_reach(n, i, j) <= k for i, j in distinct)
-    else:
-        near = all(j - i <= k for i, j in distinct)
+    cyclic = kind == "cycle"  # the cyclic distance of i < j is j-i or n-(j-i)
+    near = all(j - i <= k or cyclic and n - j + i <= k for i, j in distinct)
     return (kind, n, k) if near else None
 
 

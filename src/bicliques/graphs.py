@@ -352,6 +352,15 @@ def maximal_star_masks(adj) -> list[int]:
             if is_maximal_star(adj, m)]
 
 
+def maximal_masks(adj, mode: str) -> list[int]:
+    """Masks of the maximal stars (mode "star") or else the maximal
+    bicliques of the graph, in the enumerator's order; the one place that
+    chooses an enumerator by mode."""
+    if mode == "star":
+        return maximal_star_masks(adj)
+    return [a | b for a, b in maximal_cb_sides(adj, (1 << len(adj)) - 1)]
+
+
 def cb_shape(a: int, b: int) -> str:
     """Shape of the complete bipartite set with side masks a and b: "P2"
     for sides 1+1, "P3" for 1+2, "C4" for 2+2, else "OTHER"."""
@@ -485,17 +494,21 @@ def graph_fields(d: dict) -> tuple[int, list[tuple[int, int]], str | None]:
     edges = d["edges"]
     if not isinstance(edges, list):
         raise InputError('"edges" must be a list of pairs')
+    # The per-edge checks are is_int and _check_edge written inline: a file
+    # may hold millions of edges, and a call per edge doubles the time.
     pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2
-                and all(is_int(x) for x in e)):
+                and isinstance(e[0], int) and not isinstance(e[0], bool)
+                and isinstance(e[1], int) and not isinstance(e[1], bool)):
             raise InputError(f"malformed edge entry {e!r}")
         pairs.append((e[0], e[1]))
     label = d.get("label")
     if label is not None and not isinstance(label, str):
         raise InputError('"label" must be a string')
     for i, j in pairs:
-        _check_edge(n, i, j)
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            _check_edge(n, i, j)
     if n < 0:
         raise InputError("vertex count must be non-negative")
     return n, pairs, label

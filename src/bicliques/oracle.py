@@ -6,17 +6,17 @@ the number of candidates rather than with the 2^n vertex subsets: a
 biclique from its lowest vertex v0, its side B inside N(v0) and a maximal
 independent set A' of the vertices above v0 outside N(v0) that see all of
 B; a star from a centre and a maximal independent set of its neighbours.
-Each candidate is checked against the whole graph (graphs.maximal_cb_sides
-and graphs.maximal_star_masks).  The power-graph families run the same
+Each candidate is checked against the whole graph (graphs.maximal_masks
+picks the enumerator for a mode).  The power-graph families run the same
 enumeration, so the tests hold both to the exhaustive subset scan.  The
 enumerations are capped at SUBSET_SCAN_CAP vertices, the backtracking
-search over canonical colourings at SEARCH_CAP.
+search over canonical colourings at SEARCH_CAP.  Nothing is kept between
+calls: each call enumerates its graph afresh.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import groupby
 
 from .colouring import Colouring, colour_tuple
 from .graphs import (
@@ -28,16 +28,11 @@ from .graphs import (
     cb_shape,
     first_monochromatic,
     maximal_cb_sides,
-    maximal_star_masks,
+    maximal_masks,
 )
 from .powers import Biclique, cyclic_reach
 
 SEARCH_CAP = 14       # exact chromatic backtracking
-# Graphs whose scan results stay cached.  verify_colouring followed by
-# exact_chromatic on the same graph needs one entry; a few more cover
-# callers that alternate between graphs.  The bound keeps a long-lived
-# process from holding every graph it has seen.
-CACHE_GRAPHS = 16
 
 
 def check_scan_cap(n: int) -> None:
@@ -48,16 +43,6 @@ def check_scan_cap(n: int) -> None:
             f"subset scan is capped at n <= {SUBSET_SCAN_CAP}, got n={n}")
 
 
-@lru_cache(maxsize=CACHE_GRAPHS)
-def _maximal_cb_sides(g: Graph) -> tuple[tuple[int, int], ...]:
-    return tuple(maximal_cb_sides(g.adj, (1 << g.n) - 1))
-
-
-@lru_cache(maxsize=CACHE_GRAPHS)
-def _maximal_star_masks(g: Graph) -> tuple[int, ...]:
-    return tuple(maximal_star_masks(g.adj))
-
-
 def maximal_bicliques(g: Graph) -> list[Biclique]:
     """All maximal complete-bipartite vertex sets of g (>= 1 edge each),
     sorted by vertex list.  Enumerated from (v0, B, A') triples with A' a
@@ -65,20 +50,18 @@ def maximal_bicliques(g: Graph) -> list[Biclique]:
     (graphs.maximal_cb_sides); n <= SUBSET_SCAN_CAP."""
     check_scan_cap(g.n)
     out = [Biclique(tuple(bits(a | b)), cb_shape(a, b))
-           for a, b in _maximal_cb_sides(g)]
+           for a, b in maximal_cb_sides(g.adj, (1 << g.n) - 1)]
     out.sort(key=lambda b: b.vertices)
     return out
 
 
 def _maximal_sets(g: Graph, mode: str) -> list[tuple[int, ...]]:
     """The maximal bicliques (mode "biclique") or stars of g as sorted
-    vertex tuples, sorted, read from the cached masks with no record built."""
+    vertex tuples, sorted, from graphs.maximal_masks with no record built."""
     if mode not in ("biclique", "star"):
         raise InputError(f"unknown mode {mode!r}")
     check_scan_cap(g.n)
-    masks = _maximal_star_masks(g) if mode == "star" \
-        else (a | b for a, b in _maximal_cb_sides(g))
-    return sorted(tuple(bits(m)) for m in masks)
+    return sorted(tuple(bits(m)) for m in maximal_masks(g.adj, mode))
 
 
 def maximal_stars(g: Graph) -> list[tuple[int, ...]]:
@@ -146,39 +129,42 @@ def exact_chromatic(g: Graph, mode: str = "biclique") -> tuple[int, Colouring]:
 # ---------------------------------------------------------------------------
 # monochromatic-P3 and block analysis
 
-@lru_cache(maxsize=CACHE_GRAPHS)
-def _induced_p3s_with_reach(g: Graph) -> tuple[tuple[tuple[int, int, int], int], ...]:
-    """Sorted induced P3 triples with cyclic reach (sum of the two edge
-    reaches about the centre), computed with g.n as the cycle length.
-
-    Enumerated as non-adjacent neighbour pairs of each centre; an induced P3
-    has exactly one centre, so no triple repeats."""
-    n, adj = g.n, g.adj
-    out = []
-    for centre in range(n):
-        nb = list(bits(adj[centre]))
-        for x, y in combinations(nb, 2):
-            if adj[x] >> y & 1:
-                continue
-            triple = tuple(sorted((x, centre, y)))
-            reach = cyclic_reach(n, centre, x) + cyclic_reach(n, centre, y)
-            out.append((triple, reach))
-    out.sort()
-    return tuple(out)
-
-
 def find_mono_p3(g: Graph, colouring, reach_in=None):
     """First (by vertex triple) monochromatic induced P3 with its reach, or
-    None.  Reach is cyclic, meaningful when g is a power of a cycle; pass
-    reach_in to restrict the search to specific reach values."""
+    None.  Reach is the sum of the cyclic distances (g.n as the cycle
+    length) from the centre to the two ends, meaningful when g is a power
+    of a cycle; pass reach_in to restrict the search to specific reach
+    values.
+
+    For a < b in one colour class, the c > b of that class that complete
+    an induced P3 are N(a) ^ N(b) when ab is an edge (the centre is
+    whichever of a, b sees c) and N(a) & N(b) when it is not (c is the
+    centre); an induced P3 has one centre, so each triple is met once, in
+    increasing (a, b, c), and the search stops at the first hit."""
     colours = colour_tuple(colouring, g.n)
     wanted = None if reach_in is None else set(reach_in)
-    for triple, reach in _induced_p3s_with_reach(g):
-        if wanted is not None and reach not in wanted:
-            continue
-        a, b, c = triple
-        if colours[a] == colours[b] == colours[c]:
-            return triple, reach
+    n, adj = g.n, g.adj
+    classes: dict = {}
+    for v, col in enumerate(colours):
+        classes[col] = classes.get(col, 0) | 1 << v
+    for a in range(n):
+        same = classes[colours[a]]
+        bs = same >> (a + 1) << (a + 1)
+        while bs:
+            low = bs & -bs
+            bs ^= low  # now the class above b
+            b = low.bit_length() - 1
+            edge = adj[a] >> b & 1
+            cs = (adj[a] ^ adj[b] if edge else adj[a] & adj[b]) & bs
+            while cs:
+                low_c = cs & -cs
+                cs ^= low_c
+                c = low_c.bit_length() - 1
+                centre = c if not edge else a if adj[a] & low_c else b
+                reach = (cyclic_reach(n, centre, a) + cyclic_reach(n, centre, b)
+                         + cyclic_reach(n, centre, c))
+                if wanted is None or reach in wanted:
+                    return (a, b, c), reach
     return None
 
 

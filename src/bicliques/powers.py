@@ -4,12 +4,11 @@ P_n^k joins path vertices at index distance <= k; C_n^k joins cycle vertices
 at cyclic distance <= k.  Both are K_{1,3}-free, and path powers are also
 C4-free, so every maximal complete bipartite set is an edge, an induced P3
 or an induced C4.  The families are listed by the same output-sensitive
-enumeration the oracle runs on any graph (graphs.maximal_cb_sides and
-graphs.maximal_star_masks), applied to P_n^k or C_n^k, so their cost grows
-with the number of maximal sets rather than with the 2^n vertex subsets.
-family_masks is the one place that runs it, and power_family the one place
-that turns its masks into sorted records.  The tests compare them with the
-exhaustive subset scan.
+enumeration the oracle runs on any graph (graphs.maximal_masks), applied
+to P_n^k or C_n^k, so their cost grows with the number of maximal sets
+rather than with the 2^n vertex subsets.  family_masks is the one place
+that runs it, and power_family the one place that turns its masks into
+sorted records.  The tests compare them with the exhaustive subset scan.
 
 Outside a band of width about 4k the families are exactly the induced P3s
 (p3_range), and a colouring is checked against them by a windowed scan of
@@ -21,13 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import (
-    Graph,
-    InputError,
-    bits,
-    maximal_cb_sides,
-    maximal_star_masks,
-)
+from .graphs import Graph, InputError, bits, maximal_masks
 
 
 class Biclique(NamedTuple):
@@ -160,13 +153,11 @@ def cycle_induced_p3s(n: int, k: int) -> list[tuple[tuple[int, int, int], int]]:
 
 def family_masks(kind: str, mode: str, n: int, k: int) -> list[int]:
     """The masks of the maximal bicliques (mode "biclique") or stars of
-    P_n^k (kind "path") or C_n^k, in the enumeration's order; a path power's
-    stars are its bicliques.  power_graph is left out: the tests patch it
-    to catch a rebuild of a labelled file's graph."""
-    adj = (power_path if kind == "path" else power_cycle)(n, k).adj
-    if kind == "cycle" and mode == "star":
-        return maximal_star_masks(adj)
-    return [a | b for a, b in maximal_cb_sides(adj, (1 << n) - 1)]
+    P_n^k (kind "path") or C_n^k, in the enumeration's order.  A path
+    power's stars are its bicliques, and the biclique enumerator lists them
+    faster."""
+    return maximal_masks(power_graph(kind, n, k).adj,
+                         mode if kind == "cycle" else "biclique")
 
 
 def _p3_reach(n: int, vs) -> int:

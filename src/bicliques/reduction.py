@@ -169,9 +169,12 @@ def normalize(f: CnfFormula) -> CnfFormula:
     clause; rewrite clause pairs sharing two or more literals (always the
     later clause of the first offending pair in scan order, re-scanning to a
     fixpoint); finally drop unused variables, remapping indices downward.
-    An empty clause is rejected as trivially unsatisfiable.  Each step
-    establishes one normalization condition, so the result is normalized
-    by construction; build_instance checks it before building the gadget.
+    An empty clause is rejected as trivially unsatisfiable.  A formula with
+    no clause left (none given, or only tautologies) is always satisfied,
+    and becomes the one-clause formula (x1), which is satisfiable too and
+    has a gadget with a biclique inside V'.  Each step establishes one
+    normalization condition, so the result is normalized by construction;
+    build_instance checks it before building the gadget.
     """
     clauses: list[tuple[int, ...]] = []
     for clause in f.clauses:
@@ -181,6 +184,8 @@ def normalize(f: CnfFormula) -> CnfFormula:
         if any(-lit in lits for lit in lits):
             continue  # tautology, always satisfied
         clauses.append(tuple(sorted(lits, key=lambda l: (abs(l), l < 0))))
+    if not clauses:
+        return CnfFormula(1, ((1,),))
     num_vars = f.num_vars
 
     while True:
@@ -326,20 +331,10 @@ class ReductionReport(NamedTuple):
     correspondence_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "num_vars": self.num_vars,
-            "num_clauses": self.num_clauses,
-            "satisfiable": self.satisfiable,
-            "assignment": list(self.assignment) if self.assignment else None,
-            "containment": self.containment,
-            "witness": list(self.witness) if self.witness else None,
-            "equivalent": self.equivalent,
-            "k4_free": self.k4_free,
-            "c4_free": self.c4_free,
-            "decoded_assignment": (list(self.decoded_assignment)
-                                   if self.decoded_assignment else None),
-            "correspondence_ok": self.correspondence_ok,
-        }
+        """The fields in order, tuples written as lists (an empty
+        assignment as [], not null)."""
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in self._asdict().items()}
 
 
 def certify_reduction(f: CnfFormula,

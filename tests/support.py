@@ -140,6 +140,25 @@ def brute_scan_stars(g: Graph) -> list[tuple[int, ...]]:
                   and is_maximal_star(adj, m))
 
 
+def brute_mono_p3(g: Graph, colours, reach_in=None):
+    """First monochromatic induced P3 of g by vertex triple with its reach,
+    or None: every triple is tried, one with exactly two edges is an
+    induced P3, and its reach is the sum of the cyclic distances (g.n the
+    cycle length) from the centre, the vertex on both edges, to the ends."""
+    for triple in combinations(range(g.n), 3):
+        if len({colours[v] for v in triple}) != 1:
+            continue
+        edges = [set(e) for e in combinations(triple, 2) if g.has_edge(*e)]
+        if len(edges) != 2:
+            continue
+        (centre,) = edges[0] & edges[1]
+        reach = sum(min((v - centre) % g.n, (centre - v) % g.n)
+                    for v in triple if v != centre)
+        if reach_in is None or reach in reach_in:
+            return triple, reach
+    return None
+
+
 def brute_maximal_independent_sets(g: Graph, mask: int) -> set[int]:
     """Masks of the maximal independent subsets of the vertex mask, found
     among all its submasks with nested has_edge loops."""

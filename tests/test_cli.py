@@ -454,7 +454,10 @@ def test_labelled_power_graph_rebuilt_only_on_matching_edge_count(
 def test_matching_labelled_verify_builds_no_graph(
         tmp_path, capsys, monkeypatch):
     """A file that is the power graph its label names is checked by index
-    distance and verified against the family, with no graph built."""
+    distance and verified against the family, and no Graph is built from
+    its edges.  In powers.p3_range nothing builds rows or lists a family;
+    outside it (C_11^4 in biclique mode) the family listing builds the
+    power graph's rows, once."""
     graph, col = tmp_path / "g.json", tmp_path / "c.json"
     cases = []
     for kind, n, k in (("path", 12, 2), ("cycle", 11, 4), ("cycle", 17, 3)):
@@ -462,23 +465,37 @@ def test_matching_labelled_verify_builds_no_graph(
         for colours in (biclique_colour_cycle(n, k).colouring.colours
                         if kind == "cycle" else (0, 1) * (n // 2), (0,) * n):
             for mode in ("biclique", "star"):
-                cases.append((g, colours, mode,
+                cases.append((g, colours, mode, kind, n, k,
                               oracle.verify_colouring(g, colours, mode)))
 
     def built(*args):
         raise AssertionError(f"graph {args} built")
     monkeypatch.setattr(Graph, "from_edges", staticmethod(built))
-    monkeypatch.setattr(powers, "power_graph", built)
-    for g, colours, mode, expected in cases:
+    power_graph, calls = powers.power_graph, []
+
+    def listed(*args):
+        calls.append((args, sys._getframe(1).f_code.co_name))
+        return power_graph(*args)
+    for g, colours, mode, kind, n, k, expected in cases:
         write_graph(g, graph)
         col.write_text(json.dumps({"n": g.n, "colours": list(colours)}))
-        code = main(["verify", str(graph), str(col), "--mode", mode])
+        calls.clear()
+        in_range = powers.p3_range(kind, mode, n, k)
+        with monkeypatch.context() as patch:
+            if in_range:
+                support.forbid_rows_and_families(patch)
+            else:
+                patch.setattr(powers, "power_graph", listed)
+            code = main(["verify", str(graph), str(col), "--mode", mode])
         out = capsys.readouterr().out
         if expected is None:
             assert (code, out) == (EXIT_OK, "valid\n"), (g.label, mode)
         else:
             assert code == EXIT_INVALID, (g.label, mode)
             assert json.loads(out)["witness"] == list(expected)
+        if not in_range:
+            assert (kind, n, k, mode) == ("cycle", 11, 4, "biclique")
+            assert calls == [(("cycle", 11, 4), "family_masks")]
 
 
 _JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -791,6 +808,32 @@ def test_reduce_unsat_formula(tmp_path, capsys):
     assert report["containment"] is False
     assert report["equivalent"] is True
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", [
+    "p cnf 1 1\n1 -1 1 0\n",
+    "p cnf 1 3\n-1 1 0\n1 -1 0\n1 -1 -1 0\n",
+    "p cnf 3 1\n-2 2 1 0\n",
+    "p cnf 3 0\n",
+])
+def test_reduce_certifies_a_formula_with_no_surviving_clause(
+        tmp_path, capsys, text):
+    """A formula with no clause, or only tautologies, is satisfied by
+    every assignment; normalize makes it (x1), whose gadget holds the
+    biclique {u, x1}, so the reduction certifies rather than reporting a
+    mismatch."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    assert main(["reduce", str(cnf), "--out-prefix", str(tmp_path / "f"),
+                 "--certify"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "-> 1 vars, 1 clauses" in out
+    assert "satisfiable: True  containment: True  equivalent: True" in out
+    assert json.loads((tmp_path / "f.report.json").read_text()) == {
+        "num_vars": 1, "num_clauses": 1, "satisfiable": True,
+        "assignment": [True], "containment": True, "witness": [0, 1],
+        "equivalent": True, "k4_free": True, "c4_free": True,
+        "decoded_assignment": [True], "correspondence_ok": True}
 
 
 def test_reduce_certify_checks_the_containment_cap_first(tmp_path, capsys):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from bicliques.colouring import Colouring, three_colour_no_mono_p3
@@ -182,6 +183,18 @@ def test_find_mono_p3():
     assert find_mono_p3(g, three_colour_no_mono_p3(8, 2)) is None
     with pytest.raises(InputError):
         find_mono_p3(g, (0,) * 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(support.graph_strategy(max_n=12),
+                 st.builds(power_cycle, st.integers(1, 14), st.integers(1, 4))),
+       st.data())
+def test_find_mono_p3_matches_brute_force(g, data):
+    colours = data.draw(st.lists(st.integers(0, 2), min_size=g.n,
+                                 max_size=g.n))
+    reach_in = data.draw(st.none() | st.sets(st.integers(1, 14), max_size=4))
+    assert find_mono_p3(g, colours, reach_in) == \
+        support.brute_mono_p3(g, colours, reach_in)
 
 
 def test_block_profile():

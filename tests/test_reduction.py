@@ -79,6 +79,9 @@ def test_normalize_drops_tautologies_and_compacts():
     with pytest.raises(InputError):
         normalize(CnfFormula.of(1, [()]))
     assert normalize(PHI) == PHI
+    # no clause left: the satisfiable one-clause formula (x1) stands in
+    for empty in (CnfFormula.of(2, [(1, -1), (2, -2, 1)]), CnfFormula(3, ())):
+        assert normalize(empty) == CnfFormula(1, ((1,),))
 
 
 def test_normalize_rewrites_conflicting_pair():
@@ -219,6 +222,8 @@ def test_certify_reduction_frozen():
     assert not unsat.satisfiable and not unsat.containment
     assert unsat.equivalent and unsat.correspondence_ok
     assert unsat.witness is None and unsat.to_dict()["witness"] is None
+    # the empty assignment satisfies the empty formula, and is written as []
+    assert certify_reduction(CnfFormula(0, ())).to_dict()["assignment"] == []
 
 
 def test_certify_reduction_random_corpus():
