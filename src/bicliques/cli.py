@@ -80,11 +80,13 @@ def _power_params(label, n: int, edges):
     if not m or int(m.group(2)) != n:
         return None
     kind, k = ("path" if m.group(1) == "P" else "cycle"), int(m.group(3))
-    distinct = {(i, j) if i < j else (j, i) for i, j in edges}
+    # each unordered pair keyed as one int: hashing ints is cheaper than tuples
+    distinct = {i * n + j if i < j else j * n + i for i, j in edges}
     if len(distinct) != powers.power_edge_count(kind, n, k):
         return None
-    cyclic = kind == "cycle"  # the cyclic distance of i < j is j-i or n-(j-i)
-    near = all(j - i <= k or cyclic and n - j + i <= k for i, j in distinct)
+    cyclic = kind == "cycle"  # the cyclic distance is |i-j| or n-|i-j|
+    near = all(abs(i - j) <= k or cyclic and n - abs(i - j) <= k
+               for i, j in edges)
     return (kind, n, k) if near else None
 
 

@@ -90,17 +90,21 @@ class Graph(_GraphFields):
                 raise InputError(f"vertex {v} has a neighbour outside [0, {n})")
             if row >> v & 1:
                 raise InputError(f"self-loop at vertex {v}")
-        for v in range(n):
-            for u in bits(adj[v]):
+        for v, row in enumerate(adj):
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
                 if not adj[u] >> v & 1:
                     raise InputError(f"asymmetric adjacency between {v} and {u}")
+                row ^= low
         return super().__new__(cls, n, adj, label)
 
     @staticmethod
     def from_edges(n: int, edges, label: str | None = None) -> "Graph":
         adj = [0] * n
         for i, j in edges:
-            _check_edge(n, i, j)
+            if not (0 <= i < n and 0 <= j < n and i != j):
+                _check_edge(n, i, j)  # raises, naming the fault
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         return Graph(n, tuple(adj), label)
@@ -261,6 +265,9 @@ def maximal_independent_subsets(adj, mask: int):
     vertices remain.  A maximal set holds the lowest candidate or excluded
     vertex p or one of p's neighbours, so only those are branched on.
     """
+    if mask & (mask - 1) == 0:  # no vertex or one: the set is the mask
+        yield mask
+        return
     stack = [(0, mask, 0)]
     while stack:
         chosen, cand, excl = stack.pop()
@@ -296,7 +303,8 @@ def maximal_cb_candidates(adj, vmask: int):
     while growing it stays excluded while it misses all of b.  If x sees
     every vertex that can still join A', x would join b of each set built
     on this b, so none is listed; and if x also misses every vertex still
-    free to join b, that holds for the whole branch, so it is cut.
+    free to join b, that holds for the whole branch, so it is cut.  One
+    pass over the excluded vertices makes both tests.
     """
     rest = vmask
     while rest:
@@ -307,10 +315,20 @@ def maximal_cb_candidates(adj, vmask: int):
         stack = [(0, row & rest, 0, rest & ~row)]
         while stack:
             b, free, excl, common = stack.pop()
-            joins = [x for x in bits(excl) if common & ~adj[x] == 0]
-            if any(free & adj[x] == 0 for x in joins):
+            cut = joined = False
+            pending = excl
+            while pending:
+                x = pending & -pending
+                pending ^= x
+                nx = adj[x.bit_length() - 1]
+                if common & nx == common:  # x sees all of common: joins b
+                    if not free & nx:      # ... in every set of the branch
+                        cut = True
+                        break
+                    joined = True
+            if cut:
                 continue
-            if b and not joins:
+            if b and not joined:
                 for extra in maximal_independent_subsets(adj, common):
                     yield a0 | extra, b
             while free:
@@ -361,11 +379,14 @@ def maximal_masks(adj, mode: str) -> list[int]:
     return [a | b for a, b in maximal_cb_sides(adj, (1 << len(adj)) - 1)]
 
 
+# shape of a complete bipartite set by the sizes of its two sides
+_SHAPES = {(1, 1): "P2", (1, 2): "P3", (2, 1): "P3", (2, 2): "C4"}
+
+
 def cb_shape(a: int, b: int) -> str:
     """Shape of the complete bipartite set with side masks a and b: "P2"
     for sides 1+1, "P3" for 1+2, "C4" for 2+2, else "OTHER"."""
-    sides = tuple(sorted((a.bit_count(), b.bit_count())))
-    return {(1, 1): "P2", (1, 2): "P3", (2, 2): "C4"}.get(sides, "OTHER")
+    return _SHAPES.get((a.bit_count(), b.bit_count()), "OTHER")
 
 
 def first_monochromatic(colours, sets):
@@ -475,7 +496,16 @@ def induced_shape(g: Graph, s) -> str:
 # serialization
 
 def graph_to_dict(g: Graph) -> dict:
-    d: dict = {"n": g.n, "edges": [[i, j] for i, j in g.edges()]}
+    """{"n", "edges", "label"} of g, each edge [i, j] once with i < j in
+    lexicographic order (as g.edges()), listed straight from the rows."""
+    edges = []
+    for i, row in enumerate(g.adj):
+        row >>= i + 1  # the neighbours above i, shifted down by i + 1
+        while row:
+            low = row & -row
+            edges.append([i, i + low.bit_length()])
+            row ^= low
+    d: dict = {"n": g.n, "edges": edges}
     if g.label is not None:
         d["label"] = g.label
     return d

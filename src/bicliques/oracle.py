@@ -49,9 +49,16 @@ def maximal_bicliques(g: Graph) -> list[Biclique]:
     maximal independent set, each checked against the whole graph
     (graphs.maximal_cb_sides); n <= SUBSET_SCAN_CAP."""
     check_scan_cap(g.n)
-    out = [Biclique(tuple(bits(a | b)), cb_shape(a, b))
-           for a, b in maximal_cb_sides(g.adj, (1 << g.n) - 1)]
-    out.sort(key=lambda b: b.vertices)
+    out = []
+    for a, b in maximal_cb_sides(g.adj, (1 << g.n) - 1):
+        vs = []
+        rest = a | b
+        while rest:
+            low = rest & -rest
+            vs.append(low.bit_length() - 1)
+            rest ^= low
+        out.append(Biclique(tuple(vs), cb_shape(a, b)))
+    out.sort()  # by vertices: no two records share them
     return out
 
 

@@ -91,12 +91,18 @@ def power_graph(kind: str, n: int, k: int) -> Graph:
     return power_path(n, k) if kind == "path" else power_cycle(n, k)
 
 
+def is_complete(kind: str, n: int, k: int) -> bool:
+    """True when power_graph(kind, n, k) is the complete graph K_n: n <= k+1
+    for a path, n <= 2k+1 for a cycle."""
+    return n <= (k + 1 if kind == "path" else 2 * k + 1)
+
+
 def power_edge_count(kind: str, n: int, k: int) -> int:
-    """Edge count of power_graph(kind, n, k), by formula: a complete graph
-    when n <= k+1 (path) or n <= 2k+1 (cycle); else vertex i of P_n^k has
-    min(k, n-1-i) higher neighbours, and every vertex of C_n^k has 2k."""
+    """Edge count of power_graph(kind, n, k), by formula: n(n-1)/2 when it
+    is complete; else vertex i of P_n^k has min(k, n-1-i) higher
+    neighbours, and every vertex of C_n^k has 2k."""
     check_params(n, k)
-    if n <= (k + 1 if kind == "path" else 2 * k + 1):
+    if is_complete(kind, n, k):
         return n * (n - 1) // 2
     return k * n - k * (k + 1) // 2 if kind == "path" else k * n
 
@@ -310,15 +316,32 @@ def first_mono_p3(kind: str, n: int, k: int, colours):
     return best
 
 
+def _first_mono_edge(colours):
+    """The lexicographically smallest pair i < j with colours[i] ==
+    colours[j], or None: the first monochromatic set of a complete graph,
+    whose maximal bicliques and stars are its edges.  One pass: the
+    smallest pair of a colour is its first two positions, met when the
+    colour first repeats, and a later class wins only with a smaller i."""
+    first: dict = {}
+    best = None
+    for v, c in enumerate(colours):
+        i = first.setdefault(c, v)
+        if i != v and (best is None or i < best[0]):
+            best = (i, v)
+    return best
+
+
 def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
     """What first_monochromatic(colours, power_family(kind, mode, n, k))
     returns: the lexicographically smallest monochromatic set of the family,
-    or None.  In p3_range that is first_mono_p3, with no family built;
-    elsewhere (n <= 4k) the family's masks are listed, their number bounded
-    in k, and a set is monochromatic when it lies inside the colour class of
-    its lowest vertex."""
+    or None.  In p3_range that is first_mono_p3, and on a complete graph
+    _first_mono_edge, with no family built; elsewhere (n <= 4k) the family's
+    masks are listed, their number bounded in k, and a set is monochromatic
+    when it lies inside the colour class of its lowest vertex."""
     if p3_range(kind, mode, n, k):
         return first_mono_p3(kind, n, k, colours)
+    if is_complete(kind, n, k):
+        return _first_mono_edge(colours)
     classes: dict = {}
     for v, c in enumerate(colours):
         classes[c] = classes.get(c, 0) | 1 << v

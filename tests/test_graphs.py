@@ -67,8 +67,9 @@ def test_graph_construction_validates():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(InputError):
         Graph.from_edges(2, [(0, 2)])
-    with pytest.raises(InputError):
-        Graph(n=2, adj=(2, 0))  # asymmetric adjacency
+    with pytest.raises(InputError,
+                       match=r"^asymmetric adjacency between 0 and 1$"):
+        Graph(n=2, adj=(2, 0))
     with pytest.raises(InputError):
         Graph(n=1, adj=(2,))  # row bit out of range
 
@@ -147,6 +148,14 @@ def test_maximal_independent_subsets_match_submask_scan(g, mask):
     assert set(found) == support.brute_maximal_independent_sets(g, mask)
 
 
+@given(support.graph_strategy(max_n=10))
+@settings(max_examples=40, deadline=None)
+def test_maximal_independent_subsets_of_at_most_one_vertex(g):
+    """A mask of no vertex or one is its own only maximal independent set."""
+    for mask in [0] + [1 << v for v in range(g.n)]:
+        assert list(maximal_independent_subsets(g.adj, mask)) == [mask]
+
+
 @given(support.graph_strategy(max_n=9), st.integers(0, (1 << 9) - 1))
 @settings(max_examples=80, deadline=None)
 def test_candidates_cover_sets_maximal_within_the_mask(g, vmask):
@@ -157,6 +166,7 @@ def test_candidates_cover_sets_maximal_within_the_mask(g, vmask):
     vmask &= (1 << g.n) - 1
     inside = list(bits(vmask))
     cb = list(maximal_cb_candidates(g.adj, vmask))
+    assert len(cb) == len(set(cb))  # no (a, b) pair twice
     lows = [a & -a for a, _ in cb]
     assert lows == sorted(lows)
     for a, b in cb:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
+from bicliques import powers
 from bicliques.colouring import (
     biclique_colour_cycle,
     biclique_colour_path,
@@ -31,6 +32,7 @@ from bicliques.powers import (
     cyclic_reach,
     first_mono_p3,
     first_mono_set,
+    is_complete,
     p3_range,
     path_bicliques,
     path_stars,
@@ -295,11 +297,14 @@ def _check_windowed(kind, mode, n, k, colours):
 
 
 @st.composite
-def _windowed_case(draw):
+def _windowed_case(draw, complete=False):
+    """(kind, mode, n, k, colours) with k <= 8 and n <= 8k+3, or with n in
+    the range where P_n^k / C_n^k is complete."""
     kind = draw(st.sampled_from(["path", "cycle"]))
     mode = draw(st.sampled_from(["biclique", "star"]))
     k = draw(st.integers(1, 8))
-    n = draw(st.integers(1, 8 * k + 3))
+    n = draw(st.integers(1, (k + 1 if kind == "path" else 2 * k + 1)
+                         if complete else 8 * k + 3))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     colours = _test_colouring(rng, kind, mode, n, k, draw(st.booleans()),
                               draw(st.sampled_from([2, 3])),
@@ -318,6 +323,32 @@ def test_windowed_check_equals_family_scan(case):
     including C_n^k with n <= 3k in star mode, where ends more than k apart
     can still meet around the cycle."""
     _check_windowed(*case)
+
+
+@given(_windowed_case(complete=True))
+@settings(max_examples=200, deadline=None)
+def test_complete_graph_check_equals_family_scan(case):
+    """On a complete P_n^k / C_n^k first_mono_set takes the first
+    equal-coloured pair without listing the family; in both modes that is
+    the listed family's first monochromatic set."""
+    kind, _, n, k, colours = case
+    assert is_complete(kind, n, k)
+    for mode in ("biclique", "star"):
+        _check_windowed(kind, mode, n, k, colours)
+
+
+def test_complete_graph_check_lists_no_family(monkeypatch):
+    """K_200 as C_200^100: the constructors check that 200 colours differ
+    with no family listed and no graph built."""
+    def listed(*args):
+        raise AssertionError(f"{args} listed")
+    monkeypatch.setattr(powers, "family_masks", listed)
+    monkeypatch.setattr(powers, "power_graph", listed)
+    assert biclique_colour_cycle(200, 100).value == 200
+    assert star_colour_cycle(200, 100).value == 200
+    # the first pair by its lower end, not by where its colour repeats
+    assert first_mono_set("path", "biclique", 5, 4, [0, 1, 2, 1, 0]) == (0, 4)
+    assert first_mono_set("cycle", "star", 3, 1, [0, 1, 2]) is None
 
 
 def test_windowed_check_equals_family_scan_on_grid():
