@@ -108,10 +108,10 @@ def _check_cap(what: str, name: str, size: int, cap: int) -> None:
 
 
 def family_work(kind: str, n: int, k: int) -> int:
-    """An estimate of the work of listing the family of P_n^k / C_n^k
-    (n, k >= 1): its sets times the degree 2m/n (m edges), which is about
-    what checking one set costs.  A complete graph's sets are its m edges;
-    otherwise each is an induced P3 or C4, at most 2*k*m of them."""
+    """The work of listing the family of P_n^k / C_n^k (n, k >= 1) as its
+    sets times the degree 2m/n (m edges), an overestimate, since a set
+    costs about the same at any degree.  A complete graph's sets are its m
+    edges; otherwise each is an induced P3 or C4, at most 2*k*m of them."""
     m = powers.power_edge_count(kind, n, k)
     sets = m if 2 * m == n * (n - 1) else 2 * k * m
     return sets * (2 * m // n)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import combinations
 from typing import NamedTuple
 
 
@@ -33,6 +32,16 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def vertices_of(mask: int) -> tuple[int, ...]:
+    """tuple(bits(mask)), by an inline loop with no generator."""
+    vs = []
+    while mask:
+        low = mask & -mask
+        vs.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(vs)
 
 
 def mask_of(vertices) -> int:
@@ -177,22 +186,31 @@ def is_maximal_cb(adj, smask: int, sides) -> bool:
     larger complete bipartite set.  sides is cb_sides(adj, smask), which
     every caller already holds: the enumerator yields sets as their sides.
 
-    smask is connected, so its bipartition (a, b) is forced, and a bipartition
-    of smask | w restricts to it: w joins side a or side b.  Joining a needs
-    N(w) & smask == b, joining b needs N(w) & smask == a, and either suffices.
-    Such a w is adjacent to the lowest vertex of b or of a, so only those two
-    neighbourhoods are scanned, one AND and compare per vertex.
+    smask is connected, so its bipartition (a, b) is forced, and a vertex w
+    outside extends it when it sees all of one side and none of the other.
+    With AND_x / OR_x the AND / OR of the rows of side x, the extenders are
+    (AND_b & ~OR_a | AND_a & ~OR_b) & ~smask: |smask| row operations.
     """
     a, b = sides
-    ext = (adj[(a & -a).bit_length() - 1]
-           | adj[(b & -b).bit_length() - 1]) & ~smask
-    while ext:
-        low = ext & -ext
-        seen = adj[low.bit_length() - 1] & smask
-        if seen == a or seen == b:
-            return False
-        ext ^= low
-    return True
+    low = a & -a
+    and_a = or_a = adj[low.bit_length() - 1]
+    a ^= low
+    while a:
+        low = a & -a
+        row = adj[low.bit_length() - 1]
+        and_a &= row
+        or_a |= row
+        a ^= low
+    low = b & -b
+    and_b = or_b = adj[low.bit_length() - 1]
+    b ^= low
+    while b:
+        low = b & -b
+        row = adj[low.bit_length() - 1]
+        and_b &= row
+        or_b |= row
+        b ^= low
+    return not (and_b & ~or_a | and_a & ~or_b) & ~smask
 
 
 def is_star_set(adj, smask: int) -> bool:
@@ -223,27 +241,27 @@ def is_maximal_star(adj, smask: int) -> bool:
     to a larger star.
 
     A vertex w cannot be the centre of smask | w, since smask has an edge
-    between two would-be leaves; so w is a leaf of a centre c of smask, and
-    N(w) & smask == {c}.  With three or more vertices the centre is unique;
-    an edge has both endpoints as possible centres.
+    between two would-be leaves; so w sees one centre c of smask and no
+    leaf.  With three or more vertices c is unique, and the extenders are
+    N(c) less the leaves' rows; those of an edge {u, v} are N(u) ^ N(v)
+    outside it.  Either way at most |smask| row operations.
     """
     low = smask & -smask
-    nb = adj[low.bit_length() - 1] & smask
-    if nb & (nb - 1):        # v0 has two neighbours: it is the centre
-        centres = low
-    elif nb == smask ^ low:  # an edge: either end can be the centre
-        centres = smask
-    else:                    # v0 is a leaf of the centre nb
-        centres = nb
-    ext = (adj[(centres & -centres).bit_length() - 1]
-           | adj[centres.bit_length() - 1]) & ~smask
-    while ext:
-        low = ext & -ext
-        seen = adj[low.bit_length() - 1] & smask
-        if seen & centres and seen & (seen - 1) == 0:
-            return False
-        ext ^= low
-    return True
+    row = adj[low.bit_length() - 1]
+    nb = row & smask
+    if nb != smask ^ low:    # v0 is a leaf of the centre nb
+        centre = nb
+    elif nb & (nb - 1):      # v0 sees all the others: it is the centre
+        centre = low
+    else:                    # an edge: a leaf of either end extends it
+        return not (row ^ adj[nb.bit_length() - 1]) & ~smask
+    leaves = smask ^ centre
+    ext = adj[centre.bit_length() - 1] & ~smask
+    while leaves and ext:
+        low = leaves & -leaves
+        ext &= ~adj[low.bit_length() - 1]
+        leaves ^= low
+    return not ext
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +430,7 @@ def is_complete_bipartite(g: Graph, s):
     if sides is None:
         return False, None
     a, b = sides
-    return True, (tuple(bits(a)), tuple(bits(b)))
+    return True, (vertices_of(a), vertices_of(b))
 
 
 def contains_k4(g: Graph):
@@ -472,24 +490,6 @@ def contains_induced_c4(g: Graph):
                     return a, b, c, c + (ds & -ds).bit_length()
                 cs ^= low
     return None
-
-
-def induced_shape(g: Graph, s) -> str:
-    """Classify the subgraph induced by s: "P2", "P3", "C4", or "OTHER"."""
-    vs = tuple(s)
-    if len(vs) == 2:
-        return "P2" if g.has_edge(vs[0], vs[1]) else "OTHER"
-    pairs = [(i, j) for i, j in combinations(vs, 2) if g.has_edge(i, j)]
-    if len(vs) == 3 and len(pairs) == 2:
-        return "P3"
-    if len(vs) == 4 and len(pairs) == 4:
-        deg: dict[int, int] = {}
-        for i, j in pairs:
-            deg[i] = deg.get(i, 0) + 1
-            deg[j] = deg.get(j, 0) + 1
-        if max(deg.values()) == 2:
-            return "C4"
-    return "OTHER"
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ from .graphs import (
     Graph,
     InputError,
     SUBSET_SCAN_CAP,
-    bits,
     cb_shape,
     first_monochromatic,
     maximal_cb_sides,
     maximal_masks,
+    vertices_of,
 )
 from .powers import Biclique, cyclic_reach
 
@@ -49,15 +49,8 @@ def maximal_bicliques(g: Graph) -> list[Biclique]:
     maximal independent set, each checked against the whole graph
     (graphs.maximal_cb_sides); n <= SUBSET_SCAN_CAP."""
     check_scan_cap(g.n)
-    out = []
-    for a, b in maximal_cb_sides(g.adj, (1 << g.n) - 1):
-        vs = []
-        rest = a | b
-        while rest:
-            low = rest & -rest
-            vs.append(low.bit_length() - 1)
-            rest ^= low
-        out.append(Biclique(tuple(vs), cb_shape(a, b)))
+    out = [Biclique(vertices_of(a | b), cb_shape(a, b))
+           for a, b in maximal_cb_sides(g.adj, (1 << g.n) - 1)]
     out.sort()  # by vertices: no two records share them
     return out
 
@@ -68,7 +61,7 @@ def _maximal_sets(g: Graph, mode: str) -> list[tuple[int, ...]]:
     if mode not in ("biclique", "star"):
         raise InputError(f"unknown mode {mode!r}")
     check_scan_cap(g.n)
-    return sorted(tuple(bits(m)) for m in maximal_masks(g.adj, mode))
+    return sorted(map(vertices_of, maximal_masks(g.adj, mode)))
 
 
 def maximal_stars(g: Graph) -> list[tuple[int, ...]]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import Graph, InputError, bits, maximal_masks
+from .graphs import Graph, InputError, maximal_masks, vertices_of
 
 
 class Biclique(NamedTuple):
@@ -177,7 +177,7 @@ def power_family(kind: str, mode: str, n: int, k: int) -> list:
     """The maximal bicliques (mode "biclique", as Biclique) or stars (as
     vertex tuples) of P_n^k (kind "path") or C_n^k, sorted.  Both graphs are
     claw-free, so a set's size gives its shape: P2, P3 or C4."""
-    sets = sorted(tuple(bits(m)) for m in family_masks(kind, mode, n, k))
+    sets = sorted(map(vertices_of, family_masks(kind, mode, n, k)))
     if mode == "star":
         return sets
     cyclic = kind == "cycle"
@@ -345,6 +345,6 @@ def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
     classes: dict = {}
     for v, c in enumerate(colours):
         classes[c] = classes.get(c, 0) | 1 << v
-    return min((tuple(bits(m)) for m in family_masks(kind, mode, n, k)
+    return min((vertices_of(m) for m in family_masks(kind, mode, n, k)
                 if m & ~classes[colours[(m & -m).bit_length() - 1]] == 0),
                default=None)

@@ -35,7 +35,6 @@ from .graphs import (
     Graph,
     InputError,
     SUBSET_SCAN_CAP,
-    bits,
     contains_induced_c4,
     contains_k4,
     graph_to_dict,
@@ -43,6 +42,7 @@ from .graphs import (
     maximal_cb_sides,
     read_text,
     vertex_set,
+    vertices_of,
     write_json,
 )
 
@@ -292,7 +292,7 @@ def biclique_containment(g: Graph, v_prime):
     for a, b in maximal_cb_sides(g.adj, mask_of(vp)):
         if best is not None and a & -a != 1 << best[0]:
             break
-        vs = tuple(bits(a | b))
+        vs = vertices_of(a | b)
         if best is None or vs < best:
             best = vs
     return best

@@ -4,9 +4,11 @@ These deliberately take different routes than the library: BFS bipartition
 instead of forced-neighbourhood masks, nested has_edge loops instead of
 bitset algebra, a second truth-table walker for CNF.  Closed forms and the
 oracle are both tested against these, so a shared bug would have to be made
-twice in different styles.  The brute_scan functions are the exception: they
-run the library's own mask kernels on every vertex subset, the exhaustive
-scan that the oracle's enumeration must reproduce set for set.
+twice in different styles.  The brute_scan functions run the library's
+complete-bipartite and star tests (cb_sides, is_star_set) on every vertex
+subset, but decide maximality by the per-vertex extension walk here, not by
+the library's row algebra: the exhaustive scan that the oracle's
+enumeration must reproduce set for set.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from bicliques.graphs import (
-    Graph,
-    bits,
-    cb_sides,
-    induced_shape,
-    is_maximal_cb,
-    is_maximal_star,
-    is_star_set,
-)
+from bicliques.graphs import Graph, bits, cb_sides, is_star_set
 from bicliques import powers
 from bicliques.reduction import CnfFormula, normalize
 
@@ -115,29 +109,90 @@ def brute_maximal_star_sets(g: Graph) -> set[tuple[int, ...]]:
             if not any(set(vs) < set(other) for other in found)}
 
 
+def induced_shape(g: Graph, s) -> str:
+    """Classify the subgraph induced by s: "P2", "P3", "C4", or "OTHER"."""
+    vs = tuple(s)
+    if len(vs) == 2:
+        return "P2" if g.has_edge(vs[0], vs[1]) else "OTHER"
+    pairs = [(i, j) for i, j in combinations(vs, 2) if g.has_edge(i, j)]
+    if len(vs) == 3 and len(pairs) == 2:
+        return "P3"
+    if len(vs) == 4 and len(pairs) == 4:
+        deg: dict[int, int] = {}
+        for i, j in pairs:
+            deg[i] = deg.get(i, 0) + 1
+            deg[j] = deg.get(j, 0) + 1
+        if max(deg.values()) == 2:
+            return "C4"
+    return "OTHER"
+
+
+def walk_is_maximal_cb(adj, smask: int, sides) -> bool:
+    """Reference for graphs.is_maximal_cb, one outside vertex at a time.
+
+    A vertex w outside smask extends it when N(w) & smask is one side
+    (a or b, as cb_sides gives them): w then joins the other.  Such a w
+    sees the lowest vertex of a or of b, so only their neighbours are
+    walked, one AND and compare each.
+    """
+    a, b = sides
+    ext = (adj[(a & -a).bit_length() - 1]
+           | adj[(b & -b).bit_length() - 1]) & ~smask
+    for w in bits(ext):
+        seen = adj[w] & smask
+        if seen == a or seen == b:
+            return False
+    return True
+
+
+def walk_is_maximal_star(adj, smask: int) -> bool:
+    """Reference for graphs.is_maximal_star, one outside vertex at a time.
+
+    A vertex w outside the star smask extends it when N(w) & smask is one
+    possible centre: the unique centre of a star with two or more leaves,
+    either end of an edge.  Only the centres' neighbours are walked.
+    """
+    low = smask & -smask
+    nb = adj[low.bit_length() - 1] & smask
+    if nb & (nb - 1):        # v0 has two neighbours: it is the centre
+        centres = low
+    elif nb == smask ^ low:  # an edge: either end can be the centre
+        centres = smask
+    else:                    # v0 is a leaf of the centre nb
+        centres = nb
+    ext = (adj[(centres & -centres).bit_length() - 1]
+           | adj[centres.bit_length() - 1]) & ~smask
+    for w in bits(ext):
+        seen = adj[w] & smask
+        if seen & centres and seen & (seen - 1) == 0:
+            return False
+    return True
+
+
 def brute_scan_bicliques(g: Graph) -> list[tuple[tuple[int, ...], str]]:
     """(vertices, shape) of every maximal complete bipartite set of g, sorted:
-    the library's mask kernels applied to each of the 2^n vertex subsets.
-    The oracle's output-sensitive enumeration must list the same sets."""
+    cb_sides and walk_is_maximal_cb applied to each of the 2^n vertex
+    subsets.  The oracle's output-sensitive enumeration must list the same
+    sets."""
     adj = g.adj
     out = []
     for m in range(3, 1 << g.n):
         if m.bit_count() < 2:
             continue
         sides = cb_sides(adj, m)
-        if sides is not None and is_maximal_cb(adj, m, sides):
+        if sides is not None and walk_is_maximal_cb(adj, m, sides):
             vs = tuple(bits(m))
             out.append((vs, induced_shape(g, vs)))
     return sorted(out)
 
 
 def brute_scan_stars(g: Graph) -> list[tuple[int, ...]]:
-    """Every maximal star of g as a sorted vertex tuple, sorted: the
-    library's mask kernels applied to each of the 2^n vertex subsets."""
+    """Every maximal star of g as a sorted vertex tuple, sorted: is_star_set
+    and walk_is_maximal_star applied to each of the 2^n vertex subsets."""
     adj = g.adj
     return sorted(tuple(bits(m)) for m in range(3, 1 << g.n)
                   if m.bit_count() >= 2 and is_star_set(adj, m)
-                  and is_maximal_star(adj, m))
+                  and walk_is_maximal_star(adj, m))
 
 
 def brute_mono_p3(g: Graph, colours, reach_in=None):

@@ -20,7 +20,6 @@ from bicliques.graphs import (
     contains_k4,
     graph_from_dict,
     graph_to_dict,
-    induced_shape,
     induced_subgraph,
     is_complete_bipartite,
     is_maximal_cb,
@@ -32,6 +31,7 @@ from bicliques.graphs import (
     maximal_star_candidates,
     read_graph,
     vertex_set,
+    vertices_of,
     write_dot,
     write_graph,
 )
@@ -46,6 +46,7 @@ def test_bits_and_mask_round_trip():
         rng = random.Random(seed)
         vs = sorted(rng.sample(range(40), rng.randint(0, 12)))
         assert list(bits(mask_of(vs))) == vs
+        assert vertices_of(mask_of(vs)) == tuple(vs)
 
 
 def test_vertex_set_normalizes_and_validates():
@@ -137,6 +138,51 @@ def test_maximality_kernels_match_extension_scan(g):
             if star:
                 assert is_maximal_star(g.adj, m) == (not any(
                     support.is_star_by_loops(g, vs + (w,)) for w in outside))
+
+
+def _assert_maximality_matches_walk(adj):
+    """The row-algebra predicates equal the walk of tests/support.py on
+    every candidate, and on every candidate less one vertex that is still
+    complete bipartite (a star), most of which are not maximal."""
+    checked = 0
+    for a, b in maximal_cb_candidates(adj, (1 << len(adj)) - 1):
+        s = a | b
+        assert is_maximal_cb(adj, s, (a, b)) == \
+            support.walk_is_maximal_cb(adj, s, (a, b))
+        for v in bits(s):
+            m = s ^ 1 << v
+            sides = cb_sides(adj, m) if m & (m - 1) else None
+            if sides is not None:
+                assert is_maximal_cb(adj, m, sides) == \
+                    support.walk_is_maximal_cb(adj, m, sides)
+                checked += 1
+    for s in maximal_star_candidates(adj):
+        assert is_maximal_star(adj, s) == support.walk_is_maximal_star(adj, s)
+        for v in bits(s):
+            m = s ^ 1 << v
+            if m & (m - 1) and is_star_set(adj, m):
+                assert is_maximal_star(adj, m) == \
+                    support.walk_is_maximal_star(adj, m)
+                checked += 1
+    assert checked  # some smaller sets were compared
+
+
+@pytest.mark.parametrize("kind, n, k", (
+    ("path", 65, 25), ("path", 120, 10), ("path", 300, 3), ("cycle", 65, 3),
+    ("cycle", 70, 20), ("cycle", 130, 12), ("cycle", 200, 8),
+    ("cycle", 300, 5)))
+def test_maximality_algebra_matches_walk_on_wide_powers(kind, n, k):
+    """Rows wider than 64 bits, in every range of the families: complete
+    bipartite sets of 2..4 vertices, stars of up to 2k leaves."""
+    g = (power_path if kind == "path" else power_cycle)(n, k)
+    _assert_maximality_matches_walk(g.adj)
+
+
+@pytest.mark.parametrize("n, p", ((23, 0.3), (40, 0.2), (65, 0.12),
+                                  (90, 0.08), (130, 0.06)))
+def test_maximality_algebra_matches_walk_on_random_graphs(n, p):
+    g = support.random_graph(random.Random(f"wide:{n}:{p}"), n, p)
+    _assert_maximality_matches_walk(g.adj)
 
 
 @given(support.graph_strategy(max_n=10), st.integers(0, (1 << 10) - 1))
@@ -268,13 +314,13 @@ def test_k4_c4_fixed_cases():
 
 def test_induced_shape():
     g = power_path(6, 2)
-    assert induced_shape(g, (0, 1)) == "P2"
-    assert induced_shape(g, (0, 1, 3)) == "P3"
-    assert induced_shape(g, (0, 1, 2)) == "OTHER"  # triangle
+    assert support.induced_shape(g, (0, 1)) == "P2"
+    assert support.induced_shape(g, (0, 1, 3)) == "P3"
+    assert support.induced_shape(g, (0, 1, 2)) == "OTHER"  # triangle
     c = power_cycle(11, 3)
-    assert induced_shape(c, (0, 3, 6, 9)) == "C4"
+    assert support.induced_shape(c, (0, 3, 6, 9)) == "C4"
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert induced_shape(star, (0, 1, 2, 3)) == "OTHER"
+    assert support.induced_shape(star, (0, 1, 2, 3)) == "OTHER"
 
 
 @given(support.graph_strategy(max_n=16))

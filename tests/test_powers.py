@@ -19,7 +19,6 @@ from bicliques.colouring import (
 from bicliques.graphs import (
     InputError,
     first_monochromatic,
-    induced_shape,
     is_complete_bipartite,
 )
 from bicliques.oracle import maximal_bicliques, maximal_stars
@@ -217,7 +216,7 @@ def test_closed_form_outputs_are_maximal_cb_by_independent_checker():
         assert fam
         for b in fam:
             assert support.bfs_complete_bipartite(g, b.vertices) is not None
-            assert induced_shape(g, b.vertices) == b.shape
+            assert support.induced_shape(g, b.vertices) == b.shape
             for w in range(g.n):
                 if w in b.vertices:
                     continue
