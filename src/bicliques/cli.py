@@ -123,9 +123,9 @@ def _check_family(kind: str, n: int, k: int) -> None:
 
 
 def _check_closed_form(kind: str, mode: str, n: int, k: int) -> None:
-    """The caps on a closed-form value: n, and, where its constructor lists
-    the family to check the colouring (outside powers.p3_range), that
-    listing.  A bad n or k is left for the constructor to report."""
+    """The caps on a closed-form value: n, and, outside powers.p3_range,
+    the constructor's search of the colour classes on the family's graph.
+    A bad n or k is left for the constructor to report."""
     if n >= 1 and k >= 1:
         _check_cap("a closed form", "n", n, CLOSED_FORM_CAP)
         if not powers.p3_range(kind, mode, n, k):
@@ -272,6 +272,7 @@ def cmd_reduce(args) -> int:
     from . import reduction
     f = reduction.read_dimacs(args.cnf)
     nf = reduction.normalize(f)
+    _check_graph(2 * nf.num_vars + len(nf.clauses) + 1)  # the gadget's rows
     inst = reduction.build_instance(nf)
     instance_path = f"{args.out_prefix}.instance.json"
     reduction.write_instance(inst, instance_path)
@@ -344,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
                f"(chromatic, sweep); n <= {ROWS_CAP} for a graph built "
                "with its rows (gen, chromatic --dot, bicliques --kind or "
                f"--closed-form) and edges <= {EDGES_CAP} for one written "
-               f"(gen, --dot); sets*degree <= {FAMILY_CAP} for listing a "
-               "family, which chromatic, sweep and verify do where n <= 4k; "
+               f"(gen, --dot); sets*degree <= {FAMILY_CAP} for a family "
+               "listed, or searched per colour class, as chromatic, sweep "
+               "and verify do where n <= 4k; "
                f"rows <= {SWEEP_ROWS_CAP} for a sweep.  The oracle's and the "
                "reduction's brute-force caps exit 3 as well.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -370,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print that the colouring is certified: the "
                         "construction checks it once for the closed-form "
                         "family, by the windowed P3 scan where the family "
-                        "is the induced P3s and against the listed family "
-                        "elsewhere")
+                        "is the induced P3s and by searching each colour "
+                        "class for a family set elsewhere")
     p.add_argument("--dot", help="write a coloured Graphviz rendering here")
     p.set_defaults(func=cmd_chromatic)
 

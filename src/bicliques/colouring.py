@@ -5,10 +5,10 @@ Every public construction checks its own output once before returning,
 for the hyperedge family of its mode (powers.first_mono_set): where that
 family is exactly the induced P3s (paths with n >= 2k+1, cycles with
 n >= 4k+1 for bicliques and n >= 2k+2 for stars) by the windowed P3 scan
-powers.first_mono_p3, in O(n*k) time with no graph and no family built;
-elsewhere, where n <= 4k and the family's size is bounded in k, against the
-listed family.  A monochromatic set is a bug in this module, not bad input,
-and raises AssertionError.
+powers.first_mono_p3, in O(n*k) time with no graph built; elsewhere
+(n <= 4k) by searching each colour class for a family set inside it.  A
+monochromatic set is a bug in this module, not bad input, and raises
+AssertionError.
 
 Colour ids are 0 = blue, 1 = red, 2 = green; further ids only appear in the
 all-distinct colourings of complete graphs.

@@ -307,7 +307,8 @@ def maximal_independent_subsets(adj, mask: int):
 def maximal_cb_candidates(adj, vmask: int):
     """Side masks (a, b) of complete bipartite sets with an edge inside the
     vertex mask vmask, among them every such set that no vertex of vmask
-    extends; grouped by lowest vertex, in increasing order.
+    extends and no vertex outside vmask extends by joining b (see below);
+    grouped by lowest vertex, in increasing order.
     maximal_cb_sides tests each one against the whole graph.
 
     The bipartition of a complete bipartite set S with an edge is forced:
@@ -318,11 +319,12 @@ def maximal_cb_candidates(adj, vmask: int):
     vertex of vmask extends S, A' is a maximal independent subset of those
     vertices, since any one left out would join a; so only maximal A' are
     listed.  b is grown in increasing vertex order, and a vertex x skipped
-    while growing it stays excluded while it misses all of b.  If x sees
-    every vertex that can still join A', x would join b of each set built
-    on this b, so none is listed; and if x also misses every vertex still
-    free to join b, that holds for the whole branch, so it is cut.  One
-    pass over the excluded vertices makes both tests.
+    while growing it, or a neighbour of v0 outside vmask, stays excluded
+    while it misses all of b.  If x sees every vertex that can still join
+    A', x would join b of each set built on this b, so none is listed; and
+    if x also misses every vertex still free to join b, that holds for the
+    whole branch, so it is cut.  One pass over the excluded vertices makes
+    both tests.
     """
     rest = vmask
     while rest:
@@ -330,7 +332,7 @@ def maximal_cb_candidates(adj, vmask: int):
         rest ^= a0
         row = adj[a0.bit_length() - 1]
         # (b, free to join b, excluded from b, free to join A')
-        stack = [(0, row & rest, 0, rest & ~row)]
+        stack = [(0, row & rest, row & ~vmask, rest & ~row)]
         while stack:
             b, free, excl, common = stack.pop()
             cut = joined = False
@@ -357,19 +359,21 @@ def maximal_cb_candidates(adj, vmask: int):
                 excl |= low
 
 
-def maximal_star_candidates(adj):
-    """Masks of stars, each once, among them every maximal one: each centre
-    c with a non-empty maximal independent subset of N(c) as its leaves,
+def maximal_star_candidates(adj, vmask: int):
+    """Masks of stars inside the vertex mask vmask, each once, among them
+    every one that no vertex of vmask extends: each centre c in vmask with
+    a non-empty maximal independent subset of N(c) & vmask as its leaves,
     since a leaf left out would extend the star.  Each is a star, as its
-    leaves are independent neighbours of c; maximal_star_masks tests each
-    with is_maximal_star.  A single edge {c, l} is maximal only when {l} is
-    a maximal independent set of N(c) and {c} one of N(l), so it is yielded
+    leaves are independent neighbours of c; maximal_masks tests each with
+    is_maximal_star.  A single edge {c, l} is maximal only when {l} is a
+    maximal independent set of N(c) and {c} one of N(l), so it is yielded
     from its lower end only (K_n gives n(n-1)/2 candidates, not n(n-1)).
     """
     for c, row in enumerate(adj):
-        for leaves in maximal_independent_subsets(adj, row):
-            if leaves & (leaves - 1) or leaves > 1 << c:
-                yield 1 << c | leaves
+        if vmask >> c & 1:
+            for leaves in maximal_independent_subsets(adj, row & vmask):
+                if leaves & (leaves - 1) or leaves > 1 << c:
+                    yield 1 << c | leaves
 
 
 def maximal_cb_sides(adj, vmask: int):
@@ -381,20 +385,34 @@ def maximal_cb_sides(adj, vmask: int):
             yield a, b
 
 
-def maximal_star_masks(adj) -> list[int]:
-    """Masks of the maximal stars of the graph, each once: the candidates of
-    maximal_star_candidates, in its order, that pass is_maximal_star."""
-    return [m for m in maximal_star_candidates(adj)
-            if is_maximal_star(adj, m)]
-
-
-def maximal_masks(adj, mode: str) -> list[int]:
+def maximal_masks(adj, mode: str, vmask: int) -> list[int]:
     """Masks of the maximal stars (mode "star") or else the maximal
-    bicliques of the graph, in the enumerator's order; the one place that
-    chooses an enumerator by mode."""
+    bicliques of the graph that lie inside the vertex mask vmask, each once
+    and in the enumerator's order: its candidates that pass is_maximal_star
+    or is_maximal_cb.  The one place that chooses an enumerator by mode."""
     if mode == "star":
-        return maximal_star_masks(adj)
-    return [a | b for a, b in maximal_cb_sides(adj, (1 << len(adj)) - 1)]
+        return [m for m in maximal_star_candidates(adj, vmask)
+                if is_maximal_star(adj, m)]
+    return [a | b for a, b in maximal_cb_sides(adj, vmask)]
+
+
+def colour_classes(colours) -> list[int]:
+    """The vertex masks of the colour classes (colours[v] is v's colour)."""
+    classes: dict = {}
+    for v, c in enumerate(colours):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return list(classes.values())
+
+
+def smallest_maximal_inside(adj, mode: str, vmasks) -> list[tuple[int, ...]]:
+    """For each vertex mask in vmasks that holds a maximal star (mode
+    "star") or else a maximal biclique of the whole graph, the
+    lexicographically smallest one as a vertex tuple: the one check of a
+    colouring (a mask per colour class) and of containment.  The work grows
+    with the sets inside each mask, not with the whole family."""
+    found = (min(map(vertices_of, maximal_masks(adj, mode, m)), default=None)
+             for m in vmasks)
+    return [vs for vs in found if vs is not None]
 
 
 # shape of a complete bipartite set by the sizes of its two sides
@@ -405,16 +423,6 @@ def cb_shape(a: int, b: int) -> str:
     """Shape of the complete bipartite set with side masks a and b: "P2"
     for sides 1+1, "P3" for 1+2, "C4" for 2+2, else "OTHER"."""
     return _SHAPES.get((a.bit_count(), b.bit_count()), "OTHER")
-
-
-def first_monochromatic(colours, sets):
-    """The first vertex set in sets whose vertices all share one colour
-    (colours[v] is the colour of v), or None."""
-    for vs in sets:
-        first = colours[vs[0]]
-        if all(colours[v] == first for v in vs[1:]):
-            return vs
-    return None
 
 
 def is_complete_bipartite(g: Graph, s):

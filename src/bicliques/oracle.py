@@ -7,7 +7,9 @@ biclique from its lowest vertex v0, its side B inside N(v0) and a maximal
 independent set A' of the vertices above v0 outside N(v0) that see all of
 B; a star from a centre and a maximal independent set of its neighbours.
 Each candidate is checked against the whole graph (graphs.maximal_masks
-picks the enumerator for a mode).  The power-graph families run the same
+picks the enumerator for a mode).  A colouring is checked by searching each
+colour class for the maximal sets inside it, not by listing the family
+(graphs.smallest_maximal_inside).  The power-graph families run the same
 enumeration, so the tests hold both to the exhaustive subset scan.  The
 enumerations are capped at SUBSET_SCAN_CAP vertices, the backtracking
 search over canonical colourings at SEARCH_CAP.  Nothing is kept between
@@ -25,9 +27,10 @@ from .graphs import (
     InputError,
     SUBSET_SCAN_CAP,
     cb_shape,
-    first_monochromatic,
+    colour_classes,
     maximal_cb_sides,
     maximal_masks,
+    smallest_maximal_inside,
     vertices_of,
 )
 from .powers import Biclique, cyclic_reach
@@ -35,9 +38,12 @@ from .powers import Biclique, cyclic_reach
 SEARCH_CAP = 14       # exact chromatic backtracking
 
 
-def check_scan_cap(n: int) -> None:
-    """CapacityError if the enumerations would refuse a graph on n
-    vertices; callers can check before they allocate its rows."""
+def check_scan_cap(n: int, mode: str = "biclique") -> None:
+    """InputError for an unknown mode, then CapacityError if the
+    enumerations would refuse a graph on n vertices; callers can check
+    before they allocate its rows."""
+    if mode not in ("biclique", "star"):
+        raise InputError(f"unknown mode {mode!r}")
     if n > SUBSET_SCAN_CAP:
         raise CapacityError(
             f"subset scan is capped at n <= {SUBSET_SCAN_CAP}, got n={n}")
@@ -58,10 +64,8 @@ def maximal_bicliques(g: Graph) -> list[Biclique]:
 def _maximal_sets(g: Graph, mode: str) -> list[tuple[int, ...]]:
     """The maximal bicliques (mode "biclique") or stars of g as sorted
     vertex tuples, sorted, from graphs.maximal_masks with no record built."""
-    if mode not in ("biclique", "star"):
-        raise InputError(f"unknown mode {mode!r}")
-    check_scan_cap(g.n)
-    return sorted(map(vertices_of, maximal_masks(g.adj, mode)))
+    check_scan_cap(g.n, mode)
+    return sorted(map(vertices_of, maximal_masks(g.adj, mode, (1 << g.n) - 1)))
 
 
 def maximal_stars(g: Graph) -> list[tuple[int, ...]]:
@@ -72,12 +76,13 @@ def maximal_stars(g: Graph) -> list[tuple[int, ...]]:
 
 def verify_colouring(g: Graph, colouring, mode: str = "biclique"):
     """None if no maximal biclique (mode "biclique") or star of g is
-    monochromatic, else the lexicographically smallest monochromatic one;
-    n <= SUBSET_SCAN_CAP.  powers.first_mono_set checks a power of a path
-    or cycle past that cap."""
+    monochromatic, else the lexicographically smallest monochromatic one,
+    the least of the colour classes' own; n <= SUBSET_SCAN_CAP.
+    powers.first_mono_set checks a power of a path or cycle past that cap."""
     colours = colour_tuple(colouring, g.n)
-    sets = _maximal_sets(g, mode)
-    return first_monochromatic(colours, sets)
+    check_scan_cap(g.n, mode)
+    sets = smallest_maximal_inside(g.adj, mode, colour_classes(colours))
+    return min(sets, default=None)
 
 
 # ---------------------------------------------------------------------------

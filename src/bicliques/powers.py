@@ -6,21 +6,22 @@ C4-free, so every maximal complete bipartite set is an edge, an induced P3
 or an induced C4.  The families are listed by the same output-sensitive
 enumeration the oracle runs on any graph (graphs.maximal_masks), applied
 to P_n^k or C_n^k, so their cost grows with the number of maximal sets
-rather than with the 2^n vertex subsets.  family_masks is the one place
-that runs it, and power_family the one place that turns its masks into
-sorted records.  The tests compare them with the exhaustive subset scan.
+rather than with the 2^n vertex subsets; power_family lists them as
+sorted records, and the tests compare them with the exhaustive subset scan.
 
+A colouring is checked without listing the family (first_mono_set).
 Outside a band of width about 4k the families are exactly the induced P3s
-(p3_range), and a colouring is checked against them by a windowed scan of
-the colour positions (first_mono_p3) that builds neither the graph nor the
-family; first_mono_set picks the scan or the family.
+(p3_range), checked by a windowed scan of the colour positions
+(first_mono_p3) that builds no graph; inside it each colour class is
+searched for the family's sets that lie in it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import Graph, InputError, maximal_masks, vertices_of
+from .graphs import (Graph, InputError, colour_classes, maximal_masks,
+                     smallest_maximal_inside, vertices_of)
 
 
 class Biclique(NamedTuple):
@@ -157,13 +158,11 @@ def cycle_induced_p3s(n: int, k: int) -> list[tuple[tuple[int, int, int], int]]:
     return sorted(found.items())
 
 
-def family_masks(kind: str, mode: str, n: int, k: int) -> list[int]:
-    """The masks of the maximal bicliques (mode "biclique") or stars of
-    P_n^k (kind "path") or C_n^k, in the enumeration's order.  A path
-    power's stars are its bicliques, and the biclique enumerator lists them
-    faster."""
-    return maximal_masks(power_graph(kind, n, k).adj,
-                         mode if kind == "cycle" else "biclique")
+def _listed_mode(kind: str, mode: str) -> str:
+    """The enumerator's mode for the family of mode on a power of kind: a
+    path power's stars are its bicliques, and the biclique enumerator lists
+    them faster."""
+    return mode if kind == "cycle" else "biclique"
 
 
 def _p3_reach(n: int, vs) -> int:
@@ -177,7 +176,8 @@ def power_family(kind: str, mode: str, n: int, k: int) -> list:
     """The maximal bicliques (mode "biclique", as Biclique) or stars (as
     vertex tuples) of P_n^k (kind "path") or C_n^k, sorted.  Both graphs are
     claw-free, so a set's size gives its shape: P2, P3 or C4."""
-    sets = sorted(map(vertices_of, family_masks(kind, mode, n, k)))
+    sets = sorted(map(vertices_of, maximal_masks(
+        power_graph(kind, n, k).adj, _listed_mode(kind, mode), (1 << n) - 1)))
     if mode == "star":
         return sets
     cyclic = kind == "cycle"
@@ -332,19 +332,16 @@ def _first_mono_edge(colours):
 
 
 def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
-    """What first_monochromatic(colours, power_family(kind, mode, n, k))
-    returns: the lexicographically smallest monochromatic set of the family,
-    or None.  In p3_range that is first_mono_p3, and on a complete graph
-    _first_mono_edge, with no family built; elsewhere (n <= 4k) the family's
-    masks are listed, their number bounded in k, and a set is monochromatic
-    when it lies inside the colour class of its lowest vertex."""
+    """The lexicographically smallest monochromatic set of the family of
+    mode on P_n^k (kind "path") or C_n^k, or None.  In p3_range that is
+    first_mono_p3, and on a complete graph _first_mono_edge, with no graph
+    built; elsewhere (n <= 4k) each colour class is searched for the
+    family's sets inside it (graphs.smallest_maximal_inside), and the
+    smallest of their answers is taken."""
     if p3_range(kind, mode, n, k):
         return first_mono_p3(kind, n, k, colours)
     if is_complete(kind, n, k):
         return _first_mono_edge(colours)
-    classes: dict = {}
-    for v, c in enumerate(colours):
-        classes[c] = classes.get(c, 0) | 1 << v
-    return min((vertices_of(m) for m in family_masks(kind, mode, n, k)
-                if m & ~classes[colours[(m & -m).bit_length() - 1]] == 0),
-               default=None)
+    return min(smallest_maximal_inside(power_graph(kind, n, k).adj,
+                                       _listed_mode(kind, mode),
+                                       colour_classes(colours)), default=None)

@@ -8,13 +8,11 @@ vertex u; V' is u plus the literal vertices.  The construction needs the
 formula normalized first: no tautological clause, every variable used, and
 no two clauses sharing more than one literal.
 
-Containment is decided without walking the 2^|V'| subsets of V'.  The
-bipartition of a complete bipartite set with an edge is forced, so each such
-set inside V' is one triple (v0, B, A'): its lowest vertex v0, its side
-B = N(v0) inside the set, and the rest A' of v0's side.  A maximal set has a
-maximal independent A', so only those triples are listed, and each is
-tested for maximality against the whole graph (the oracle's enumerator,
-graphs.maximal_cb_sides, over the mask of V'; biclique_containment).
+Containment is decided by the check that verifies colourings
+(graphs.smallest_maximal_inside) with V' as the one vertex mask, so it
+lists no family and walks none of the 2^|V'| subsets of V': only the
+triples (v0, B, A') inside V' with A' a maximal independent set, each
+tested for maximality against the whole graph.
 
 Literals follow the DIMACS convention: nonzero signed ints, variable numbers
 1..num_vars.
@@ -27,6 +25,7 @@ CnfFormula checks its literals when it is built.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 from typing import NamedTuple
 
@@ -39,10 +38,9 @@ from .graphs import (
     contains_k4,
     graph_to_dict,
     mask_of,
-    maximal_cb_sides,
     read_text,
+    smallest_maximal_inside,
     vertex_set,
-    vertices_of,
     write_json,
 )
 
@@ -107,8 +105,24 @@ def find_satisfying_assignment(f: CnfFormula):
 # ---------------------------------------------------------------------------
 # normalization
 
-def _shared(ci, cj) -> int:
-    return len(set(ci) & set(cj))
+def _conflicts(clauses):
+    """The pairs (i, j), i < j, of clauses sharing two or more literals, in
+    combinations order.  Two clauses share two literals exactly when they
+    share a pair of distinct literals, so each clause's literal pairs are
+    indexed once, and a clause's later partners are read off the index
+    rather than found by comparing it with every later clause."""
+    pairs = [list(combinations(sorted(set(clause)), 2)) for clause in clauses]
+    index: dict = {}
+    for j, own in enumerate(pairs):
+        for pair in own:
+            index.setdefault(pair, []).append(j)
+    for i, own in enumerate(pairs):
+        later = set()
+        for pair in own:
+            js = index[pair]
+            later.update(js[bisect_right(js, i):])
+        for j in sorted(later):
+            yield i, j
 
 
 def normalization_violations(f: CnfFormula) -> list[str]:
@@ -125,9 +139,8 @@ def normalization_violations(f: CnfFormula) -> list[str]:
     for v in range(1, f.num_vars + 1):
         if v not in used:
             out.append(f"variable {v} occurs in no clause")
-    for i, j in combinations(range(len(f.clauses)), 2):
-        if _shared(f.clauses[i], f.clauses[j]) >= 2:
-            out.append(f"clauses {i} and {j} share two or more literals")
+    for i, j in _conflicts(f.clauses):
+        out.append(f"clauses {i} and {j} share two or more literals")
     return out
 
 
@@ -189,10 +202,7 @@ def normalize(f: CnfFormula) -> CnfFormula:
     num_vars = f.num_vars
 
     while True:
-        conflict = next(
-            ((i, j) for i, j in combinations(range(len(clauses)), 2)
-             if _shared(clauses[i], clauses[j]) >= 2),
-            None)
+        conflict = next(_conflicts(clauses), None)
         if conflict is None:
             break
         _, j = conflict
@@ -275,27 +285,14 @@ def _check_containment_cap(size: int) -> None:
 
 def biclique_containment(g: Graph, v_prime):
     """Lexicographically smallest maximal biclique of g lying inside
-    v_prime, or None.  Maximality is checked against the whole of g.
-
-    A maximal biclique S inside V' is one triple (v0, B, A') of
-    graphs.maximal_cb_sides over the mask of V': v0 its lowest vertex,
-    B = N(v0) & S, and A' the rest of v0's side, a maximal independent set
-    of the vertices of V' above v0 outside N(v0) that see all of B (a
-    vertex of V' left out would extend S).  So the work grows with the
-    number of such triples rather than with the 2^|V'| subsets.  Sets
-    come grouped by lowest vertex in increasing order, so the first v0 that
-    yields one holds the answer.
-    """
+    v_prime, or None: graphs.smallest_maximal_inside over the mask of V',
+    whose candidates are the triples (v0, B, A') inside V', each checked
+    against the whole of g.  So the work grows with the number of such
+    triples rather than with the 2^|V'| subsets."""
     vp = vertex_set(v_prime, g.n)
     _check_containment_cap(len(vp))
-    best = None
-    for a, b in maximal_cb_sides(g.adj, mask_of(vp)):
-        if best is not None and a & -a != 1 << best[0]:
-            break
-        vs = vertices_of(a | b)
-        if best is None or vs < best:
-            best = vs
-    return best
+    found = smallest_maximal_inside(g.adj, "biclique", [mask_of(vp)])
+    return found[0] if found else None
 
 
 def decode_assignment(inst: ReductionInstance, witness):

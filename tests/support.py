@@ -85,20 +85,37 @@ def brute_maximal_cb_sets(g: Graph) -> set[tuple[int, ...]]:
 
 def brute_biclique_containment(g: Graph, v_prime):
     """Lexicographically smallest maximal complete-bipartite set of g inside
-    v_prime, or None: every subset of v_prime is tested, and a complete
-    bipartite one is maximal when no single vertex of g extends it."""
-    vp = sorted(v_prime)
-    best = None
-    for r in range(2, len(vp) + 1):
-        for vs in combinations(vp, r):
-            if bfs_complete_bipartite(g, vs) is None:
+    v_prime, or None, from brute_maximal_inside."""
+    vmask = sum(1 << v for v in v_prime)
+    return min(brute_maximal_inside(g, "biclique", vmask), default=None)
+
+
+def brute_maximal_inside(g: Graph, mode: str, vmask: int):
+    """The maximal complete bipartite sets (mode "biclique") or stars of g
+    that lie inside the vertex mask vmask, as sorted vertex tuples: every
+    subset of vmask is tested, and one is maximal when no single vertex of
+    g extends it."""
+    test = bfs_complete_bipartite if mode == "biclique" else is_star_by_loops
+    inside = list(bits(vmask))
+    found = set()
+    for r in range(2, len(inside) + 1):
+        for vs in combinations(inside, r):
+            if test(g, vs) in (None, False):
                 continue
-            if any(bfs_complete_bipartite(g, vs + (w,)) is not None
-                   for w in range(g.n) if w not in vs):
-                continue
-            if best is None or vs < best:
-                best = vs
-    return best
+            if not any(test(g, tuple(sorted(vs + (w,)))) not in (None, False)
+                       for w in range(g.n) if w not in vs):
+                found.add(vs)
+    return found
+
+
+def first_monochromatic(colours, sets):
+    """The first vertex set in sets whose vertices all share one colour
+    (colours[v] is the colour of v), or None."""
+    for vs in sets:
+        first = colours[vs[0]]
+        if all(colours[v] == first for v in vs[1:]):
+            return vs
+    return None
 
 
 def brute_maximal_star_sets(g: Graph) -> set[tuple[int, ...]]:
@@ -300,16 +317,17 @@ def random_raw_formula(rng: random.Random) -> CnfFormula:
     return CnfFormula.of(nv, clauses)
 
 
-# every function of powers that builds n-bit rows or lists a family
+# every function of powers that builds n-bit rows, lists a family or
+# searches colour classes for its sets
 ROWS_AND_FAMILIES = ("power_path", "power_cycle", "power_graph",
                      "path_bicliques", "cycle_bicliques", "path_stars",
-                     "cycle_stars", "power_family", "family_masks",
+                     "cycle_stars", "power_family", "smallest_maximal_inside",
                      "cycle_induced_p3s")
 
 
 def forbid_rows_and_families(monkeypatch) -> None:
-    """Make every function of powers that builds rows or lists a family
-    raise when called."""
+    """Make every function of powers that builds rows, lists a family or
+    searches colour classes raise when called."""
     def built(*args):
         raise AssertionError(f"rows or family built for {args}")
     for name in ROWS_AND_FAMILIES:

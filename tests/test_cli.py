@@ -456,8 +456,8 @@ def test_matching_labelled_verify_builds_no_graph(
     """A file that is the power graph its label names is checked by index
     distance and verified against the family, and no Graph is built from
     its edges.  In powers.p3_range nothing builds rows or lists a family;
-    outside it (C_11^4 in biclique mode) the family listing builds the
-    power graph's rows, once."""
+    outside it (C_11^4 in biclique mode) first_mono_set builds the power
+    graph's rows, once, to search each colour class."""
     graph, col = tmp_path / "g.json", tmp_path / "c.json"
     cases = []
     for kind, n, k in (("path", 12, 2), ("cycle", 11, 4), ("cycle", 17, 3)):
@@ -495,7 +495,7 @@ def test_matching_labelled_verify_builds_no_graph(
             assert json.loads(out)["witness"] == list(expected)
         if not in_range:
             assert (kind, n, k, mode) == ("cycle", 11, 4, "biclique")
-            assert calls == [(("cycle", 11, 4), "family_masks")]
+            assert calls == [(("cycle", 11, 4), "first_mono_set")]
 
 
 _JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -855,6 +855,28 @@ def test_reduce_certify_checks_the_containment_cap_first(tmp_path, capsys):
                  "--certify"]) == EXIT_CAPACITY
     assert capsys.readouterr().err == \
         "error: truth table capped at 20 variables, got 21\n"
+
+
+def test_reduce_checks_the_rows_cap_before_building_the_gadget(
+        tmp_path, capsys, monkeypatch):
+    """7000 clauses over 21000 variables, none sharing a variable, make a
+    gadget of 2*21000 + 7000 + 1 vertices, past ROWS_CAP: reduce exits 3
+    before the gadget's rows are built or its file written, and the
+    normalization before that takes well under a second."""
+    cnf = tmp_path / "f.cnf"
+    write_dimacs(CnfFormula.of(21000, [(3 * c + 1, -(3 * c + 2), 3 * c + 3)
+                                      for c in range(7000)]), cnf)
+
+    def built(*args):
+        raise AssertionError("gadget built")
+    monkeypatch.setattr(reduction, "build_instance", built)
+    start = time.perf_counter()
+    assert main(["reduce", str(cnf), "--out-prefix", str(tmp_path / "f"),
+                 "--certify"]) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: building a graph's rows is "
+                                   "capped at n <= 20000, got n=49001\n")
+    assert not (tmp_path / "f.instance.json").exists()
 
 
 def test_reduce_input_error(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
-from bicliques import colouring as colouring_mod, powers
+from bicliques import colouring as colouring_mod, graphs as graphs_mod, powers
 from bicliques.colouring import (
     BLUE,
     GREEN,
@@ -33,7 +33,7 @@ from bicliques.colouring import (
     three_colour_no_mono_p3,
     write_colouring,
 )
-from bicliques.graphs import InputError, first_monochromatic, mask_of
+from bicliques.graphs import InputError
 from bicliques.oracle import find_mono_p3
 from bicliques.powers import (
     cycle_bicliques,
@@ -214,7 +214,8 @@ def test_constructions_verify_on_grid():
                 if r.ab is not None:
                     assert r.ab.is_valid_for(n, k)
                 fam = _closed_family(kind, mode, n, k)
-                assert first_monochromatic(r.colouring.colours, fam) is None
+                assert support.first_monochromatic(
+                    r.colouring.colours, fam) is None
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=40))
@@ -222,10 +223,11 @@ def test_constructions_verify_on_grid():
 def test_construction_property(k, n):
     r = star_colour_cycle(n, k)
     assert r.colouring.n == n
-    assert first_monochromatic(r.colouring.colours, cycle_stars(n, k)) is None
+    assert support.first_monochromatic(
+        r.colouring.colours, cycle_stars(n, k)) is None
     r = biclique_colour_path(n, k)
     assert r.colouring.n == n
-    assert first_monochromatic(
+    assert support.first_monochromatic(
         r.colouring.colours, [b.vertices for b in path_bicliques(n, k)]) is None
 
 
@@ -250,28 +252,56 @@ def test_construction_param_validation():
 ])
 def test_construction_check_raises_on_monochromatic_set(
         monkeypatch, builder, family, what, n, k):
-    # the one check of a closed-form colouring is the constructor's own scan
-    # of its family, or the windowed P3 scan where the family is the induced
-    # P3s: a family holding a set the construction colours alike, or a scan
-    # that reports one, must make the constructor raise, naming that set
+    # the one check of a closed-form colouring is the constructor's own
+    # search of its colour classes for the family's sets, or the windowed P3
+    # scan where the family is the induced P3s: a search or a scan that
+    # reports a set the construction colours alike must make the
+    # constructor raise, naming that set
     colours = builder(n, k).colouring.colours
     mono = next(pair for pair in combinations(range(n), 2)
                 if colours[pair[0]] == colours[pair[1]])
     kind = family.split("_")[0]
     mode = "biclique" if what == "biclique" else "star"
 
-    def fake_masks(*args):
-        assert args == (kind, mode, n, k)
-        return [mask_of(mono)]
+    def fake_inside(adj, listed_mode, classes):
+        assert len(adj) == n and listed_mode == (
+            mode if kind == "cycle" else "biclique")
+        assert sorted(classes) == sorted(
+            sum(1 << v for v in range(n) if colours[v] == c)
+            for c in set(colours))
+        return [mono]
 
     def fake_p3(*args):
         assert args[:3] == (kind, n, k)
         return mono
-    monkeypatch.setattr(powers, "family_masks", fake_masks)
+    monkeypatch.setattr(powers, "smallest_maximal_inside", fake_inside)
     monkeypatch.setattr(powers, "first_mono_p3", fake_p3)
     with pytest.raises(AssertionError, match=re.escape(
             f"construction bug: monochromatic {what} {mono}")):
         builder(n, k)
+
+
+def test_constructors_search_colour_classes_not_the_whole_graph(monkeypatch):
+    """Outside powers.p3_range the constructors' check searches each colour
+    class for the family's sets: the enumerators are handed a class, never
+    the whole vertex set, at C_114^40 and C_75^25 (the C4 range) and at
+    P_200^100 (n = 2k).  Each call stays well under the second that
+    listing the whole family took."""
+    seen = []
+    for name in ("maximal_cb_candidates", "maximal_star_candidates"):
+        def record(adj, vmask, enumerate_=getattr(graphs_mod, name)):
+            seen.append((len(adj), vmask))
+            return enumerate_(adj, vmask)
+        monkeypatch.setattr(graphs_mod, name, record)
+    for build, n, k in ((biclique_colour_cycle, 114, 40),
+                        (biclique_colour_cycle, 75, 25),
+                        (biclique_colour_path, 200, 100)):
+        seen.clear()
+        start = time.perf_counter()
+        build(n, k)
+        assert time.perf_counter() - start < 0.5, (n, k)
+        assert seen and all(size == n and vmask != (1 << n) - 1
+                            for size, vmask in seen), (n, k)
 
 
 def test_three_colouring_check_raises_on_monochromatic_p3(monkeypatch):

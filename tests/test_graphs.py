@@ -28,6 +28,7 @@ from bicliques.graphs import (
     mask_of,
     maximal_cb_candidates,
     maximal_independent_subsets,
+    maximal_masks,
     maximal_star_candidates,
     read_graph,
     vertex_set,
@@ -156,7 +157,7 @@ def _assert_maximality_matches_walk(adj):
                 assert is_maximal_cb(adj, m, sides) == \
                     support.walk_is_maximal_cb(adj, m, sides)
                 checked += 1
-    for s in maximal_star_candidates(adj):
+    for s in maximal_star_candidates(adj, (1 << len(adj)) - 1):
         assert is_maximal_star(adj, s) == support.walk_is_maximal_star(adj, s)
         for v in bits(s):
             m = s ^ 1 << v
@@ -207,8 +208,10 @@ def test_maximal_independent_subsets_of_at_most_one_vertex(g):
 def test_candidates_cover_sets_maximal_within_the_mask(g, vmask):
     """The biclique candidates are complete bipartite sets inside the mask
     with the sides given, and include every one that no vertex of the mask
-    extends; the star candidates are stars and include every maximal one.
-    Both decided here by the independent loop checkers."""
+    extends and no neighbour of its lowest vertex outside the mask extends;
+    the star candidates are stars inside the mask and include every one
+    that no vertex of the mask extends.  Both decided here by the
+    independent loop checkers."""
     vmask &= (1 << g.n) - 1
     inside = list(bits(vmask))
     cb = list(maximal_cb_candidates(g.adj, vmask))
@@ -218,24 +221,41 @@ def test_candidates_cover_sets_maximal_within_the_mask(g, vmask):
     for a, b in cb:
         assert a | b == (a | b) & vmask and cb_sides(g.adj, a | b) == (a, b)
     cb_sets = {a | b for a, b in cb}
+    stars = set(maximal_star_candidates(g.adj, vmask))
+    assert all(is_star_set(g.adj, s) and s & ~vmask == 0 for s in stars)
     for r in range(2, len(inside) + 1):
         for vs in combinations(inside, r):
-            outside = [w for w in inside if w not in vs]
+            others = [w for w in range(g.n) if w not in vs and (
+                vmask >> w & 1 or g.has_edge(vs[0], w))]
             if support.bfs_complete_bipartite(g, vs) is not None and not any(
                     support.bfs_complete_bipartite(g, tuple(sorted(vs + (w,))))
-                    is not None for w in outside):
+                    is not None for w in others):
                 assert mask_of(vs) in cb_sets
-    stars = set(maximal_star_candidates(g.adj))
-    assert all(is_star_set(g.adj, s) for s in stars)
-    assert {mask_of(vs) for vs in support.brute_maximal_star_sets(g)} <= stars
+            if support.is_star_by_loops(g, vs) and not any(
+                    support.is_star_by_loops(g, tuple(sorted(vs + (w,))))
+                    for w in inside if w not in vs):
+                assert mask_of(vs) in stars
+
+
+@given(support.graph_strategy(max_n=12), st.integers(0, (1 << 12) - 1))
+@settings(max_examples=150, deadline=None)
+def test_maximal_masks_inside_a_mask_match_brute_force(g, vmask):
+    """maximal_masks(adj, mode, vmask) lists each set maximal in the whole
+    graph that lies inside vmask once, and no other, in both modes."""
+    vmask &= (1 << g.n) - 1
+    for mode in ("biclique", "star"):
+        found = maximal_masks(g.adj, mode, vmask)
+        assert len(found) == len(set(found))
+        assert set(map(vertices_of, found)) == \
+            support.brute_maximal_inside(g, mode, vmask)
 
 
 @given(support.graph_strategy(max_n=14))
 @settings(max_examples=80, deadline=None)
 def test_every_star_candidate_is_a_star(g):
-    """maximal_star_masks tests its candidates for maximality only: each is
+    """maximal_masks tests its star candidates for maximality only: each is
     a centre and an independent set of its neighbours, so a star."""
-    for s in maximal_star_candidates(g.adj):
+    for s in maximal_star_candidates(g.adj, (1 << g.n) - 1):
         assert is_star_set(g.adj, s)
         assert support.is_star_by_loops(g, tuple(bits(s)))
 
@@ -247,12 +267,13 @@ def test_star_candidates_come_out_once(g, n, extra):
     yielded twice and every maximal star is still among the candidates; on
     C_n^k with n <= 2k+1, the complete graph K_n, the candidates are its
     n(n-1)/2 edges."""
-    found = list(maximal_star_candidates(g.adj))
+    found = list(maximal_star_candidates(g.adj, (1 << g.n) - 1))
     assert len(found) == len(set(found))
     assert {mask_of(vs) for vs in support.brute_maximal_star_sets(g)} \
         <= set(found)
     k = max(1, n // 2) + extra
-    complete = list(maximal_star_candidates(power_cycle(n, k).adj))
+    complete = list(maximal_star_candidates(power_cycle(n, k).adj,
+                                            (1 << n) - 1))
     assert len(complete) == n * (n - 1) // 2
     assert set(complete) == {1 << i | 1 << j
                              for i, j in combinations(range(n), 2)}

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from bicliques.colouring import Colouring, three_colour_no_mono_p3
+from bicliques.colouring import (
+    Colouring,
+    biclique_colour_cycle,
+    biclique_colour_path,
+    star_colour_cycle,
+    star_colour_path,
+    three_colour_no_mono_p3,
+)
 from bicliques.graphs import CapacityError, Graph, InputError
 from bicliques.oracle import (
     SEARCH_CAP,
@@ -22,7 +29,15 @@ from bicliques.oracle import (
     maximal_stars,
     verify_colouring,
 )
-from bicliques.powers import circulant, power_cycle, power_path
+from bicliques.graphs import colour_classes, smallest_maximal_inside
+from bicliques.powers import (
+    circulant,
+    first_mono_set,
+    power_cycle,
+    power_family,
+    power_graph,
+    power_path,
+)
 
 
 def test_oracle_frozen_enumerations():
@@ -107,6 +122,52 @@ def test_verify_colouring_witnesses():
         verify_colouring(g, (0, 1))
     with pytest.raises(InputError):
         verify_colouring(g, (0,) * 6, mode="clique")
+
+
+@given(support.graph_strategy(max_n=12), st.integers(1, 3), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_verify_colouring_equals_scan_of_sorted_family(g, c, rng):
+    """Searching each colour class finds the sorted family's first
+    monochromatic set, in both modes."""
+    colours = [rng.randrange(c) for _ in range(g.n)]
+    for mode, family in (("biclique", [b.vertices
+                                       for b in maximal_bicliques(g)]),
+                         ("star", maximal_stars(g))):
+        assert verify_colouring(g, colours, mode) == \
+            support.first_monochromatic(colours, family)
+
+
+_CONSTRUCT = {("path", "biclique"): biclique_colour_path,
+              ("path", "star"): star_colour_path,
+              ("cycle", "biclique"): biclique_colour_cycle,
+              ("cycle", "star"): star_colour_cycle}
+
+
+def test_class_search_equals_scan_of_sorted_family_on_powers():
+    """Every P_n^k and C_n^k with k <= 6 and n <= 8k+3, both modes, random
+    colourings with 1-3 colours and the constructor's: verify_colouring (up
+    to its cap), first_mono_set and the class search itself find the
+    sorted family's first monochromatic set."""
+    rng = random.Random(13)
+    for kind in ("path", "cycle"):
+        for k in range(1, 7):
+            for n in range(1, 8 * k + 4):
+                g = power_graph(kind, n, k)
+                for mode in ("biclique", "star"):
+                    family = [getattr(s, "vertices", s)
+                              for s in power_family(kind, mode, n, k)]
+                    built = _CONSTRUCT[kind, mode](n, k).colouring.colours
+                    for c in (0, 1, 2, 3):
+                        colours = [rng.randrange(c) for _ in range(n)] \
+                            if c else built
+                        want = support.first_monochromatic(colours, family)
+                        assert min(smallest_maximal_inside(
+                            g.adj, mode, colour_classes(colours)),
+                            default=None) == want, (kind, mode, n, k)
+                        assert first_mono_set(kind, mode, n, k, colours) \
+                            == want, (kind, mode, n, k)
+                        if n <= SUBSET_SCAN_CAP:
+                            assert verify_colouring(g, colours, mode) == want
 
 
 @given(support.graph_strategy(min_n=2, max_n=9))

@@ -16,11 +16,7 @@ from bicliques.colouring import (
     biclique_colour_path,
     star_colour_cycle,
 )
-from bicliques.graphs import (
-    InputError,
-    first_monochromatic,
-    is_complete_bipartite,
-)
+from bicliques.graphs import InputError, is_complete_bipartite
 from bicliques.oracle import maximal_bicliques, maximal_stars
 from bicliques.powers import (
     Biclique,
@@ -288,9 +284,10 @@ def _test_colouring(rng, kind, mode, n, k, base: bool, c: int, flips: int):
 def _check_windowed(kind, mode, n, k, colours):
     family = _family_sets(kind, mode, n, k)
     assert first_mono_set(kind, mode, n, k, colours) == \
-        first_monochromatic(colours, family), (kind, mode, n, k, colours)
+        support.first_monochromatic(colours, family), \
+        (kind, mode, n, k, colours)
     assert first_mono_p3(kind, n, k, colours) == \
-        first_monochromatic(colours, _induced_p3s(kind, n, k))
+        support.first_monochromatic(colours, _induced_p3s(kind, n, k))
     if p3_range(kind, mode, n, k):
         assert family == _induced_p3s(kind, n, k)
 
@@ -341,7 +338,7 @@ def test_complete_graph_check_lists_no_family(monkeypatch):
     with no family listed and no graph built."""
     def listed(*args):
         raise AssertionError(f"{args} listed")
-    monkeypatch.setattr(powers, "family_masks", listed)
+    monkeypatch.setattr(powers, "smallest_maximal_inside", listed)
     monkeypatch.setattr(powers, "power_graph", listed)
     assert biclique_colour_cycle(200, 100).value == 200
     assert star_colour_cycle(200, 100).value == 200
@@ -379,7 +376,7 @@ def test_windowed_check_on_long_powers():
         bad = list(colours)
         bad[rng.randrange(n)] ^= 1
         assert first_mono_p3("cycle", n, k, bad) == \
-            first_monochromatic(bad, p3s)
+            support.first_monochromatic(bad, p3s)
     # a hit that wraps: 0 centred between n-3 and 3 (reach 6 > k)
     wrap = list(range(n))
     for v in (n - 3, 0, 3):

@@ -2,12 +2,14 @@
 gadget, with equisatisfiability checked by an independent truth-table walker."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
+from bicliques import reduction
 from bicliques.graphs import (
     CapacityError,
     Graph,
@@ -113,6 +115,38 @@ def test_normalize_equisatisfiable_on_random_corpus():
         assert len(norm.clauses) <= 7 * len(raw.clauses)
         assert norm.num_vars <= raw.num_vars + 6 * len(raw.clauses)
         assert support.truth_table_sat(raw) == support.truth_table_sat(norm)
+
+
+def _pairwise_conflicts(clauses):
+    """The clause pairs sharing two or more literals, found by comparing
+    every pair."""
+    return ((i, j) for i, j in combinations(range(len(clauses)), 2)
+            if len(set(clauses[i]) & set(clauses[j])) >= 2)
+
+
+def test_conflict_index_matches_pairwise_scan(monkeypatch):
+    """The indexed conflict search finds the pairs that comparing every
+    clause pair finds, in the same order, so normalize makes the same
+    rewrites and normalization_violations lists the same lines, on random
+    raw formulas and on denser ones with many conflicts."""
+    rng = random.Random(11)
+    formulas = [support.random_raw_formula(rng) for _ in range(200)]
+    for _ in range(200):
+        nv = rng.randint(1, 5)
+        formulas.append(CnfFormula.of(nv, [
+            tuple(rng.choice((1, -1)) * rng.randint(1, nv)
+                  for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 12))]))
+    with monkeypatch.context() as patch:
+        patch.setattr(reduction, "_conflicts", _pairwise_conflicts)
+        want = [(normalization_violations(f), normalize(f)) for f in formulas]
+    assert sum(bool(list(_pairwise_conflicts(f.clauses)))
+               for f in formulas) > 100
+    for f, (violations, norm) in zip(formulas, want):
+        assert list(reduction._conflicts(f.clauses)) == \
+            list(_pairwise_conflicts(f.clauses))
+        assert normalization_violations(f) == violations
+        assert normalize(f) == norm
 
 
 def test_literal_vertex_layout():
