@@ -273,6 +273,8 @@ def cmd_reduce(args) -> int:
     f = reduction.read_dimacs(args.cnf)
     nf = reduction.normalize(f)
     _check_graph(2 * nf.num_vars + len(nf.clauses) + 1)  # the gadget's rows
+    if args.certify:
+        reduction.check_certify_caps(nf)
     inst = reduction.build_instance(nf)
     instance_path = f"{args.out_prefix}.instance.json"
     reduction.write_instance(inst, instance_path)

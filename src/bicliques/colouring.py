@@ -3,12 +3,10 @@ cycles.
 
 Every public construction checks its own output once before returning,
 for the hyperedge family of its mode (powers.first_mono_set): where that
-family is exactly the induced P3s (paths with n >= 2k+1, cycles with
-n >= 4k+1 for bicliques and n >= 2k+2 for stars) by the windowed P3 scan
-powers.first_mono_p3, in O(n*k) time with no graph built; elsewhere
-(n <= 4k) by searching each colour class for a family set inside it.  A
-monochromatic set is a bug in this module, not bad input, and raises
-AssertionError.
+family is exactly the induced P3s (powers.p3_range) by the windowed P3
+scan, in O(n*k) time with no graph built; elsewhere (n <= 4k) by
+searching each colour class for a family set inside it.  A monochromatic
+set is a bug in this module, not bad input, and raises AssertionError.
 
 Colour ids are 0 = blue, 1 = red, 2 = green; further ids only appear in the
 all-distinct colourings of complete graphs.
@@ -239,12 +237,9 @@ def three_colour_no_mono_p3(n: int, k: int) -> Colouring:
 # chromatic constructions
 
 def _complete_result(n: int) -> ChromaticResult:
-    colours = tuple(range(n))
-    return ChromaticResult(
-        value=n,
-        colouring=Colouring(colours, n),
-        universal_witness=tuple(range(n)),
-    )
+    everyone = tuple(range(n))
+    return ChromaticResult(n, Colouring(everyone, n),
+                           universal_witness=everyone)
 
 
 def _ab_or_three(n: int, k: int) -> ChromaticResult:
@@ -273,17 +268,11 @@ def biclique_colour_path(n: int, k: int) -> ChromaticResult:
         result = _complete_result(n)
     elif n <= 2 * k:
         value = 2 * k + 2 - n
-        colours = []
-        for v in range(n):
-            if v < n - k:
-                colours.append(BLUE)
-            elif v <= k - 1:
-                colours.append(GREEN + (v - (n - k)))
-            else:
-                colours.append(RED)
+        colours = ((BLUE,) * (n - k) + tuple(range(GREEN, value))
+                   + (RED,) * (n - k))
         result = ChromaticResult(
             value=value,
-            colouring=Colouring(tuple(colours), value),
+            colouring=Colouring(colours, value),
             universal_witness=tuple(range(n - 1 - k, k + 1)),
         )
     else:
@@ -352,11 +341,8 @@ def star_colour_cycle(n: int, k: int) -> ChromaticResult:
 
 def colouring_to_dict(c: Colouring, *, ab: AbCertificate | None = None,
                       universal_witness=None) -> dict:
-    d: dict = {
-        "n": c.n,
-        "colours": list(c.colours),
-        "num_colours": c.num_colours,
-    }
+    d: dict = {"n": c.n, "colours": list(c.colours),
+               "num_colours": c.num_colours}
     if ab is not None:
         d["certificate"] = {"a": ab.a, "b": ab.b}
     if universal_witness is not None:

@@ -110,13 +110,18 @@ class Graph(_GraphFields):
 
     @staticmethod
     def from_edges(n: int, edges, label: str | None = None) -> "Graph":
+        """The graph on n vertices with these edge pairs.  Each pair is
+        checked and sets both its bits, so the rows need none of Graph's
+        checks; only a negative n is left to reject, after the edges."""
         adj = [0] * n
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n and i != j):
                 _check_edge(n, i, j)  # raises, naming the fault
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        return Graph(n, tuple(adj), label)
+        if n < 0:
+            raise InputError("vertex count must be non-negative")
+        return tuple.__new__(Graph, (n, tuple(adj), label))
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
@@ -141,13 +146,8 @@ def induced_subgraph(g: Graph, s) -> Graph:
     """Subgraph induced by vertex set s, relabelled 0..|s|-1 in sorted order."""
     vs = vertex_set(s, g.n)
     index = {v: i for i, v in enumerate(vs)}
-    adj = [0] * len(vs)
-    for i, v in enumerate(vs):
-        for u in bits(g.adj[v]):
-            j = index.get(u)
-            if j is not None:
-                adj[i] |= 1 << j
-    return Graph(len(vs), tuple(adj))
+    return Graph(len(vs), tuple(mask_of(index[u] for u in bits(g.adj[v])
+                                        if u in index) for v in vs))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +273,9 @@ SUBSET_SCAN_CAP = 22
 
 
 def maximal_independent_subsets(adj, mask: int):
-    """Every maximal independent subset of the vertex mask, each once; an
-    empty mask yields the empty set 0.
+    """Every maximal independent subset of the vertex mask, each once; a
+    mask of at most one vertex yields itself (maximal_cb_candidates yields
+    that A' inline, so only the star enumerator meets the fast path).
 
     Bron-Kerbosch on the complement graph: choosing a vertex drops its
     neighbours from the candidates and from the excluded vertices, and a
@@ -308,8 +309,8 @@ def maximal_cb_candidates(adj, vmask: int):
     """Side masks (a, b) of complete bipartite sets with an edge inside the
     vertex mask vmask, among them every such set that no vertex of vmask
     extends and no vertex outside vmask extends by joining b (see below);
-    grouped by lowest vertex, in increasing order.
-    maximal_cb_sides tests each one against the whole graph.
+    grouped by lowest vertex (a's lowest bit), in increasing order.  Callers
+    pass the yielded (a, b) to is_maximal_cb as the sides of a | b.
 
     The bipartition of a complete bipartite set S with an edge is forced:
     with v0 its lowest vertex, b = N(v0) & S and a is v0 plus A'.  So S is
@@ -318,8 +319,9 @@ def maximal_cb_candidates(adj, vmask: int):
     the vertices of vmask above v0 outside N(v0) that see all of b.  If no
     vertex of vmask extends S, A' is a maximal independent subset of those
     vertices, since any one left out would join a; so only maximal A' are
-    listed.  b is grown in increasing vertex order, and a vertex x skipped
-    while growing it, or a neighbour of v0 outside vmask, stays excluded
+    listed, and with at most one vertex free to join A' that is A' itself.
+    b is grown in increasing vertex order, and a vertex x skipped while
+    growing it, or a neighbour of v0 outside vmask, stays excluded
     while it misses all of b.  If x sees every vertex that can still join
     A', x would join b of each set built on this b, so none is listed; and
     if x also misses every vertex still free to join b, that holds for the
@@ -349,8 +351,11 @@ def maximal_cb_candidates(adj, vmask: int):
             if cut:
                 continue
             if b and not joined:
-                for extra in maximal_independent_subsets(adj, common):
-                    yield a0 | extra, b
+                if common & (common - 1):
+                    for extra in maximal_independent_subsets(adj, common):
+                        yield a0 | extra, b
+                else:
+                    yield a0 | common, b
             while free:
                 low = free & -free
                 free ^= low
@@ -376,24 +381,16 @@ def maximal_star_candidates(adj, vmask: int):
                     yield 1 << c | leaves
 
 
-def maximal_cb_sides(adj, vmask: int):
-    """Side masks (a, b) of the maximal complete bipartite sets inside the
-    vertex mask vmask, maximal in the whole graph: the candidates of
-    maximal_cb_candidates, in its order, that pass is_maximal_cb."""
-    for a, b in maximal_cb_candidates(adj, vmask):
-        if is_maximal_cb(adj, a | b, (a, b)):
-            yield a, b
-
-
 def maximal_masks(adj, mode: str, vmask: int) -> list[int]:
     """Masks of the maximal stars (mode "star") or else the maximal
     bicliques of the graph that lie inside the vertex mask vmask, each once
     and in the enumerator's order: its candidates that pass is_maximal_star
-    or is_maximal_cb.  The one place that chooses an enumerator by mode."""
+    or is_maximal_cb."""
     if mode == "star":
         return [m for m in maximal_star_candidates(adj, vmask)
                 if is_maximal_star(adj, m)]
-    return [a | b for a, b in maximal_cb_sides(adj, vmask)]
+    return [m for sides in maximal_cb_candidates(adj, vmask)
+            if is_maximal_cb(adj, m := sides[0] | sides[1], sides)]
 
 
 def colour_classes(colours) -> list[int]:
@@ -404,13 +401,32 @@ def colour_classes(colours) -> list[int]:
     return list(classes.values())
 
 
+def _smallest_maximal_cb(adj, vmask: int):
+    """The lexicographically smallest maximal biclique inside vmask as a
+    vertex tuple, or None.  Every set of a lowest-vertex group begins with
+    that vertex and the groups come in increasing order, so the search
+    stops at the first candidate past the first group holding a set."""
+    best = group = None
+    for sides in maximal_cb_candidates(adj, vmask):
+        a, b = sides
+        if best is not None and a & -a != group:
+            break
+        if is_maximal_cb(adj, a | b, sides):
+            vs = vertices_of(a | b)
+            if best is None or vs < best:
+                best, group = vs, a & -a
+    return best
+
+
 def smallest_maximal_inside(adj, mode: str, vmasks) -> list[tuple[int, ...]]:
     """For each vertex mask in vmasks that holds a maximal star (mode
     "star") or else a maximal biclique of the whole graph, the
     lexicographically smallest one as a vertex tuple: the one check of a
     colouring (a mask per colour class) and of containment.  The work grows
-    with the sets inside each mask, not with the whole family."""
+    with the sets inside each mask, not with the whole family, and the
+    biclique search stops early (_smallest_maximal_cb)."""
     found = (min(map(vertices_of, maximal_masks(adj, mode, m)), default=None)
+             if mode == "star" else _smallest_maximal_cb(adj, m)
              for m in vmasks)
     return [vs for vs in found if vs is not None]
 
@@ -437,8 +453,7 @@ def is_complete_bipartite(g: Graph, s):
     sides = cb_sides(g.adj, mask_of(vs))
     if sides is None:
         return False, None
-    a, b = sides
-    return True, (vertices_of(a), vertices_of(b))
+    return True, tuple(map(vertices_of, sides))
 
 
 def contains_k4(g: Graph):
@@ -623,11 +638,9 @@ def write_dot(g: Graph, colours=None) -> str:
     lines = [f"graph {name} {{"]
     lines.append("  node [shape=circle, style=filled];")
     for v in range(g.n):
-        if colours is None:
-            lines.append(f'  {v} [fillcolor="white"];')
-        else:
-            fill = DOT_PALETTE[colours[v] % len(DOT_PALETTE)]
-            lines.append(f'  {v} [fillcolor="{fill}"];')
+        fill = "white" if colours is None \
+            else DOT_PALETTE[colours[v] % len(DOT_PALETTE)]
+        lines.append(f'  {v} [fillcolor="{fill}"];')
     for i, j in g.edges():
         lines.append(f"  {i} -- {j};")
     lines.append("}")

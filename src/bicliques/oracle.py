@@ -2,18 +2,14 @@
 the P3 / block analysis.
 
 The maximal bicliques and stars are enumerated with work that grows with
-the number of candidates rather than with the 2^n vertex subsets: a
-biclique from its lowest vertex v0, its side B inside N(v0) and a maximal
-independent set A' of the vertices above v0 outside N(v0) that see all of
-B; a star from a centre and a maximal independent set of its neighbours.
-Each candidate is checked against the whole graph (graphs.maximal_masks
-picks the enumerator for a mode).  A colouring is checked by searching each
-colour class for the maximal sets inside it, not by listing the family
-(graphs.smallest_maximal_inside).  The power-graph families run the same
-enumeration, so the tests hold both to the exhaustive subset scan.  The
-enumerations are capped at SUBSET_SCAN_CAP vertices, the backtracking
-search over canonical colourings at SEARCH_CAP.  Nothing is kept between
-calls: each call enumerates its graph afresh.
+the number of candidates rather than with the 2^n vertex subsets
+(graphs.maximal_cb_candidates, graphs.maximal_star_candidates), and each
+candidate is checked against the whole graph.  A colouring is checked by
+searching each colour class, not by listing the family
+(graphs.smallest_maximal_inside).  The tests hold both, and the power-graph
+families that run the same enumeration, to the exhaustive subset scan.
+The enumerations are capped at SUBSET_SCAN_CAP vertices, the backtracking
+search at SEARCH_CAP; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -28,7 +24,8 @@ from .graphs import (
     SUBSET_SCAN_CAP,
     cb_shape,
     colour_classes,
-    maximal_cb_sides,
+    is_maximal_cb,
+    maximal_cb_candidates,
     maximal_masks,
     smallest_maximal_inside,
     vertices_of,
@@ -52,11 +49,14 @@ def check_scan_cap(n: int, mode: str = "biclique") -> None:
 def maximal_bicliques(g: Graph) -> list[Biclique]:
     """All maximal complete-bipartite vertex sets of g (>= 1 edge each),
     sorted by vertex list.  Enumerated from (v0, B, A') triples with A' a
-    maximal independent set, each checked against the whole graph
-    (graphs.maximal_cb_sides); n <= SUBSET_SCAN_CAP."""
+    maximal independent set (graphs.maximal_cb_candidates), each checked
+    against the whole graph by is_maximal_cb; n <= SUBSET_SCAN_CAP.
+    tuple.__new__ skips the records' Python-level __new__."""
     check_scan_cap(g.n)
-    out = [Biclique(vertices_of(a | b), cb_shape(a, b))
-           for a, b in maximal_cb_sides(g.adj, (1 << g.n) - 1)]
+    adj, new = g.adj, tuple.__new__
+    out = [new(Biclique, (vertices_of(m), cb_shape(*sides), None))
+           for sides in maximal_cb_candidates(adj, (1 << g.n) - 1)
+           if is_maximal_cb(adj, m := sides[0] | sides[1], sides)]
     out.sort()  # by vertices: no two records share them
     return out
 

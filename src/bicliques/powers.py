@@ -3,11 +3,9 @@
 P_n^k joins path vertices at index distance <= k; C_n^k joins cycle vertices
 at cyclic distance <= k.  Both are K_{1,3}-free, and path powers are also
 C4-free, so every maximal complete bipartite set is an edge, an induced P3
-or an induced C4.  The families are listed by the same output-sensitive
-enumeration the oracle runs on any graph (graphs.maximal_masks), applied
-to P_n^k or C_n^k, so their cost grows with the number of maximal sets
-rather than with the 2^n vertex subsets; power_family lists them as
-sorted records, and the tests compare them with the exhaustive subset scan.
+or an induced C4.  power_family lists the families as sorted records by
+the oracle's output-sensitive enumeration (graphs.maximal_masks), and the
+tests compare them with the exhaustive subset scan.
 
 A colouring is checked without listing the family (first_mono_set).
 Outside a band of width about 4k the families are exactly the induced P3s
@@ -180,10 +178,10 @@ def power_family(kind: str, mode: str, n: int, k: int) -> list:
         power_graph(kind, n, k).adj, _listed_mode(kind, mode), (1 << n) - 1)))
     if mode == "star":
         return sets
-    cyclic = kind == "cycle"
-    return [Biclique(vs, ("P2", "P3", "C4")[len(vs) - 2],
-                     _p3_reach(n, vs) if cyclic and len(vs) == 3 else None)
-            for vs in sets]
+    cyclic, new = kind == "cycle", tuple.__new__
+    return [new(Biclique, (vs, ("P2", "P3", "C4")[len(vs) - 2],
+                           _p3_reach(n, vs) if cyclic and len(vs) == 3
+                           else None)) for vs in sets]
 
 
 def path_bicliques(n: int, k: int) -> list[Biclique]:

@@ -9,10 +9,8 @@ formula normalized first: no tautological clause, every variable used, and
 no two clauses sharing more than one literal.
 
 Containment is decided by the check that verifies colourings
-(graphs.smallest_maximal_inside) with V' as the one vertex mask, so it
-lists no family and walks none of the 2^|V'| subsets of V': only the
-triples (v0, B, A') inside V' with A' a maximal independent set, each
-tested for maximality against the whole graph.
+(graphs.smallest_maximal_inside) with V' as the one vertex mask: it lists
+no family and walks none of the 2^|V'| subsets of V'.
 
 Literals follow the DIMACS convention: nonzero signed ints, variable numbers
 1..num_vars.
@@ -283,12 +281,16 @@ def _check_containment_cap(size: int) -> None:
                             f"|V'| <= {SUBSET_SCAN_CAP}, got {size}")
 
 
+def check_certify_caps(f: CnfFormula) -> None:
+    """CapacityError if certify_reduction would refuse f (the truth table's
+    cap first, then containment's on V' = 2 * num_vars + 1 vertices)."""
+    _check_truth_table_cap(f)
+    _check_containment_cap(2 * f.num_vars + 1)
+
+
 def biclique_containment(g: Graph, v_prime):
     """Lexicographically smallest maximal biclique of g lying inside
-    v_prime, or None: graphs.smallest_maximal_inside over the mask of V',
-    whose candidates are the triples (v0, B, A') inside V', each checked
-    against the whole of g.  So the work grows with the number of such
-    triples rather than with the 2^|V'| subsets."""
+    v_prime, or None: graphs.smallest_maximal_inside on the mask of V'."""
     vp = vertex_set(v_prime, g.n)
     _check_containment_cap(len(vp))
     found = smallest_maximal_inside(g.adj, "biclique", [mask_of(vp)])
@@ -341,12 +343,11 @@ def certify_reduction(f: CnfFormula,
     gadget is K4-free and induced-C4-free, and when a witness exists decode
     it back to an assignment and re-evaluate the formula with it.  inst is
     build_instance(f), which checks that f is normalized; it is built here
-    when the caller does not already hold it.  Both caps are checked, the
-    truth table's first, before either exhaustive step runs."""
+    when the caller does not already hold it.  Both caps are checked
+    (check_certify_caps) before either exhaustive step runs."""
     if inst is None:
         inst = build_instance(f)
-    _check_truth_table_cap(f)
-    _check_containment_cap(len(inst.v_prime))
+    check_certify_caps(f)
     assignment = find_satisfying_assignment(f)
     witness = biclique_containment(inst.graph, inst.v_prime)
     decoded = decode_assignment(inst, witness) if witness else None

@@ -857,6 +857,26 @@ def test_reduce_certify_checks_the_containment_cap_first(tmp_path, capsys):
         "error: truth table capped at 20 variables, got 21\n"
 
 
+@pytest.mark.parametrize("nv, message", (
+    (11, "containment scan is capped at |V'| <= 22, got 23"),
+    (21, "truth table capped at 20 variables, got 21")))
+def test_reduce_certify_checks_its_caps_before_building_the_gadget(
+        tmp_path, capsys, monkeypatch, nv, message):
+    """A formula of nv unit clauses is past one of certify's caps: reduce
+    --certify exits 3 with the cap's message before it builds the gadget,
+    writes its instance file or prints a line."""
+    cnf = tmp_path / "f.cnf"
+    write_dimacs(CnfFormula.of(nv, [(v,) for v in range(1, nv + 1)]), cnf)
+
+    def built(*args):
+        raise AssertionError("gadget built")
+    monkeypatch.setattr(reduction, "build_instance", built)
+    assert main(["reduce", str(cnf), "--out-prefix", str(tmp_path / "f"),
+                 "--certify"]) == EXIT_CAPACITY
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [cnf]
+
+
 def test_reduce_checks_the_rows_cap_before_building_the_gadget(
         tmp_path, capsys, monkeypatch):
     """7000 clauses over 21000 variables, none sharing a variable, make a

@@ -31,6 +31,7 @@ from bicliques.graphs import (
     maximal_masks,
     maximal_star_candidates,
     read_graph,
+    smallest_maximal_inside,
     vertex_set,
     vertices_of,
     write_dot,
@@ -74,6 +75,41 @@ def test_graph_construction_validates():
         Graph(n=2, adj=(2, 0))
     with pytest.raises(InputError):
         Graph(n=1, adj=(2,))  # row bit out of range
+
+
+@given(st.integers(0, 12), st.randoms())
+@settings(max_examples=100, deadline=None)
+def test_from_edges_equals_the_checked_rows(n, rng):
+    """Random edge lists, with duplicates and both orientations, give the
+    graph that Graph's own checks accept on the same rows."""
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 30))
+             ] if n >= 2 else []
+    edges = pairs + [(j, i) for i, j in pairs if rng.random() < 0.5]
+    rng.shuffle(edges)
+    rows = [0] * n
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    assert Graph.from_edges(n, edges, "g") == Graph(n, tuple(rows), "g")
+    assert type(Graph.from_edges(n, edges)) is Graph
+
+
+@pytest.mark.parametrize("n, edges, message", (
+    (3, [(0, 3)], "edge (0, 3) out of range for n=3"),
+    (3, [(-1, 0)], "edge (-1, 0) out of range for n=3"),
+    (0, [(0, 0)], "edge (0, 0) out of range for n=0"),
+    (3, [(1, 1)], "self-loop edge (1, 1)"),
+    (2, [(0, 1), (1, 1)], "self-loop edge (1, 1)"),
+    (-1, [], "vertex count must be non-negative"),
+    (-2, [(0, 1)], "edge (0, 1) out of range for n=-2"),
+    (-1, [(0, 0)], "edge (0, 0) out of range for n=-1")))
+def test_from_edges_rejects_bad_input_with_its_message(n, edges, message):
+    """Out-of-range edges, self-loops and a negative n, with and without
+    edges: an InputError with the message that names the first fault, the
+    edges being checked before n."""
+    with pytest.raises(InputError) as err:
+        Graph.from_edges(n, edges)
+    assert type(err.value) is InputError and str(err.value) == message
 
 
 def test_neighbours_degree_edges():
@@ -248,6 +284,22 @@ def test_maximal_masks_inside_a_mask_match_brute_force(g, vmask):
         assert len(found) == len(set(found))
         assert set(map(vertices_of, found)) == \
             support.brute_maximal_inside(g, mode, vmask)
+
+
+@given(support.graph_strategy(max_n=12),
+       st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_smallest_maximal_inside_is_the_least_listed_set(g, vmasks):
+    """Per mask, the class search (which stops early in biclique mode)
+    answers the least of the sets maximal_masks lists inside it, in both
+    modes, and answers nothing for a mask that holds none."""
+    vmasks = [m & (1 << g.n) - 1 for m in vmasks]
+    for mode in ("biclique", "star"):
+        for m in vmasks:
+            least = min(map(vertices_of, maximal_masks(g.adj, mode, m)),
+                        default=None)
+            assert smallest_maximal_inside(g.adj, mode, [m]) == \
+                ([] if least is None else [least])
 
 
 @given(support.graph_strategy(max_n=14))

@@ -3,7 +3,9 @@ exhaustive subset scan and an independent subset checker, the exact
 chromatic search, and the P3 / block analyzers."""
 
 import random
+import sys
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from bicliques.oracle import (
     maximal_stars,
     verify_colouring,
 )
+from bicliques import graphs
 from bicliques.graphs import colour_classes, smallest_maximal_inside
 from bicliques.powers import (
     circulant,
@@ -87,6 +90,45 @@ def test_oracle_families_match_subset_scan_on_benchmark_graph_types(n):
         assert [(b.vertices, b.shape) for b in maximal_bicliques(g)] == \
             support.brute_scan_bicliques(g)
         assert maximal_stars(g) == support.brute_scan_stars(g)
+
+
+def _calls_during(code, run):
+    """run() and the number of calls of the function with this code object
+    made while it ran, counted by a profile hook."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+    sys.setprofile(hook)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_every_candidate_is_checked_for_maximality():
+    """maximal_bicliques calls is_maximal_cb, and maximal_stars
+    is_maximal_star, once on every candidate its enumerator yields, so the
+    families are certified set by set (and the tracer's counts of those
+    calls mean what they say)."""
+    rng = random.Random(14)
+    pairs = list(combinations(range(18), 2))
+    for g in (_relabelled(rng, power_cycle(16, 3)),
+              _relabelled(rng, power_path(20, 3)),
+              circulant(17, [1, 5]),
+              Graph.from_edges(18, rng.sample(pairs, 45))):
+        full = (1 << g.n) - 1
+        found, calls = _calls_during(graphs.is_maximal_cb.__code__,
+                                     lambda: maximal_bicliques(g))
+        assert calls == len(list(graphs.maximal_cb_candidates(g.adj, full)))
+        assert calls >= len(found) > 0
+        found, calls = _calls_during(graphs.is_maximal_star.__code__,
+                                     lambda: maximal_stars(g))
+        assert calls == len(list(graphs.maximal_star_candidates(g.adj, full)))
+        assert calls >= len(found) > 0
 
 
 def test_enumeration_does_not_walk_subsets_of_a_large_side():

@@ -2,6 +2,7 @@
 checked against the oracle enumeration and independent test-side scanners."""
 
 import random
+import time
 from functools import lru_cache
 from itertools import combinations
 
@@ -345,6 +346,16 @@ def test_complete_graph_check_lists_no_family(monkeypatch):
     # the first pair by its lower end, not by where its colour repeats
     assert first_mono_set("path", "biclique", 5, 4, [0, 1, 2, 1, 0]) == (0, 4)
     assert first_mono_set("cycle", "star", 3, 1, [0, 1, 2]) is None
+
+
+def test_one_colour_check_stops_at_the_first_group():
+    """C_114^40 in one colour: the class is the whole graph, and the search
+    stops at the sets of vertex 0 rather than listing the whole family (2 s
+    when it did).  The witness is the family's least set."""
+    start = time.perf_counter()
+    assert first_mono_set("cycle", "biclique", 114, 40, [0] * 114) == \
+        (0, 1, 41, 74)
+    assert time.perf_counter() - start < 1
 
 
 def test_windowed_check_equals_family_scan_on_grid():
