@@ -123,12 +123,12 @@ def _check_family(kind: str, n: int, k: int) -> None:
 
 
 def _check_closed_form(kind: str, mode: str, n: int, k: int) -> None:
-    """The caps on a closed-form value: n, and, outside powers.p3_range,
-    the constructor's search of the colour classes on the family's graph.
-    A bad n or k is left for the constructor to report."""
+    """The caps on a closed-form value: n, and, where searches_classes
+    holds, the constructor's search of the colour classes on the family's
+    graph.  A bad n or k is left for the constructor to report."""
     if n >= 1 and k >= 1:
         _check_cap("a closed form", "n", n, CLOSED_FORM_CAP)
-        if not powers.p3_range(kind, mode, n, k):
+        if powers.searches_classes(kind, mode, n, k):
             _check_family(kind, n, k)
 
 
@@ -212,7 +212,7 @@ def cmd_verify(args) -> int:
     params = _power_params(label, n, edges)
     colours = colour_tuple(col, n)
     if params is not None:
-        if not powers.p3_range(params[0], args.mode, n, params[2]):
+        if powers.searches_classes(params[0], args.mode, n, params[2]):
             _check_family(params[0], n, params[2])
         witness = powers.first_mono_set(params[0], args.mode, n, params[2],
                                         colours)
@@ -310,6 +310,9 @@ def cmd_sweep(args) -> int:
             for n in range(args.n_from, args.n_to + 1)]
     for n, k in grid:
         _check_closed_form(args.kind, args.mode, n, k)
+    if args.n_from >= 1 and args.k_from >= 1:  # else row 1 is refused at once
+        _check_cap("a sweep", "sum(n)", sum(n for n, _ in grid),
+                   CLOSED_FORM_CAP)
     construct = _constructor(args.kind, args.mode)
     rows = []
     for n, k in grid:
@@ -349,9 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
                f"--closed-form) and edges <= {EDGES_CAP} for one written "
                f"(gen, --dot); sets*degree <= {FAMILY_CAP} for a family "
                "listed, or searched per colour class, as chromatic, sweep "
-               "and verify do where n <= 4k; "
-               f"rows <= {SWEEP_ROWS_CAP} for a sweep.  The oracle's and the "
-               "reduction's brute-force caps exit 3 as well.")
+               "and verify do for P_n^k with k+2 <= n <= 2k and for C_n^k in "
+               f"biclique mode with 2k+2 <= n <= 4k; rows <= {SWEEP_ROWS_CAP} "
+               f"and sum(n) <= {CLOSED_FORM_CAP} for a sweep.  The oracle's "
+               "and the reduction's brute-force caps exit 3 as well.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph as JSON")

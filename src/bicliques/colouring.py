@@ -4,8 +4,8 @@ cycles.
 Every public construction checks its own output once before returning,
 for the hyperedge family of its mode (powers.first_mono_set): where that
 family is exactly the induced P3s (powers.p3_range) by the windowed P3
-scan, in O(n*k) time with no graph built; elsewhere (n <= 4k) by
-searching each colour class for a family set inside it.  A monochromatic
+scan, in O(n*k) time with no graph built; on K_n in one pass; else by
+searching each colour class (powers.searches_classes).  A monochromatic
 set is a bug in this module, not bad input, and raises AssertionError.
 
 Colour ids are 0 = blue, 1 = red, 2 = green; further ids only appear in the

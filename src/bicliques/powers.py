@@ -10,16 +10,16 @@ tests compare them with the exhaustive subset scan.
 A colouring is checked without listing the family (first_mono_set).
 Outside a band of width about 4k the families are exactly the induced P3s
 (p3_range), checked by a windowed scan of the colour positions
-(first_mono_p3) that builds no graph; inside it each colour class is
-searched for the family's sets that lie in it.
+(first_mono_p3) that builds no graph; inside it, unless the graph is
+complete, each colour class is searched for the family's sets in it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import (Graph, InputError, colour_classes, maximal_masks,
-                     smallest_maximal_inside, vertices_of)
+from .graphs import (Graph, InputError, colour_classes, mask_of,
+                     maximal_masks, smallest_maximal_inside, vertices_of)
 
 
 class Biclique(NamedTuple):
@@ -54,35 +54,30 @@ def power_label(kind: str, n: int, k: int) -> str:
 
 
 def power_path(n: int, k: int) -> Graph:
-    """P_n^k: vertices 0..n-1, edge iff |i - j| <= k.  n <= k+1 gives K_n."""
+    """P_n^k: vertices 0..n-1, edge iff |i - j| <= k.  n <= k+1 gives K_n.
+    Row i is a band of 2k+1 bits centred on i, cut to 0..n-1, less bit i."""
     check_params(n, k)
-    adj = []
-    for i in range(n):
-        lo = max(0, i - k)
-        hi = min(n - 1, i + k)
-        row = ((1 << (hi - lo + 1)) - 1) << lo
-        adj.append(row & ~(1 << i))
-    return Graph(n, tuple(adj), power_label("path", n, k))
+    w = min(k, n)  # a band wider than the path gives the same rows
+    full, band = (1 << n) - 1, (1 << 2 * w + 1) - 1
+    adj = tuple((band << i >> w) & full ^ 1 << i for i in range(n))
+    return tuple.__new__(Graph, (n, adj, power_label("path", n, k)))
+
+
+def _circulant_rows(n: int, distances) -> tuple[int, ...]:
+    """Rows of C_n(D), no d in D a multiple of n: row 0 has bits d and -d
+    mod n, and row i is row 0 rotated by i; callers skip Graph's checks."""
+    full = (1 << n) - 1
+    base = mask_of(r for d in distances for r in (d % n, -d % n))
+    return tuple((base << i | base >> (n - i)) & full for i in range(n))
 
 
 def power_cycle(n: int, k: int) -> Graph:
-    """C_n^k: vertices 0..n-1, edge iff cyclic distance <= k.
-
-    n <= 2k+1 gives K_n; n in {1, 2} degenerate to K_1 / K_2.
-    """
+    """C_n^k: vertices 0..n-1, edge iff cyclic distance <= k, built as the
+    circulant C_n(1, ..., min(k, n//2)) by rotating row 0.  n <= 2k+1
+    gives K_n; n in {1, 2} degenerate to K_1 / K_2."""
     check_params(n, k)
-    full = (1 << n) - 1
-    adj = []
-    for i in range(n):
-        if n <= 2 * k + 1:
-            row = full & ~(1 << i)
-        else:
-            row = 0
-            for d in range(1, k + 1):
-                row |= 1 << ((i + d) % n)
-                row |= 1 << ((i - d) % n)
-        adj.append(row)
-    return Graph(n, tuple(adj), power_label("cycle", n, k))
+    rows = _circulant_rows(n, range(1, min(k, n // 2) + 1))
+    return tuple.__new__(Graph, (n, rows, power_label("cycle", n, k)))
 
 
 def power_graph(kind: str, n: int, k: int) -> Graph:
@@ -108,27 +103,20 @@ def power_edge_count(kind: str, n: int, k: int) -> int:
 
 def circulant(n: int, distances) -> Graph:
     """Circulant graph C_n(d1, ..., dm): edge iff the cyclic distance of the
-    endpoints equals some di.  C_n(1, 2, ..., k) is the power of a cycle."""
+    endpoints is some min(di mod n, n - di mod n).  The distances are
+    checked, then built as in power_cycle, which is C_n(1, 2, ..., k)."""
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
     ds = sorted(set(distances))
     if not ds:
         raise InputError("need at least one distance")
-    norm = set()
     for d in ds:
         if not isinstance(d, int) or d < 1:
             raise InputError(f"distances must be positive integers, got {d!r}")
-        r = min(d % n, (n - d) % n)
-        if r == 0:
+        if d % n == 0:
             raise InputError(f"distance {d} is 0 mod {n}")
-        norm.add(r)
-    adj = [0] * n
-    for i in range(n):
-        for d in norm:
-            adj[i] |= 1 << ((i + d) % n)
-            adj[i] |= 1 << ((i - d) % n)
     label = f"C_{n}({','.join(str(d) for d in ds)})"
-    return Graph(n, tuple(adj), label)
+    return tuple.__new__(Graph, (n, _circulant_rows(n, ds), label))
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +317,24 @@ def _first_mono_edge(colours):
     return best
 
 
+def searches_classes(kind: str, mode: str, n: int, k: int) -> bool:
+    """True when first_mono_set searches the colour classes on the rows of
+    P_n^k / C_n^k: the graph is neither complete nor in p3_range."""
+    return not (is_complete(kind, n, k) or p3_range(kind, mode, n, k))
+
+
 def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
     """The lexicographically smallest monochromatic set of the family of
-    mode on P_n^k (kind "path") or C_n^k, or None.  In p3_range that is
-    first_mono_p3, and on a complete graph _first_mono_edge, with no graph
-    built; elsewhere (n <= 4k) each colour class is searched for the
-    family's sets inside it (graphs.smallest_maximal_inside), and the
-    smallest of their answers is taken."""
+    mode on P_n^k (kind "path") or C_n^k, or None.  Where searches_classes
+    holds (P_n^k with k+2 <= n <= 2k, C_n^k in biclique mode with
+    2k+2 <= n <= 4k) the least of the colour classes' own smallest sets is
+    taken (graphs.smallest_maximal_inside).  Elsewhere no graph is built:
+    first_mono_p3 in p3_range, and _first_mono_edge on a complete graph."""
+    if searches_classes(kind, mode, n, k):
+        return min(smallest_maximal_inside(power_graph(kind, n, k).adj,
+                                           _listed_mode(kind, mode),
+                                           colour_classes(colours)),
+                   default=None)
     if p3_range(kind, mode, n, k):
         return first_mono_p3(kind, n, k, colours)
-    if is_complete(kind, n, k):
-        return _first_mono_edge(colours)
-    return min(smallest_maximal_inside(power_graph(kind, n, k).adj,
-                                       _listed_mode(kind, mode),
-                                       colour_classes(colours)), default=None)
+    return _first_mono_edge(colours)

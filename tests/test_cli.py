@@ -374,9 +374,9 @@ def test_labelled_verify_at_n_200000_in_bounded_time_and_memory(tmp_path):
      "building a graph's rows is capped at n <= 20000, got n=200000"),
     (["chromatic", "path", "--n", "200000", "--k", "1", "--dot", "x.dot"],
      "building a graph's rows is capped at n <= 20000, got n=200000"),
-    (["chromatic", "cycle", "--n", "200", "--k", "100"],
-     "listing the family of C_200^100 is capped at sets*degree <= 1000000, "
-     "got sets*degree=3960100"),
+    (["chromatic", "cycle", "--n", "200", "--k", "60"],
+     "listing the family of C_200^60 is capped at sets*degree <= 1000000, "
+     "got sets*degree=172800000"),
     (["sweep", "--kind", "cycle", "--k-from", "1", "--k-to", "100000",
       "--n-from", "1", "--n-to", "100000"],
      "a sweep is capped at rows <= 10000, got rows=10000000000"),
@@ -384,6 +384,9 @@ def test_labelled_verify_at_n_200000_in_bounded_time_and_memory(tmp_path):
       "--n-from", "40", "--n-to", "90"],
      "listing the family of C_42^20 is capped at sets*degree <= 1000000, "
      "got sets*degree=1344000"),
+    (["sweep", "--kind", "cycle", "--k-from", "3", "--k-to", "3",
+      "--n-from", "990001", "--n-to", "1000000"],
+     "a sweep is capped at sum(n) <= 1000000, got sum(n)=9950005000"),
 ])
 def test_huge_requests_exit_3_before_anything_is_built(tmp_path, argv,
                                                        message):
@@ -397,6 +400,40 @@ def test_huge_requests_exit_3_before_anything_is_built(tmp_path, argv,
     assert (code, out, err) == (EXIT_CAPACITY, "", f"error: {message}\n")
     assert wall < 1
     assert not (tmp_path / "x.dot").exists()
+
+
+def test_complete_powers_are_checked_without_the_family_cap(
+        tmp_path, capsys, monkeypatch):
+    """K_n as C_200^100 or P_150^200 is checked by one pass over the
+    colours (powers.searches_classes is false there), so chromatic
+    --certify and verify of the labelled file pass the family cap, which
+    they once met, and build no rows."""
+    graph, col = tmp_path / "g.json", tmp_path / "c.json"
+    for kind, n, k in (("cycle", 200, 100), ("path", 150, 200)):
+        assert not powers.searches_classes(kind, "biclique", n, k)
+        assert cli.family_work(kind, n, k) > cli.FAMILY_CAP
+        assert main(["gen", kind, "--n", str(n), "--k", str(k),
+                     "--out", str(graph)]) == EXIT_OK
+        colours = list(range(n))
+        with monkeypatch.context() as patch:
+            support.forbid_rows_and_families(patch)
+            assert main(["chromatic", kind, "--n", str(n), "--k", str(k),
+                         "--certify"]) == EXIT_OK
+            out = capsys.readouterr().out.splitlines()
+            assert (out[0], out[-1]) == (
+                str(n), "certified: colouring verified against the "
+                "biclique family")
+            for mode in ("biclique", "star"):
+                col.write_text(json.dumps({"n": n, "colours": colours}))
+                assert main(["verify", str(graph), str(col),
+                             "--mode", mode]) == EXIT_OK
+                assert capsys.readouterr().out == "valid\n"
+                col.write_text(json.dumps(
+                    {"n": n, "colours": colours[:-1] + [7]}))
+                assert main(["verify", str(graph), str(col),
+                             "--mode", mode]) == EXIT_INVALID
+                assert json.loads(capsys.readouterr().out) == \
+                    {"mode": mode, "witness": [7, n - 1]}
 
 
 def test_oracle_cap_checked_before_rows_are_allocated(tmp_path, capsys):
@@ -638,7 +675,7 @@ def _sweep_work(args) -> int:
         for n in ns:
             if not 1 <= n <= cli.CLOSED_FORM_CAP or k < 1:
                 return 0
-            if not powers.p3_range(args.kind, args.mode, n, k):
+            if powers.searches_classes(args.kind, args.mode, n, k):
                 work = cli.family_work(args.kind, n, k)
                 if work > cli.FAMILY_CAP:
                     return 0
@@ -659,6 +696,8 @@ def _overran(signum, frame):
 @example(argv=["sweep", "--kind", "cycle", "--mode", "biclique",
                "--k-from", "1", "--k-to", "100000",
                "--n-from", "1", "--n-to", "100000"])
+@example(argv=["sweep", "--kind", "cycle", "--k-from", "3", "--k-to", "3",
+               "--n-from", "990001", "--n-to", "1000000"])
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_argv_fuzz_ends_in_a_documented_exit_code(argv):

@@ -17,7 +17,7 @@ from bicliques.colouring import (
     biclique_colour_path,
     star_colour_cycle,
 )
-from bicliques.graphs import InputError, is_complete_bipartite
+from bicliques.graphs import Graph, InputError, is_complete_bipartite
 from bicliques.oracle import maximal_bicliques, maximal_stars
 from bicliques.powers import (
     Biclique,
@@ -104,6 +104,76 @@ def test_circulant_matches_cycle_power():
         circulant(6, [])
     with pytest.raises(InputError):
         circulant(6, [-1])
+
+
+def _assert_rows(g, edge):
+    """Bit j of row i of g is set iff edge(i, j), for every i and j in
+    0..n-1, no row has a bit at n or above, and the validating constructor
+    accepts the rows and gives back the same graph."""
+    for i, row in enumerate(g.adj):
+        assert row >> g.n == 0, (g.label, i)
+        for j in range(g.n):
+            assert row >> j & 1 == edge(i, j), (g.label, i, j)
+    assert Graph(g.n, g.adj, g.label) == g
+
+
+def _cyclic_distance(n, i, j):
+    return min(abs(i - j), n - abs(i - j))
+
+
+def test_power_rows_match_the_definition():
+    """Each power graph against its definition by index arithmetic, with
+    no use of the row builder: P_n^k joins 0 < |i-j| <= k, C_n^k joins
+    0 < min(|i-j|, n-|i-j|) <= k, and C_n(D) joins cyclic distance
+    min(d mod n, n - d mod n) for some d in D.  The circulants take
+    distances of n or more, duplicates, and pairs d, d' with d = -d' mod n,
+    which all name the same edges."""
+    for k in range(1, 7):
+        for n in range(1, 8 * k + 4):
+            g = power_path(n, k)
+            assert g.label == f"P_{n}^{k}"
+            _assert_rows(g, lambda i, j: 0 < abs(i - j) <= k)
+            g = power_cycle(n, k)
+            assert g.label == f"C_{n}^{k}"
+            _assert_rows(g, lambda i, j: 0 < _cyclic_distance(n, i, j) <= k)
+    for n in range(1, 9):  # a reach far past n is K_n, at no extra cost
+        for g in (power_path(n, 10 ** 12), power_cycle(n, 10 ** 12)):
+            _assert_rows(g, lambda i, j: i != j)
+    for n in range(1, 25):
+        for ds in ([1], [n + 1], [2 * n - 1], [1, 1, 2], [3, n - 3],
+                   [n + 2, 2, n - 2, 2], [n // 2 + 1, n],
+                   list(range(1, n + 4))):
+            ds = [d for d in ds if d >= 1 and d % n]
+            if not ds:
+                continue
+            g = circulant(n, ds)
+            assert g.label == f"C_{n}({','.join(map(str, sorted(set(ds))))})"
+            reach = {min(d % n, n - d % n) for d in ds}
+            _assert_rows(g, lambda i, j: _cyclic_distance(n, i, j) in reach)
+
+
+def test_class_search_predicate_matches_the_dispatch(monkeypatch):
+    """searches_classes holds exactly where first_mono_set builds the power
+    graph's rows: P_n^k with k+2 <= n <= 2k, and C_n^k in biclique mode
+    with 2k+2 <= n <= 4k."""
+    power_graph_, calls = powers.power_graph, []
+
+    def record(*args):
+        calls.append(args)
+        return power_graph_(*args)
+    monkeypatch.setattr(powers, "power_graph", record)
+    for k in range(1, 7):
+        for n in range(1, 8 * k + 4):
+            for kind in ("path", "cycle"):
+                for mode in ("biclique", "star"):
+                    calls.clear()
+                    first_mono_set(kind, mode, n, k, [v % 3 for v in range(n)])
+                    searched = powers.searches_classes(kind, mode, n, k)
+                    assert calls == ([(kind, n, k)] if searched else []), \
+                        (kind, mode, n, k)
+                    assert searched == (k + 2 <= n <= 2 * k if kind == "path"
+                                        else mode == "biclique"
+                                        and 2 * k + 2 <= n <= 4 * k)
 
 
 def test_path_bicliques_frozen_examples():
