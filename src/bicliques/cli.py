@@ -48,10 +48,10 @@ EXIT_CAPACITY = 3
 
 # What one command may build.  Each cap is measured on the worst case just
 # under it; the figures are in CHANGES.md.
-CLOSED_FORM_CAP = 1_000_000  # n of a closed form: O(n) memory, about 0.5 s
+CLOSED_FORM_CAP = 1_000_000  # n of a closed form: O(n) memory, about 1 s
 ROWS_CAP = 20_000            # n of a graph built with its n-bit rows
 EDGES_CAP = 1_000_000        # edges written by gen and --dot
-FAMILY_CAP = 1_000_000       # listing a family: its sets times the degree
+FAMILY_CAP = 1_000_000       # bicliques listing a family: sets times degree
 SWEEP_ROWS_CAP = 10_000      # rows of one sweep
 
 _POWER_LABEL = re.compile(r"^([PC])_(\d+)\^(\d+)$")
@@ -117,19 +117,12 @@ def family_work(kind: str, n: int, k: int) -> int:
     return sets * (2 * m // n)
 
 
-def _check_family(kind: str, n: int, k: int) -> None:
-    _check_cap(f"listing the family of {powers.power_label(kind, n, k)}",
-               "sets*degree", family_work(kind, n, k), FAMILY_CAP)
-
-
-def _check_closed_form(kind: str, mode: str, n: int, k: int) -> None:
-    """The caps on a closed-form value: n, and, where searches_classes
-    holds, the constructor's search of the colour classes on the family's
-    graph.  A bad n or k is left for the constructor to report."""
+def _check_closed_form(n: int, k: int) -> None:
+    """The cap on a closed-form value's n; its check of the colouring
+    (powers.first_mono_set) takes O(n + k*k*log n) time and O(n) memory.
+    A bad n or k is left for the constructor to report."""
     if n >= 1 and k >= 1:
         _check_cap("a closed form", "n", n, CLOSED_FORM_CAP)
-        if powers.searches_classes(kind, mode, n, k):
-            _check_family(kind, n, k)
 
 
 def _check_graph(n: int, edges: int = 0) -> None:
@@ -178,7 +171,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_chromatic(args) -> int:
-    _check_closed_form(args.kind, args.mode, args.n, args.k)
+    _check_closed_form(args.n, args.k)
     if args.dot and args.n >= 1 and args.k >= 1:
         _check_graph(args.n,
                      powers.power_edge_count(args.kind, args.n, args.k))
@@ -212,8 +205,6 @@ def cmd_verify(args) -> int:
     params = _power_params(label, n, edges)
     colours = colour_tuple(col, n)
     if params is not None:
-        if powers.searches_classes(params[0], args.mode, n, params[2]):
-            _check_family(params[0], n, params[2])
         witness = powers.first_mono_set(params[0], args.mode, n, params[2],
                                         colours)
     else:
@@ -245,7 +236,8 @@ def cmd_bicliques(args) -> int:
 
     if params is not None:
         kind, n, k = params
-        _check_family(kind, n, k)
+        _check_cap(f"listing the family of {powers.power_label(kind, n, k)}",
+                   "sets*degree", family_work(kind, n, k), FAMILY_CAP)
         _check_graph(n)
         source = "closed-form"
         fam = powers.power_family(kind, args.mode, n, k)
@@ -309,7 +301,7 @@ def cmd_sweep(args) -> int:
     grid = [(n, k) for k in range(args.k_from, args.k_to + 1)
             for n in range(args.n_from, args.n_to + 1)]
     for n, k in grid:
-        _check_closed_form(args.kind, args.mode, n, k)
+        _check_closed_form(n, k)
     if args.n_from >= 1 and args.k_from >= 1:  # else row 1 is refused at once
         _check_cap("a sweep", "sum(n)", sum(n for n, _ in grid),
                    CLOSED_FORM_CAP)
@@ -351,10 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
                "with its rows (gen, chromatic --dot, bicliques --kind or "
                f"--closed-form) and edges <= {EDGES_CAP} for one written "
                f"(gen, --dot); sets*degree <= {FAMILY_CAP} for a family "
-               "listed, or searched per colour class, as chromatic, sweep "
-               "and verify do for P_n^k with k+2 <= n <= 2k and for C_n^k in "
-               f"biclique mode with 2k+2 <= n <= 4k; rows <= {SWEEP_ROWS_CAP} "
-               f"and sum(n) <= {CLOSED_FORM_CAP} for a sweep.  The oracle's "
+               "listed (bicliques --kind or --closed-form); rows <= "
+               f"{SWEEP_ROWS_CAP} and sum(n) <= {CLOSED_FORM_CAP} for a "
+               "sweep.  A colouring of P_n^k or C_n^k is checked by index "
+               "arithmetic with no graph built.  The oracle's "
                "and the reduction's brute-force caps exit 3 as well.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -377,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true",
                    help="print that the colouring is certified: the "
                         "construction checks it once for the closed-form "
-                        "family, by the windowed P3 scan where the family "
-                        "is the induced P3s and by searching each colour "
-                        "class for a family set elsewhere")
+                        "family by index arithmetic, for an equal-coloured "
+                        "pair of the universal clique, a monochromatic "
+                        "induced P3 or a monochromatic induced C4")
     p.add_argument("--dot", help="write a coloured Graphviz rendering here")
     p.set_defaults(func=cmd_chromatic)
 

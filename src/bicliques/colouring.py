@@ -2,11 +2,11 @@
 cycles.
 
 Every public construction checks its own output once before returning,
-for the hyperedge family of its mode (powers.first_mono_set): where that
-family is exactly the induced P3s (powers.p3_range) by the windowed P3
-scan, in O(n*k) time with no graph built; on K_n in one pass; else by
-searching each colour class (powers.searches_classes).  A monochromatic
-set is a bug in this module, not bad input, and raises AssertionError.
+for the hyperedge family of its mode (powers.first_mono_set): by index
+arithmetic, for an equal-coloured pair of the universal clique, a
+monochromatic induced P3 or a monochromatic induced C4, in O(n + k*k*log
+n) time with no graph built.  A monochromatic set is a bug in this
+module, not bad input, and raises AssertionError.
 
 Colour ids are 0 = blue, 1 = red, 2 = green; further ids only appear in the
 all-distinct colourings of complete graphs.
@@ -221,7 +221,7 @@ def three_colour_no_mono_p3(n: int, k: int) -> Colouring:
     size-k blocks then a green t-block.  For k < t < 2k, a-1 alternating
     size-k blocks (odd count, red at both ends) then green k, blue k,
     green t-k, which restores the block total to n.  The output is checked
-    for a monochromatic induced P3 by the windowed scan before being
+    for a monochromatic induced P3 (powers.first_mono_p3) before being
     returned.
     """
     if k < 1:

@@ -421,10 +421,10 @@ def _smallest_maximal_cb(adj, vmask: int):
 def smallest_maximal_inside(adj, mode: str, vmasks) -> list[tuple[int, ...]]:
     """For each vertex mask in vmasks that holds a maximal star (mode
     "star") or else a maximal biclique of the whole graph, the
-    lexicographically smallest one as a vertex tuple: the one check of a
-    colouring (a mask per colour class) and of containment.  The work grows
-    with the sets inside each mask, not with the whole family, and the
-    biclique search stops early (_smallest_maximal_cb)."""
+    lexicographically smallest one as a vertex tuple: the oracle's check of
+    a colouring (a mask per colour class) and the check of containment.
+    The work grows with the sets inside each mask, not with the whole
+    family, and the biclique search stops early (_smallest_maximal_cb)."""
     found = (min(map(vertices_of, maximal_masks(adj, mode, m)), default=None)
              if mode == "star" else _smallest_maximal_cb(adj, m)
              for m in vmasks)

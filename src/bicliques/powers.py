@@ -7,19 +7,20 @@ or an induced C4.  power_family lists the families as sorted records by
 the oracle's output-sensitive enumeration (graphs.maximal_masks), and the
 tests compare them with the exhaustive subset scan.
 
-A colouring is checked without listing the family (first_mono_set).
-Outside a band of width about 4k the families are exactly the induced P3s
-(p3_range), checked by a windowed scan of the colour positions
-(first_mono_p3) that builds no graph; inside it, unless the graph is
-complete, each colour class is searched for the family's sets in it.
+A colouring is checked without listing the family, by one certificate
+for every kind, mode, n and k (first_mono_set): the least of the first
+equal-coloured pair of the universal clique, the first monochromatic
+induced P3 below a reach bound and, for cycle bicliques with 2k+2 <= n <=
+4k, the first monochromatic induced C4, all found from vertex indices
+alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
-from .graphs import (Graph, InputError, colour_classes, mask_of,
-                     maximal_masks, smallest_maximal_inside, vertices_of)
+from .graphs import Graph, InputError, mask_of, maximal_masks, vertices_of
 
 
 class Biclique(NamedTuple):
@@ -196,68 +197,102 @@ def cycle_stars(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# the windowed check: monochromatic induced P3s without the family
+# the arithmetic check: a colouring's first monochromatic set, from vertex
+# indices alone
 
-def p3_range(kind: str, mode: str, n: int, k: int) -> bool:
-    """True when the family of mode on P_n^k / C_n^k is exactly its induced
-    P3s: paths with n >= 2k+1 (either mode), cycles with n >= 4k+1 for
-    bicliques and n >= 2k+2 for stars."""
-    if kind == "path":
-        return n >= 2 * k + 1
-    return n >= (4 * k + 1 if mode == "biclique" else 2 * k + 2)
+def _first_mono_edge(colours, lo: int, hi: int):
+    """The lexicographically smallest pair lo <= i < j <= hi with
+    colours[i] == colours[j], or None: the first monochromatic edge of a
+    clique on lo..hi.  One pass: the smallest pair of a colour is its first
+    two positions, met when the colour first repeats, and a later class
+    wins only with a smaller i."""
+    first: dict = {}
+    best = None
+    for v in range(lo, hi + 1):
+        i = first.setdefault(colours[v], v)
+        if i != v and (best is None or i < best[0]):
+            best = (i, v)
+    return best
 
 
-def _first_pair(xs, ys, k: int, top: int, ascending: bool):
-    """(x, y) for the first x of xs that has a y of ys with k < x + y < top,
-    and the first such y in ys order; None if no x has one.
+def _wrapped_sets(q, i: int, s: int, n: int, k: int, top: int, c4: bool):
+    """The least sets inside q, the ascending positions of one colour on
+    C_n^k (n >= 2k+2), whose least vertex u = q[i] < k has neighbours
+    across n-1 -> 0: the first of them in q is w = q[t], at or after
+    u+n-k; q[s] is the first vertex of q past u+k.  One set per way:
 
-    ys is ascending when xs descends (ascending=True), else descending while
-    xs ascends.  Either way the y that must be passed over for one x (too
-    small, or too large) must be for every later x as well, so one pointer
-    walks ys once, and the y it stops at fits iff any later y would.
+    (B) u is an end of a P3 centred at w, with reach n-(v-u) < top: its
+        other end is the first v in [w-k, u+n-k) past u+n-top.
+    (C) u is the centre of a P3 with ends v in (u, u+k] and x >= w, with
+        reach n-(x-v) in (k, top): the first v that has an x.
+    (D) u is the least vertex of a C4 u < b < c < d, for c4: its cyclic
+        gaps are in [1, k] and its diagonals are non-edges, k < c-u, d-b
+        < n-k.  For each b in [q[s]-k, u+k] the one d to try is the first
+        at or after max(u+n-k, b+k+1), below b+n-k, as a larger d only
+        raises c's bound d-k; c is then the first at or after max(q[s],
+        b+1, d-k) and at most min(b+k, u+n-k-1).
     """
-    p, m = 0, len(ys)
-    for x in xs:
-        if ascending:
-            while p < m and x + ys[p] <= k:
-                p += 1
-        else:
-            while p < m and x + ys[p] >= top:
-                p += 1
-        if p < m and k < x + ys[p] < top:
-            return x, ys[p]
+    u, m = q[i], len(q)
+    t = bisect_left(q, u + n - k, s)
+    if t == m:
+        return []
+    w, found = q[t], []
+    lo = max(w - k, u + n - top + 1)
+    if q[t - 1] >= lo:
+        found.append((u, q[bisect_left(q, lo, i + 1)], w))
+    if top > k + 1 and s - 1 > i and w - q[s - 1] < n - k:
+        for v in q[i + 1:s]:
+            x = bisect_left(q, max(w, v + n - top + 1), t)
+            if x < m and q[x] < v + n - k:
+                found.append((u, v, q[x]))
+                break
+    c0 = q[s]
+    if c4 and c0 <= min(u + 2 * k, u + n - k - 1):
+        for b in q[max(i + 1, bisect_left(q, c0 - k, i)):s]:
+            j = bisect_left(q, max(u + n - k, b + k + 1), t)
+            if j < m and q[j] < b + n - k:
+                c = q[bisect_left(q, max(c0, b + 1, q[j] - k), s)]
+                if c <= min(b + k, u + n - k - 1):
+                    found.append((u, b, c, q[j]))
+                    break
+    return found
+
+
+def _first_set_in(q, n: int, k: int, top: int, cyclic: bool, c4: bool):
+    """The lexicographically smallest set inside q, the ascending positions
+    of one colour, or None: an induced P3 whose reach (the sum of its two
+    edges' lengths) is below top, or, for c4, an induced C4 of C_n^k.
+
+    Each u of q is tried in order as the least vertex of a set, and the
+    first u that has one gives its least.  (A) u is an end of a P3 whose
+    centre v and other end w follow it: the least such P3 takes w, the
+    first vertex of q past u+k, which must lie within k of the vertex of q
+    before it and below u+top, and v, the first at or after w-k.  On a
+    cycle a u < k may also start a set across n-1 -> 0 (_wrapped_sets).  A
+    pointer walks w, so the scan takes O(n + k*k*log n) time.
+    """
+    m, s = len(q), 0
+    for i, u in enumerate(q):
+        while s < m and q[s] <= u + k:
+            s += 1
+        found = []
+        if i < s - 1 and s < m and q[s] - q[s - 1] <= k and q[s] < u + top:
+            found.append((u, q[bisect_left(q, q[s] - k, i + 1)], q[s]))
+        if cyclic and u < k:
+            found += _wrapped_sets(q, i, s, n, k, top, c4)
+        if found:
+            return min(found)
     return None
 
 
-def _first_p3_at(b: int, left, right, n: int, k: int, top: int):
-    """The smallest sorted monochromatic induced P3 centred at b, or None.
-
-    left and right are the ascending positions of b's colour within k
-    below and above b, unrolled for a cycle (below 0 or from n on, the
-    position wraps); ends at offsets d1 (left) and d2 (right) form an
-    induced P3 iff k < d1 + d2 < top.  With no wrap the triple is
-    (b-d1, b, b+d2): the largest d1 that fits, then the smallest d2.  An
-    end that wraps comes last (left) or first (right) in the sorted triple,
-    so there the smallest d2 comes first, then the largest d1.
-    """
-    found = []
-    d1 = [b - v for v in left if v >= 0]
-    d2 = [v - b for v in right if v < n]
-    pair = _first_pair(d1, d2, k, top, True)
-    if pair is not None:
-        found.append(pair)
-    if left and left[0] < 0:
-        pair = _first_pair([v - b for v in right],
-                           [b - v for v in left if v < 0], k, top, False)
-        if pair is not None:
-            found.append(pair[::-1])
-    if right and right[-1] >= n:
-        pair = _first_pair([v - b for v in right if v >= n],
-                           [b - v for v in left], k, top, False)
-        if pair is not None:
-            found.append(pair[::-1])
-    return min((tuple(sorted(((b - x) % n, b, (b + y) % n)))
-                for x, y in found), default=None)
+def _first_in_classes(colours, n: int, k: int, top: int, cyclic: bool,
+                      c4: bool):
+    """The least of _first_set_in over the colour classes, or None."""
+    at: dict = {}
+    for v, c in enumerate(colours):
+        at.setdefault(c, []).append(v)
+    found = (_first_set_in(q, n, k, top, cyclic, c4) for q in at.values())
+    return min((f for f in found if f is not None), default=None)
 
 
 def first_mono_p3(kind: str, n: int, k: int, colours):
@@ -266,75 +301,41 @@ def first_mono_p3(kind: str, n: int, k: int, colours):
     None.  colours[v] is the colour of vertex v, for v in 0..n-1.
 
     An induced P3 is a centre b with ends b-d1 and b+d2, 1 <= d1, d2 <= k,
-    that are not adjacent: d1 + d2 > k, and on a cycle also d1 + d2 < n-k
-    (n >= 2k+2, else C_n^k is complete).  Each colour's positions are
-    walked once with two pointers that hold the window [b-k, b+k] of each
-    centre b (on a cycle the list is unrolled by k at both ends).  b can be
-    a centre only if the farthest same-colour positions in its window are
-    more than k apart; only such centres have their window searched, in
-    O(k).  So the check takes O(n*k) time and O(n) memory and builds no
-    graph, no n-bit row and no family.
+    that are not adjacent: its reach d1 + d2 is more than k, and on a cycle
+    also less than n-k (n >= 2k+2, else C_n^k is complete).  The check
+    (_first_set_in) builds no graph, no n-bit row and no family.
     """
     cyclic = kind == "cycle"
-    if cyclic and n <= 2 * k + 1:
-        return None
-    top = n - k if cyclic else 2 * k + 1  # on a path d1 + d2 <= 2k always fits
-    at: dict = {}
-    for v, c in enumerate(colours):
-        at.setdefault(c, []).append(v)
-    best = None
-    for q in at.values():
-        if cyclic:
-            q = [v - n for v in q if v >= n - k] + q + [v + n for v in q if v < k]
-        lo = hi = 0
-        last = len(q) - 1
-        for j, b in enumerate(q):
-            if not 0 <= b < n:
-                continue
-            while q[lo] < b - k:
-                lo += 1
-            while hi < last and q[hi + 1] <= b + k:
-                hi += 1
-            if q[hi] - q[lo] > k:
-                found = _first_p3_at(b, q[lo:j], q[j + 1:hi + 1], n, k, top)
-                if found is not None and (best is None or found < best):
-                    best = found
-    return best
-
-
-def _first_mono_edge(colours):
-    """The lexicographically smallest pair i < j with colours[i] ==
-    colours[j], or None: the first monochromatic set of a complete graph,
-    whose maximal bicliques and stars are its edges.  One pass: the
-    smallest pair of a colour is its first two positions, met when the
-    colour first repeats, and a later class wins only with a smaller i."""
-    first: dict = {}
-    best = None
-    for v, c in enumerate(colours):
-        i = first.setdefault(c, v)
-        if i != v and (best is None or i < best[0]):
-            best = (i, v)
-    return best
-
-
-def searches_classes(kind: str, mode: str, n: int, k: int) -> bool:
-    """True when first_mono_set searches the colour classes on the rows of
-    P_n^k / C_n^k: the graph is neither complete nor in p3_range."""
-    return not (is_complete(kind, n, k) or p3_range(kind, mode, n, k))
+    top = n - k if cyclic else n  # a path's P3 has reach at most n-1
+    return (_first_in_classes(colours, n, k, top, cyclic, False)
+            if top > k + 1 else None)
 
 
 def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
     """The lexicographically smallest monochromatic set of the family of
-    mode on P_n^k (kind "path") or C_n^k, or None.  Where searches_classes
-    holds (P_n^k with k+2 <= n <= 2k, C_n^k in biclique mode with
-    2k+2 <= n <= 4k) the least of the colour classes' own smallest sets is
-    taken (graphs.smallest_maximal_inside).  Elsewhere no graph is built:
-    first_mono_p3 in p3_range, and _first_mono_edge on a complete graph."""
-    if searches_classes(kind, mode, n, k):
-        return min(smallest_maximal_inside(power_graph(kind, n, k).adj,
-                                           _listed_mode(kind, mode),
-                                           colour_classes(colours)),
-                   default=None)
-    if p3_range(kind, mode, n, k):
-        return first_mono_p3(kind, n, k, colours)
-    return _first_mono_edge(colours)
+    mode on P_n^k (kind "path") or C_n^k, or None, by index arithmetic: no
+    graph, row or family is built.  Both graphs are claw-free, so every set
+    is an edge of the universal clique U, an induced P3 or an induced C4,
+    and the least of these witnesses is taken:
+
+    (1) the first equal-coloured pair of U, which is [max(0, n-1-k),
+        min(k, n-1)] on a path, and on a cycle all vertices if n <= 2k+1,
+        else empty;
+    (2) the first P3 of reach below top: n on a path, n-k for cycle stars
+        and n-2k for cycle bicliques, since a P3 of reach n-2k or more lies
+        in an induced C4;
+    (3) for cycle bicliques with 2k+2 <= n <= 4k, the first induced C4.
+
+    The check takes O(n + k*k*log n) time and O(n) memory.
+    """
+    cyclic = kind == "cycle"
+    if cyclic:
+        lo, hi = 0, n - 1 if n <= 2 * k + 1 else -1
+        top = n - 2 * k if mode == "biclique" else n - k
+    else:
+        lo, hi, top = max(0, n - 1 - k), min(k, n - 1), n
+    c4 = cyclic and mode == "biclique" and 2 * k + 2 <= n <= 4 * k
+    found = [_first_mono_edge(colours, lo, hi)]
+    if top > k + 1 or c4:  # else the family is U's edges alone
+        found.append(_first_in_classes(colours, n, k, top, cyclic, c4))
+    return min((f for f in found if f is not None), default=None)

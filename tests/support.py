@@ -19,7 +19,7 @@ from itertools import combinations, product
 from hypothesis import strategies as st
 
 from bicliques.graphs import Graph, bits, cb_sides, is_star_set
-from bicliques import powers
+from bicliques import graphs, powers
 from bicliques.reduction import CnfFormula, normalize
 
 
@@ -317,18 +317,23 @@ def random_raw_formula(rng: random.Random) -> CnfFormula:
     return CnfFormula.of(nv, clauses)
 
 
-# every function of powers that builds n-bit rows, lists a family or
-# searches colour classes for its sets
+# every function of powers that builds n-bit rows or lists a family
 ROWS_AND_FAMILIES = ("power_path", "power_cycle", "power_graph",
                      "path_bicliques", "cycle_bicliques", "path_stars",
-                     "cycle_stars", "power_family", "smallest_maximal_inside",
+                     "cycle_stars", "power_family", "maximal_masks",
                      "cycle_induced_p3s")
+# every function of graphs that searches colour classes for maximal sets
+CLASS_SEARCH = ("colour_classes", "smallest_maximal_inside", "maximal_masks",
+                "maximal_cb_candidates", "maximal_star_candidates")
 
 
 def forbid_rows_and_families(monkeypatch) -> None:
-    """Make every function of powers that builds rows, lists a family or
-    searches colour classes raise when called."""
+    """Make every function of powers that builds rows or lists a family,
+    and every function of graphs that searches colour classes, raise when
+    called."""
     def built(*args):
-        raise AssertionError(f"rows or family built for {args}")
+        raise AssertionError(f"rows, family or class search for {args}")
     for name in ROWS_AND_FAMILIES:
         monkeypatch.setattr(powers, name, built)
+    for name in CLASS_SEARCH:
+        monkeypatch.setattr(graphs, name, built)

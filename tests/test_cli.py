@@ -15,13 +15,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import support
 from bicliques import cli, oracle, powers, reduction
 from bicliques.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
-from bicliques.colouring import biclique_colour_cycle, read_colouring
+from bicliques.colouring import (biclique_colour_cycle, biclique_colour_path,
+                                 read_colouring)
 from bicliques.graphs import DOT_PALETTE, Graph, read_graph, write_graph
 from bicliques.reduction import CnfFormula, write_dimacs
 
@@ -374,14 +375,13 @@ def test_labelled_verify_at_n_200000_in_bounded_time_and_memory(tmp_path):
      "building a graph's rows is capped at n <= 20000, got n=200000"),
     (["chromatic", "path", "--n", "200000", "--k", "1", "--dot", "x.dot"],
      "building a graph's rows is capped at n <= 20000, got n=200000"),
-    (["chromatic", "cycle", "--n", "200", "--k", "60"],
+    (["bicliques", "--kind", "cycle", "--n", "200", "--k", "60"],
      "listing the family of C_200^60 is capped at sets*degree <= 1000000, "
      "got sets*degree=172800000"),
     (["sweep", "--kind", "cycle", "--k-from", "1", "--k-to", "100000",
       "--n-from", "1", "--n-to", "100000"],
      "a sweep is capped at rows <= 10000, got rows=10000000000"),
-    (["sweep", "--kind", "cycle", "--k-from", "20", "--k-to", "21",
-      "--n-from", "40", "--n-to", "90"],
+    (["bicliques", "--kind", "cycle", "--n", "42", "--k", "20"],
      "listing the family of C_42^20 is capped at sets*degree <= 1000000, "
      "got sets*degree=1344000"),
     (["sweep", "--kind", "cycle", "--k-from", "3", "--k-to", "3",
@@ -402,16 +402,44 @@ def test_huge_requests_exit_3_before_anything_is_built(tmp_path, argv,
     assert not (tmp_path / "x.dot").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["chromatic", "path", "--n", "60", "--k", "30"],
+    ["chromatic", "cycle", "--n", "200", "--k", "60"],
+    ["sweep", "--kind", "cycle", "--k-from", "20", "--k-to", "21",
+     "--n-from", "40", "--n-to", "90"],
+])
+def test_closed_forms_in_the_dense_ranges_exit_0(tmp_path, argv):
+    """chromatic and sweep on P_n^k with k+2 <= n <= 2k and C_n^k with
+    2k+2 <= n <= 4k check their colourings by index arithmetic, under no
+    family cap, and answer at once with the library's values and
+    certificates."""
+    code, out, err, wall, _ = _run_limited(argv, tmp_path)
+    assert (code, err) == (EXIT_OK, "")
+    assert wall < 1
+    if argv[0] == "chromatic":
+        build = biclique_colour_path if argv[1] == "path" \
+            else biclique_colour_cycle
+        result = build(int(argv[3]), int(argv[5]))
+        cert = cli._certificate_text(result)
+        assert out == f"{result.value}\n" + (f"certificate: {cert}\n"
+                                             if cert else "")
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        results = [(n, k, biclique_colour_cycle(n, k)) for k in (20, 21)
+                   for n in range(40, 91)]
+        assert [(r["n"], r["k"], r["value"], r["certificate"])
+                for r in rows] == [
+            (str(n), str(k), str(r.value), cli._certificate_text(r))
+            for n, k, r in results]
+
+
 def test_complete_powers_are_checked_without_the_family_cap(
         tmp_path, capsys, monkeypatch):
     """K_n as C_200^100 or P_150^200 is checked by one pass over the
-    colours (powers.searches_classes is false there), so chromatic
-    --certify and verify of the labelled file pass the family cap, which
-    they once met, and build no rows."""
+    colours, so chromatic --certify and verify of the labelled file pass
+    the family cap, which they once met, and build no rows."""
     graph, col = tmp_path / "g.json", tmp_path / "c.json"
     for kind, n, k in (("cycle", 200, 100), ("path", 150, 200)):
-        assert not powers.searches_classes(kind, "biclique", n, k)
-        assert cli.family_work(kind, n, k) > cli.FAMILY_CAP
         assert main(["gen", kind, "--n", str(n), "--k", str(k),
                      "--out", str(graph)]) == EXIT_OK
         colours = list(range(n))
@@ -492,9 +520,8 @@ def test_matching_labelled_verify_builds_no_graph(
         tmp_path, capsys, monkeypatch):
     """A file that is the power graph its label names is checked by index
     distance and verified against the family, and no Graph is built from
-    its edges.  In powers.p3_range nothing builds rows or lists a family;
-    outside it (C_11^4 in biclique mode) first_mono_set builds the power
-    graph's rows, once, to search each colour class."""
+    its edges, no rows or family of the power graph either, nor any colour
+    class searched, C_11^4 in the C4 range included."""
     graph, col = tmp_path / "g.json", tmp_path / "c.json"
     cases = []
     for kind, n, k in (("path", 12, 2), ("cycle", 11, 4), ("cycle", 17, 3)):
@@ -502,27 +529,17 @@ def test_matching_labelled_verify_builds_no_graph(
         for colours in (biclique_colour_cycle(n, k).colouring.colours
                         if kind == "cycle" else (0, 1) * (n // 2), (0,) * n):
             for mode in ("biclique", "star"):
-                cases.append((g, colours, mode, kind, n, k,
+                cases.append((g, colours, mode,
                               oracle.verify_colouring(g, colours, mode)))
 
     def built(*args):
         raise AssertionError(f"graph {args} built")
     monkeypatch.setattr(Graph, "from_edges", staticmethod(built))
-    power_graph, calls = powers.power_graph, []
-
-    def listed(*args):
-        calls.append((args, sys._getframe(1).f_code.co_name))
-        return power_graph(*args)
-    for g, colours, mode, kind, n, k, expected in cases:
+    for g, colours, mode, expected in cases:
         write_graph(g, graph)
         col.write_text(json.dumps({"n": g.n, "colours": list(colours)}))
-        calls.clear()
-        in_range = powers.p3_range(kind, mode, n, k)
         with monkeypatch.context() as patch:
-            if in_range:
-                support.forbid_rows_and_families(patch)
-            else:
-                patch.setattr(powers, "power_graph", listed)
+            support.forbid_rows_and_families(patch)
             code = main(["verify", str(graph), str(col), "--mode", mode])
         out = capsys.readouterr().out
         if expected is None:
@@ -530,9 +547,6 @@ def test_matching_labelled_verify_builds_no_graph(
         else:
             assert code == EXIT_INVALID, (g.label, mode)
             assert json.loads(out)["witness"] == list(expected)
-        if not in_range:
-            assert (kind, n, k, mode) == ("cycle", 11, 4, "biclique")
-            assert calls == [(("cycle", 11, 4), "first_mono_set")]
 
 
 _JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -664,25 +678,6 @@ def _argv(draw):
     return argv
 
 
-def _sweep_work(args) -> int:
-    """The family work of a sweep whose rows all pass the caps, else 0."""
-    ks = range(args.k_from, args.k_to + 1)
-    ns = range(args.n_from, args.n_to + 1)
-    if not 0 < len(ks) * len(ns) <= cli.SWEEP_ROWS_CAP:
-        return 0
-    total = 0
-    for k in ks:
-        for n in ns:
-            if not 1 <= n <= cli.CLOSED_FORM_CAP or k < 1:
-                return 0
-            if powers.searches_classes(args.kind, args.mode, n, k):
-                work = cli.family_work(args.kind, n, k)
-                if work > cli.FAMILY_CAP:
-                    return 0
-                total += work
-    return total
-
-
 class _Overran(Exception):
     """A fuzzed run outlasted twice its time bound."""
 
@@ -704,16 +699,6 @@ def test_argv_fuzz_ends_in_a_documented_exit_code(argv):
     """Whatever n, k, sweep bounds and flags chromatic, sweep, gen and
     bicliques --kind are given, they end in exit code 0-3 with no traceback
     within a second."""
-    if argv[0] == "sweep":
-        # a sweep whose rows each pass the caps, but whose families together
-        # take about the family cap's work, is just under a cap
-        with redirect_stderr(io.StringIO()):
-            try:
-                args = cli.build_parser().parse_args(argv)
-            except SystemExit:
-                args = None
-        if args is not None:
-            assume(_sweep_work(args) <= cli.FAMILY_CAP // 4)
     err = io.StringIO()
     start = time.perf_counter()
     # a run that outlasts its bound twice over is stopped, so that a cap

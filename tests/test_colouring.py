@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
-from bicliques import colouring as colouring_mod, graphs as graphs_mod, powers
+from bicliques import colouring as colouring_mod, graphs as graphs_mod
 from bicliques.colouring import (
     BLUE,
     GREEN,
@@ -253,40 +253,30 @@ def test_construction_param_validation():
 def test_construction_check_raises_on_monochromatic_set(
         monkeypatch, builder, family, what, n, k):
     # the one check of a closed-form colouring is the constructor's own
-    # search of its colour classes for the family's sets, or the windowed P3
-    # scan where the family is the induced P3s: a search or a scan that
-    # reports a set the construction colours alike must make the
-    # constructor raise, naming that set
+    # call of powers.first_mono_set: a check that reports a set the
+    # construction colours alike must make the constructor raise, naming
+    # that set
     colours = builder(n, k).colouring.colours
     mono = next(pair for pair in combinations(range(n), 2)
                 if colours[pair[0]] == colours[pair[1]])
     kind = family.split("_")[0]
     mode = "biclique" if what == "biclique" else "star"
 
-    def fake_inside(adj, listed_mode, classes):
-        assert len(adj) == n and listed_mode == (
-            mode if kind == "cycle" else "biclique")
-        assert sorted(classes) == sorted(
-            sum(1 << v for v in range(n) if colours[v] == c)
-            for c in set(colours))
-        return [mono]
-
-    def fake_p3(*args):
-        assert args[:3] == (kind, n, k)
+    def fake_check(*args):
+        assert args[:4] == (kind, mode, n, k) and tuple(args[4]) == colours
         return mono
-    monkeypatch.setattr(powers, "smallest_maximal_inside", fake_inside)
-    monkeypatch.setattr(powers, "first_mono_p3", fake_p3)
+    monkeypatch.setattr(colouring_mod, "first_mono_set", fake_check)
     with pytest.raises(AssertionError, match=re.escape(
             f"construction bug: monochromatic {what} {mono}")):
         builder(n, k)
 
 
 def test_constructors_search_colour_classes_not_the_whole_graph(monkeypatch):
-    """Outside powers.p3_range the constructors' check searches each colour
-    class for the family's sets: the enumerators are handed a class, never
-    the whole vertex set, at C_114^40 and C_75^25 (the C4 range) and at
-    P_200^100 (n = 2k).  Each call stays well under the second that
-    listing the whole family took."""
+    """The constructors' check searches no colour class and not the whole
+    graph: at C_114^40 and C_75^25 (the C4 range) and at P_200^100
+    (n = 2k), where it once searched each class, the enumerators are never
+    called, and each construction stays well under the second that listing
+    the whole family took."""
     seen = []
     for name in ("maximal_cb_candidates", "maximal_star_candidates"):
         def record(adj, vmask, enumerate_=getattr(graphs_mod, name)):
@@ -300,8 +290,7 @@ def test_constructors_search_colour_classes_not_the_whole_graph(monkeypatch):
         start = time.perf_counter()
         build(n, k)
         assert time.perf_counter() - start < 0.5, (n, k)
-        assert seen and all(size == n and vmask != (1 << n) - 1
-                            for size, vmask in seen), (n, k)
+        assert seen == [], (n, k)
 
 
 def test_three_colouring_check_raises_on_monochromatic_p3(monkeypatch):
@@ -315,7 +304,7 @@ def test_three_colouring_check_raises_on_monochromatic_p3(monkeypatch):
 
 def test_long_constructions_build_no_rows_and_no_family(monkeypatch):
     """In the ranges where the family is the induced P3s the constructors
-    check their colouring by the windowed scan alone: at n = 20000 they run
+    check their colouring by index arithmetic alone: at n = 20000 they run
     with every function that builds rows or lists a family made to fail."""
     support.forbid_rows_and_families(monkeypatch)
     assert biclique_colour_cycle(20000, 3).value == 2

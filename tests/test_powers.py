@@ -16,8 +16,10 @@ from bicliques.colouring import (
     biclique_colour_cycle,
     biclique_colour_path,
     star_colour_cycle,
+    star_colour_path,
 )
-from bicliques.graphs import Graph, InputError, is_complete_bipartite
+from bicliques.graphs import (Graph, InputError, colour_classes,
+                               is_complete_bipartite, smallest_maximal_inside)
 from bicliques.oracle import maximal_bicliques, maximal_stars
 from bicliques.powers import (
     Biclique,
@@ -29,7 +31,6 @@ from bicliques.powers import (
     first_mono_p3,
     first_mono_set,
     is_complete,
-    p3_range,
     path_bicliques,
     path_stars,
     power_cycle,
@@ -153,9 +154,12 @@ def test_power_rows_match_the_definition():
 
 
 def test_class_search_predicate_matches_the_dispatch(monkeypatch):
-    """searches_classes holds exactly where first_mono_set builds the power
-    graph's rows: P_n^k with k+2 <= n <= 2k, and C_n^k in biclique mode
-    with 2k+2 <= n <= 4k."""
+    """No (kind, mode, n, k) is dispatched to a colour-class search any
+    more: first_mono_set builds no power graph's rows for any kind and mode
+    with k <= 6 and n <= 8k+3, P_n^k with k+2 <= n <= 2k and C_n^k in
+    biclique mode with 2k+2 <= n <= 4k, where it once did, included, and
+    still gives the listed family's first monochromatic set of the
+    colouring v % 3."""
     power_graph_, calls = powers.power_graph, []
 
     def record(*args):
@@ -164,16 +168,15 @@ def test_class_search_predicate_matches_the_dispatch(monkeypatch):
     monkeypatch.setattr(powers, "power_graph", record)
     for k in range(1, 7):
         for n in range(1, 8 * k + 4):
+            colours = [v % 3 for v in range(n)]
             for kind in ("path", "cycle"):
                 for mode in ("biclique", "star"):
                     calls.clear()
-                    first_mono_set(kind, mode, n, k, [v % 3 for v in range(n)])
-                    searched = powers.searches_classes(kind, mode, n, k)
-                    assert calls == ([(kind, n, k)] if searched else []), \
+                    got = first_mono_set(kind, mode, n, k, colours)
+                    assert calls == [], (kind, mode, n, k)
+                    assert got == support.first_monochromatic(
+                        colours, _family_sets(kind, mode, n, k)), \
                         (kind, mode, n, k)
-                    assert searched == (k + 2 <= n <= 2 * k if kind == "path"
-                                        else mode == "biclique"
-                                        and 2 * k + 2 <= n <= 4 * k)
 
 
 def test_path_bicliques_frozen_examples():
@@ -352,6 +355,15 @@ def _test_colouring(rng, kind, mode, n, k, base: bool, c: int, flips: int):
     return [rng.randrange(c) for _ in range(n)]
 
 
+def _p3_range(kind, mode, n, k):
+    """True where the family of mode is exactly the induced P3s: paths with
+    n >= 2k+1 (either mode), cycles with n >= 4k+1 for bicliques and
+    n >= 2k+2 for stars."""
+    if kind == "path":
+        return n >= 2 * k + 1
+    return n >= (4 * k + 1 if mode == "biclique" else 2 * k + 2)
+
+
 def _check_windowed(kind, mode, n, k, colours):
     family = _family_sets(kind, mode, n, k)
     assert first_mono_set(kind, mode, n, k, colours) == \
@@ -359,7 +371,7 @@ def _check_windowed(kind, mode, n, k, colours):
         (kind, mode, n, k, colours)
     assert first_mono_p3(kind, n, k, colours) == \
         support.first_monochromatic(colours, _induced_p3s(kind, n, k))
-    if p3_range(kind, mode, n, k):
+    if _p3_range(kind, mode, n, k):
         assert family == _induced_p3s(kind, n, k)
 
 
@@ -383,12 +395,22 @@ def _windowed_case(draw, complete=False):
 @example(("cycle", "star", 10, 4, [0, 0, 1, 1, 1, 1, 0, 0, 0, 1]))
 @example(("cycle", "star", 12, 4, [0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1]))
 @example(("cycle", "biclique", 17, 4, [0] * 17))
+# in 3k+2..4k: a C4 after a P3 of reach n-2k, which lies in a C4; and a P3
+# of reach below n-2k before a C4
+@example(("cycle", "biclique", 17, 5,
+          [1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1]))
+@example(("cycle", "biclique", 17, 5,
+          [0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0]))
+@example(("cycle", "biclique", 14, 4,
+          [0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]))
 @settings(max_examples=300, deadline=None)
 def test_windowed_check_equals_family_scan(case):
     """first_mono_set returns the listed family's first monochromatic set
     for random 2- and 3-colourings and perturbed closed-form colourings,
     including C_n^k with n <= 3k in star mode, where ends more than k apart
-    can still meet around the cycle."""
+    can still meet around the cycle, and C_n^k in biclique mode with
+    3k+2 <= n <= 4k, where the witness is a C4 or a P3 of reach below
+    n-2k."""
     _check_windowed(*case)
 
 
@@ -407,10 +429,7 @@ def test_complete_graph_check_equals_family_scan(case):
 def test_complete_graph_check_lists_no_family(monkeypatch):
     """K_200 as C_200^100: the constructors check that 200 colours differ
     with no family listed and no graph built."""
-    def listed(*args):
-        raise AssertionError(f"{args} listed")
-    monkeypatch.setattr(powers, "smallest_maximal_inside", listed)
-    monkeypatch.setattr(powers, "power_graph", listed)
+    support.forbid_rows_and_families(monkeypatch)
     assert biclique_colour_cycle(200, 100).value == 200
     assert star_colour_cycle(200, 100).value == 200
     # the first pair by its lower end, not by where its colour repeats
@@ -419,13 +438,24 @@ def test_complete_graph_check_lists_no_family(monkeypatch):
 
 
 def test_one_colour_check_stops_at_the_first_group():
-    """C_114^40 in one colour: the class is the whole graph, and the search
+    """C_114^40 in one colour: the class is the whole graph, and the scan
     stops at the sets of vertex 0 rather than listing the whole family (2 s
     when it did).  The witness is the family's least set."""
     start = time.perf_counter()
     assert first_mono_set("cycle", "biclique", 114, 40, [0] * 114) == \
         (0, 1, 41, 74)
     assert time.perf_counter() - start < 1
+
+
+def test_dense_ranges_are_checked_in_milliseconds():
+    """P_2000^1000 (n = 2k) and C_4000^1000 (n = 4k, C4s and P3s): the
+    constructors' checks take milliseconds, not the seconds that listing
+    or searching the family's sets would."""
+    for build, n, k in ((biclique_colour_path, 2000, 1000),
+                        (biclique_colour_cycle, 4000, 1000)):
+        start = time.perf_counter()
+        build(n, k)
+        assert time.perf_counter() - start < 0.5, (n, k)
 
 
 def test_windowed_check_equals_family_scan_on_grid():
@@ -438,6 +468,51 @@ def test_windowed_check_equals_family_scan_on_grid():
                                               trial < 2, 2 + trial % 2,
                                               trial)
                     _check_windowed(kind, mode, n, k, colours)
+
+
+def test_checks_on_the_grid_build_no_rows_and_search_no_class(monkeypatch):
+    """Every kind and mode with k <= 6 and n <= 8k+3, the complete and C4
+    ranges included: the constructors and first_mono_set run with every
+    function that builds rows, lists a family or searches colour classes
+    made to fail, and first_mono_set gives the listed family's first
+    monochromatic set of random 1- to 3-colourings."""
+    rng = random.Random(5)
+    cases = []
+    for k in range(1, 7):
+        for n in range(1, 8 * k + 4):
+            for kind, mode in _CONSTRUCT:
+                for c in (1, 2, 3):
+                    colours = [rng.randrange(c) for _ in range(n)]
+                    cases.append((kind, mode, n, k, colours,
+                                  support.first_monochromatic(
+                                      colours, _family_sets(kind, mode, n, k))))
+    support.forbid_rows_and_families(monkeypatch)
+    for kind, mode, n, k, colours, want in cases:
+        assert first_mono_set(kind, mode, n, k, colours) == want, \
+            (kind, mode, n, k, colours)
+    for k in range(1, 7):
+        for n in range(1, 8 * k + 4):
+            for build in (biclique_colour_path, star_colour_path,
+                          biclique_colour_cycle, star_colour_cycle):
+                build(n, k)  # raises if its own check finds a set
+
+
+@pytest.mark.parametrize("shape", ["ends", "blocks of k", "blocks of k+1"])
+def test_c4_range_scan_of_slow_shapes_matches_the_class_search(shape):
+    """The colourings of C_n^k in the C4 range that were slowest to scan:
+    one class [0, k) and [n-k+1, n) against the rest, and alternating
+    blocks of k or k+1.  At k = 40 the witness, in both modes, is the least
+    of the colour classes' own smallest sets on the graph's rows."""
+    k = 40
+    for n in (2 * k + 2, 3 * k, 3 * k + 1, 4 * k):
+        colours = [0 if v < k or v >= n - k + 1 else 1 for v in range(n)] \
+            if shape == "ends" else \
+            [v // (k + (shape == "blocks of k+1")) % 2 for v in range(n)]
+        adj = power_graph("cycle", n, k).adj
+        for mode in ("biclique", "star"):
+            assert first_mono_set("cycle", mode, n, k, colours) == min(
+                smallest_maximal_inside(adj, mode, colour_classes(colours)),
+                default=None), (shape, n, mode)
 
 
 def test_windowed_check_on_long_powers():
