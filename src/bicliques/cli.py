@@ -59,8 +59,9 @@ _POWER_LABEL = re.compile(r"^([PC])_(\d+)\^(\d+)$")
 
 def _constructor(kind: str, mode: str):
     """The closed-form constructor of the power of a path or cycle in a
-    mode.  It checks its colouring for the mode's family before returning
-    (powers.first_mono_set)."""
+    mode: the named function that calls colouring.closed_form, which the
+    benchmark's tracer times.  Once the tracer times closed_form itself
+    (ROADMAP item 2), callers can call it and this table can go."""
     return {
         ("path", "biclique"): biclique_colour_path,
         ("cycle", "biclique"): biclique_colour_cycle,

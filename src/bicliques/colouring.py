@@ -1,12 +1,14 @@
 """Colouring constructions and chromatic decisions for powers of paths and
 cycles.
 
-Every public construction checks its own output once before returning,
-for the hyperedge family of its mode (powers.first_mono_set): by index
-arithmetic, for an equal-coloured pair of the universal clique, a
-monochromatic induced P3 or a monochromatic induced C4, in O(n + k*k*log
-n) time with no graph built.  A monochromatic set is a bug in this
-module, not bad input, and raises AssertionError.
+closed_form(kind, mode, n, k) is the one table of the closed forms; the
+four named constructors (biclique_colour_path, ...) each call it.  It
+checks its output once before returning, for the hyperedge family of the
+mode (powers.first_mono_set): by index arithmetic, for an equal-coloured
+pair of the universal clique, a monochromatic induced P3 or a
+monochromatic induced C4, in O(n + k*k*log n) time with no graph built.
+A monochromatic set is a bug in this module, not bad input, and raises
+AssertionError.
 
 Colour ids are 0 = blue, 1 = red, 2 = green; further ids only appear in the
 all-distinct colourings of complete graphs.
@@ -18,7 +20,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .graphs import InputError, is_int, read_json, write_json
-from .powers import first_mono_p3, first_mono_set
+from .powers import first_mono_p3, first_mono_set, is_complete
 
 BLUE, RED, GREEN = 0, 1, 2
 
@@ -166,29 +168,13 @@ def guaranteed_ab_certificate(n: int, k: int) -> AbCertificate:
 
 
 # ---------------------------------------------------------------------------
-# block layout helpers
+# block layouts
 
-def _lay_blocks(blocks: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Concatenate (colour, size) runs from vertex 0."""
-    out: list[int] = []
-    for colour, size in blocks:
-        out.extend([colour] * size)
-    return tuple(out)
-
-
-def _alternating(count: int, size: int) -> list[tuple[int, int]]:
-    """count blocks of the given size, RED, BLUE, RED, ..."""
-    return [(RED if i % 2 == 0 else BLUE, size) for i in range(count)]
-
-
-def _ab_block_colouring(n: int, k: int, cert: AbCertificate) -> Colouring:
-    """a size-k blocks then b size-(k+1) blocks, colours alternating from
-    RED; a + b even keeps the wrap-around alternation intact."""
-    sizes = [k] * cert.a + [k + 1] * cert.b
-    blocks = [(RED if i % 2 == 0 else BLUE, s) for i, s in enumerate(sizes)]
-    colours = _lay_blocks(blocks)
-    assert len(colours) == n
-    return Colouring(colours, 2)
+def _stripes(n: int, size: int, first: int = RED) -> tuple[int, ...]:
+    """n vertices in blocks of the given size, red and blue alternating
+    from first, by tuple repetition (a per-vertex generator is slower)."""
+    pair = (first,) * size + (RED + BLUE - first,) * size
+    return (pair * (n // (2 * size) + 1))[:n]
 
 
 def _check_no_mono(vs, what: str) -> None:
@@ -198,18 +184,14 @@ def _check_no_mono(vs, what: str) -> None:
 
 
 def _three_colouring(n: int, k: int) -> Colouring:
-    """The layout of three_colour_no_mono_p3 without its P3 scan; the cycle
-    constructors check it for their own family instead."""
+    """The layout of three_colour_no_mono_p3 without its P3 scan;
+    closed_form checks it for the family of its mode instead."""
     a, t = even_division(n, k)
     if t <= k:
-        blocks = _alternating(a, k)
-        if t:
-            blocks.append((GREEN, t))
+        colours = _stripes(a * k, k) + (GREEN,) * t
     else:
-        blocks = _alternating(a - 1, k)
-        blocks += [(GREEN, k), (BLUE, k), (GREEN, t - k)]
-    colours = _lay_blocks(blocks)
-    assert len(colours) == n
+        colours = (_stripes((a - 1) * k, k) + (GREEN,) * k + (BLUE,) * k
+                   + (GREEN,) * (t - k))
     return Colouring.from_sequence(colours)
 
 
@@ -236,21 +218,47 @@ def three_colour_no_mono_p3(n: int, k: int) -> Colouring:
 # ---------------------------------------------------------------------------
 # chromatic constructions
 
-def _complete_result(n: int) -> ChromaticResult:
-    everyone = tuple(range(n))
-    return ChromaticResult(n, Colouring(everyone, n),
-                           universal_witness=everyone)
+def closed_form(kind: str, mode: str, n: int, k: int) -> ChromaticResult:
+    """Exact chromatic number of mode ("biclique" or "star") on P_n^k
+    (kind "path") or C_n^k, with an optimal colouring, by the first row of
+    this table that applies; the colouring is checked for the mode's family
+    (powers.first_mono_set) before it is returned.
 
-
-def _ab_or_three(n: int, k: int) -> ChromaticResult:
-    """For C_n^k with n >= 2k+2: value 2 by (a, b) blocks when ab_certificate
-    finds a certificate, else value 3 by the three-colouring.  Unchecked;
-    each cycle constructor checks it for its own family."""
-    cert = ab_certificate(n, k)
-    if cert is not None:
-        return ChromaticResult(
-            value=2, colouring=_ab_block_colouring(n, k, cert), ab=cert)
-    return ChromaticResult(value=3, colouring=_three_colouring(n, k))
+    K_n (powers.is_complete): value n, each vertex its own colour.
+    path, n <= 2k: value 2k+2-n, the universal vertices n-1-k..k; the first
+        n-k vertices blue, the last n-k red, the middle fresh colours.
+    path, n > 2k: value 2, alternating size-k blocks from red.
+    cycle bicliques, n <= 3k+1: value 2, one red size-k block.
+    cycle: value 2 by ab_certificate's blocks, else 3 by _three_colouring.
+    """
+    if n < 1 or k < 1:
+        raise InputError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    if is_complete(kind, n, k):
+        everyone = tuple(range(n))
+        result = ChromaticResult(n, Colouring(everyone, n),
+                                 universal_witness=everyone)
+    elif kind == "path" and n <= 2 * k:
+        value, witness = 2 * k + 2 - n, tuple(range(n - 1 - k, k + 1))
+        colours = ((BLUE,) * (n - k) + tuple(range(GREEN, value))
+                   + (RED,) * (n - k))
+        result = ChromaticResult(value, Colouring(colours, value),
+                                 universal_witness=witness)
+    elif kind == "path":
+        result = ChromaticResult(2, Colouring(_stripes(n, k), 2))
+    elif mode == "biclique" and n <= 3 * k + 1:
+        colours = (RED,) * k + (BLUE,) * (n - k)
+        result = ChromaticResult(2, Colouring(colours, 2))
+    elif (cert := ab_certificate(n, k)) is not None:
+        # a size-k blocks then b size-(k+1) blocks, alternating from red;
+        # a + b even keeps the alternation across n-1 -> 0
+        colours = (_stripes(cert.a * k, k)
+                   + _stripes(cert.b * (k + 1), k + 1, (RED, BLUE)[cert.a % 2]))
+        result = ChromaticResult(2, Colouring(colours, 2), cert)
+    else:
+        result = ChromaticResult(3, _three_colouring(n, k))
+    _check_no_mono(first_mono_set(kind, mode, n, k, result.colouring.colours),
+                   mode)
+    return result
 
 
 def biclique_colour_path(n: int, k: int) -> ChromaticResult:
@@ -262,29 +270,7 @@ def biclique_colour_path(n: int, k: int) -> ChromaticResult:
     value 2 by size-k blocks, the final partial block red iff the count of
     full blocks is even.
     """
-    if n < 1 or k < 1:
-        raise InputError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    if n <= k + 1:
-        result = _complete_result(n)
-    elif n <= 2 * k:
-        value = 2 * k + 2 - n
-        colours = ((BLUE,) * (n - k) + tuple(range(GREEN, value))
-                   + (RED,) * (n - k))
-        result = ChromaticResult(
-            value=value,
-            colouring=Colouring(colours, value),
-            universal_witness=tuple(range(n - 1 - k, k + 1)),
-        )
-    else:
-        a, t = divmod(n, k)
-        blocks = _alternating(a, k)
-        if t:
-            blocks.append((RED if a % 2 == 0 else BLUE, t))
-        colours = _lay_blocks(blocks)
-        result = ChromaticResult(value=2, colouring=Colouring(colours, 2))
-    _check_no_mono(first_mono_set("path", "biclique", n, k,
-                                  result.colouring.colours), "biclique")
-    return result
+    return closed_form("path", "biclique", n, k)
 
 
 def biclique_colour_cycle(n: int, k: int) -> ChromaticResult:
@@ -295,24 +281,13 @@ def biclique_colour_cycle(n: int, k: int) -> ChromaticResult:
     value 2 exactly when an (a, b) block decomposition exists, else value 3
     via the no-mono-P3 three-colouring.
     """
-    if n < 1 or k < 1:
-        raise InputError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    if n <= 2 * k + 1:
-        result = _complete_result(n)
-    elif n <= 3 * k + 1:
-        colours = _lay_blocks([(RED, k), (BLUE, n - k)])
-        result = ChromaticResult(value=2, colouring=Colouring(colours, 2))
-    else:
-        result = _ab_or_three(n, k)
-    _check_no_mono(first_mono_set("cycle", "biclique", n, k,
-                                  result.colouring.colours), "biclique")
-    return result
+    return closed_form("cycle", "biclique", n, k)
 
 
 def star_colour_path(n: int, k: int) -> ChromaticResult:
     """Exact star-chromatic number of P_n^k.  Path powers are C4-free, so
     stars and bicliques coincide and so do the two chromatic numbers."""
-    return biclique_colour_path(n, k)
+    return closed_form("path", "biclique", n, k)
 
 
 def star_colour_cycle(n: int, k: int) -> ChromaticResult:
@@ -325,15 +300,7 @@ def star_colour_cycle(n: int, k: int) -> ChromaticResult:
     only in 2k+2 <= n <= 3k+1, where C_11^4 is the standard example with
     biclique number 2 but star number 3.
     """
-    if n < 1 or k < 1:
-        raise InputError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    if n <= 2 * k + 1:
-        result = _complete_result(n)
-    else:
-        result = _ab_or_three(n, k)
-    _check_no_mono(first_mono_set("cycle", "star", n, k,
-                                  result.colouring.colours), "star")
-    return result
+    return closed_form("cycle", "star", n, k)
 
 
 # ---------------------------------------------------------------------------

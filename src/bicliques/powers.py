@@ -18,6 +18,7 @@ alone.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from typing import NamedTuple
 
 from .graphs import Graph, InputError, mask_of, maximal_masks, vertices_of
@@ -287,10 +288,15 @@ def _first_set_in(q, n: int, k: int, top: int, cyclic: bool, c4: bool):
 
 def _first_in_classes(colours, n: int, k: int, top: int, cyclic: bool,
                       c4: bool):
-    """The least of _first_set_in over the colour classes, or None."""
-    at: dict = {}
+    """The least of _first_set_in over the colour classes, or None.  A set
+    has three or more vertices, so the classes are counted first and only
+    those of three or more are listed."""
+    at = {c: [] for c, size in Counter(colours).items() if size >= 3}
+    get = at.get
     for v, c in enumerate(colours):
-        at.setdefault(c, []).append(v)
+        q = get(c)
+        if q is not None:
+            q.append(v)
     found = (_first_set_in(q, n, k, top, cyclic, c4) for q in at.values())
     return min((f for f in found if f is not None), default=None)
 

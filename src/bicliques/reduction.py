@@ -103,20 +103,30 @@ def find_satisfying_assignment(f: CnfFormula):
 # ---------------------------------------------------------------------------
 # normalization
 
+def _pairs(clause):
+    """The pairs of distinct literals of a clause, in sorted order."""
+    return combinations(sorted(set(clause)), 2)
+
+
+def _pair_index(clauses) -> dict:
+    """Each pair of distinct literals mapped to the ascending indices of the
+    clauses that hold it.  Two clauses share two or more literals exactly
+    when they share such a pair, so a clause's partners are read off its
+    pairs' lists rather than found by comparing it with every clause."""
+    index: dict = {}
+    for i, clause in enumerate(clauses):
+        for pair in _pairs(clause):
+            index.setdefault(pair, []).append(i)
+    return index
+
+
 def _conflicts(clauses):
     """The pairs (i, j), i < j, of clauses sharing two or more literals, in
-    combinations order.  Two clauses share two literals exactly when they
-    share a pair of distinct literals, so each clause's literal pairs are
-    indexed once, and a clause's later partners are read off the index
-    rather than found by comparing it with every later clause."""
-    pairs = [list(combinations(sorted(set(clause)), 2)) for clause in clauses]
-    index: dict = {}
-    for j, own in enumerate(pairs):
-        for pair in own:
-            index.setdefault(pair, []).append(j)
-    for i, own in enumerate(pairs):
+    combinations order, read off _pair_index."""
+    index = _pair_index(clauses)
+    for i, clause in enumerate(clauses):
         later = set()
-        for pair in own:
+        for pair in _pairs(clause):
             js = index[pair]
             later.update(js[bisect_right(js, i):])
         for j in sorted(later):
@@ -162,8 +172,9 @@ def _rewrite_clause(clause, next_var: int):
     literal with any clause outside its own replacement.  Two-literal clauses
     are padded by doubling the middle literal, which leaves the last two
     replacement clauses sharing (l2, -a); that one internal conflict is
-    rewritten on the next fixpoint pass and, having three distinct literals,
-    cannot cascade further.  Unit clauses cannot conflict in the first place.
+    rewritten when normalize's sweep reaches them and, having three distinct
+    literals, cannot cascade further.  Unit clauses cannot conflict in the
+    first place.
     """
     lits = list(clause)
     if len(lits) == 2:
@@ -178,12 +189,13 @@ def normalize(f: CnfFormula) -> CnfFormula:
 
     Steps: delete tautological clauses and duplicate literals inside a
     clause; rewrite clause pairs sharing two or more literals (always the
-    later clause of the first offending pair in scan order, re-scanning to a
-    fixpoint); finally drop unused variables, remapping indices downward.
-    An empty clause is rejected as trivially unsatisfiable.  A formula with
-    no clause left (none given, or only tautologies) is always satisfied,
-    and becomes the one-clause formula (x1), which is satisfiable too and
-    has a gadget with a biclique inside V'.  Each step establishes one
+    later clause of the first offending pair in scan order, to a fixpoint
+    that one sweep over the clauses reaches); finally drop unused
+    variables, remapping indices downward.  An empty clause is rejected as
+    trivially unsatisfiable.  A formula with no clause left (none given, or
+    only tautologies) is always satisfied, and becomes the one-clause
+    formula (x1), which is satisfiable too and has a gadget with a biclique
+    inside V'.  Each step establishes one
     normalization condition, so the result is normalized by construction;
     build_instance checks it before building the gadget.
     """
@@ -198,21 +210,34 @@ def normalize(f: CnfFormula) -> CnfFormula:
     if not clauses:
         return CnfFormula(1, ((1,),))
     num_vars = f.num_vars
+    # A rewrite's clauses share a fresh literal in every pair, so they meet
+    # no other clause: the partners of the clause the sweep reaches are
+    # fixed, and rewriting them in order repeats the fixpoint's rewrites in
+    # its order.  A padded rewrite's inner conflict is rewritten when the
+    # sweep reaches it.
+    index, replaced, kept = _pair_index(clauses), {}, []
+    for i, clause in enumerate(clauses):
+        if i in replaced:
+            new = replaced[i]
+            if len(clause) == 2:  # its last two clauses share (l2, -a)
+                new[3:] = _rewrite_clause(new[3], num_vars + 1)
+                num_vars += 3
+            kept += new
+            continue
+        kept.append(clause)
+        # the other clauses of a pair's list all share it with this one, so
+        # each list is read once
+        later = {j for pair in _pairs(clause) for j in index.pop(pair, ())
+                 if j > i and j not in replaced}
+        for j in sorted(later):
+            replaced[j] = _rewrite_clause(clauses[j], num_vars + 1)
+            num_vars += 3
 
-    while True:
-        conflict = next(_conflicts(clauses), None)
-        if conflict is None:
-            break
-        _, j = conflict
-        replacement = _rewrite_clause(clauses[j], num_vars + 1)
-        num_vars += 3
-        clauses[j:j + 1] = [tuple(c) for c in replacement]
-
-    used = sorted({abs(lit) for clause in clauses for lit in clause})
+    used = sorted({abs(lit) for clause in kept for lit in clause})
     remap = {old: new for new, old in enumerate(used, start=1)}
     remapped = tuple(
         tuple((1 if lit > 0 else -1) * remap[abs(lit)] for lit in clause)
-        for clause in clauses)
+        for clause in kept)
     return CnfFormula(len(used), remapped)
 
 

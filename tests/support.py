@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from bicliques.graphs import Graph, bits, cb_sides, is_star_set
+from bicliques.graphs import Graph, InputError, bits, cb_sides, is_star_set
 from bicliques import graphs, powers
 from bicliques.reduction import CnfFormula, normalize
 
@@ -280,6 +280,46 @@ def brute_ab_exists(n: int, k: int):
         if (a + b) % 2 == 0 and a + b >= 2:
             return a, b
     return None
+
+
+def pairwise_conflicts(clauses):
+    """The clause pairs (i, j), i < j, sharing two or more literals, in
+    combinations order, found by comparing every pair."""
+    return ((i, j) for i, j in combinations(range(len(clauses)), 2)
+            if len(set(clauses[i]) & set(clauses[j])) >= 2)
+
+
+def fixpoint_normalize(f: CnfFormula) -> CnfFormula:
+    """normalize by its definition: after dropping tautologies and duplicate
+    literals, rescan the whole clause list after every rewrite for its
+    first conflicting pair and replace the pair's later clause, in place,
+    by the four clauses of the rewrite over the next three fresh variables;
+    then compact the variables.  Each rescan compares every clause pair, so
+    this is for small formulas only: the reference for normalize's one
+    sweep."""
+    clauses = []
+    for clause in f.clauses:
+        if not clause:
+            raise InputError("empty clause is trivially unsatisfiable")
+        lits = set(clause)
+        if not any(-lit in lits for lit in lits):
+            clauses.append(tuple(sorted(lits, key=lambda l: (abs(l), l < 0))))
+    if not clauses:
+        return CnfFormula(1, ((1,),))
+    num_vars = f.num_vars
+    while (conflict := next(pairwise_conflicts(clauses), None)) is not None:
+        j = conflict[1]
+        lits = list(clauses[j])
+        l1, l2, l3 = lits if len(lits) == 3 else (lits[0], lits[1], lits[1])
+        a, b, c = num_vars + 1, num_vars + 2, num_vars + 3
+        clauses[j:j + 1] = [(l1, a, b), (l2, a, -b), (l2, -a, c),
+                            (l3, -a, -c)]
+        num_vars += 3
+    used = sorted({abs(lit) for clause in clauses for lit in clause})
+    remap = {old: new for new, old in enumerate(used, start=1)}
+    return CnfFormula(len(used), tuple(
+        tuple(remap[abs(lit)] * (1 if lit > 0 else -1) for lit in clause)
+        for clause in clauses))
 
 
 def random_normalized_formula(rng: random.Random, max_vars: int = 6,

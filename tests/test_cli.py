@@ -923,6 +923,21 @@ def test_reduce_checks_the_rows_cap_before_building_the_gadget(
     assert not (tmp_path / "f.instance.json").exists()
 
 
+def test_reduce_of_many_conflicting_clauses_exits_3_at_once(tmp_path):
+    """2000 clauses (1, 2, j) share the pair (1, 2), so normalize rewrites
+    1999 of them into a gadget of 23996 vertices, past ROWS_CAP: reduce
+    exits 3 at once with the cap's message, where rescanning to a fixpoint
+    took 36.8 s to get there."""
+    write_dimacs(CnfFormula.of(2002, [(1, 2, j) for j in range(3, 2003)]),
+                 tmp_path / "f.cnf")
+    code, out, err, wall, _ = _run_limited(
+        ["reduce", "f.cnf", "--out-prefix", "f"], tmp_path)
+    assert (code, out, err) == (EXIT_CAPACITY, "", "error: building a "
+                                "graph's rows is capped at n <= 20000, "
+                                "got n=23996\n")
+    assert wall < 5
+
+
 def test_reduce_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 1 1\n1\n")

@@ -1,6 +1,7 @@
 """Colouring constructions: block arithmetic, certificates, and the exact
 chromatic closed forms, cross-checked through the oracle verifier."""
 
+import hashlib
 import json
 import re
 import time
@@ -188,6 +189,32 @@ def test_universal_witness_properties():
             fam = {b.vertices for b in path_bicliques(n, k)}
             for pair in combinations(r.universal_witness, 2):
                 assert pair in fam
+
+
+# sha256 of every layout on the grid of test_every_layout_is_pinned,
+# recorded when each constructor still had its own branches
+LAYOUT_DIGEST = \
+    "85f53494042d6b925c52b06dff2ba373767805954c25db0a441141d34f6f4555"
+
+
+def test_every_layout_is_pinned():
+    """The value, colours, (a, b) certificate and universal witness of the
+    four constructors, and three_colour_no_mono_p3's colours, on every k <=
+    8 and n <= 8k+3, hash to LAYOUT_DIGEST: the frozen examples pin about
+    ten points, this pins all of them."""
+    digest = hashlib.sha256()
+    for k in range(1, 9):
+        for n in range(1, 8 * k + 4):
+            for build in (biclique_colour_path, biclique_colour_cycle,
+                          star_colour_path, star_colour_cycle):
+                r = build(n, k)
+                digest.update(repr((
+                    build.__name__, n, k, r.value, r.colouring.colours,
+                    r.ab and tuple(r.ab), r.universal_witness)).encode())
+            if n >= 2 * k + 2:
+                digest.update(repr(("three", n, k, three_colour_no_mono_p3(
+                    n, k).colours)).encode())
+    assert digest.hexdigest() == LAYOUT_DIGEST
 
 
 def _closed_family(kind: str, mode: str, n: int, k: int):

@@ -2,7 +2,6 @@
 gadget, with equisatisfiability checked by an independent truth-table walker."""
 
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -117,17 +116,10 @@ def test_normalize_equisatisfiable_on_random_corpus():
         assert support.truth_table_sat(raw) == support.truth_table_sat(norm)
 
 
-def _pairwise_conflicts(clauses):
-    """The clause pairs sharing two or more literals, found by comparing
-    every pair."""
-    return ((i, j) for i, j in combinations(range(len(clauses)), 2)
-            if len(set(clauses[i]) & set(clauses[j])) >= 2)
-
-
 def test_conflict_index_matches_pairwise_scan(monkeypatch):
     """The indexed conflict search finds the pairs that comparing every
-    clause pair finds, in the same order, so normalize makes the same
-    rewrites and normalization_violations lists the same lines, on random
+    clause pair finds, in the same order, so normalization_violations lists
+    the same lines, and normalize equals the rescanning fixpoint, on random
     raw formulas and on denser ones with many conflicts."""
     rng = random.Random(11)
     formulas = [support.random_raw_formula(rng) for _ in range(200)]
@@ -138,15 +130,40 @@ def test_conflict_index_matches_pairwise_scan(monkeypatch):
                   for _ in range(rng.randint(1, 3)))
             for _ in range(rng.randint(1, 12))]))
     with monkeypatch.context() as patch:
-        patch.setattr(reduction, "_conflicts", _pairwise_conflicts)
-        want = [(normalization_violations(f), normalize(f)) for f in formulas]
-    assert sum(bool(list(_pairwise_conflicts(f.clauses)))
+        patch.setattr(reduction, "_conflicts", support.pairwise_conflicts)
+        want = [normalization_violations(f) for f in formulas]
+    assert sum(bool(list(support.pairwise_conflicts(f.clauses)))
                for f in formulas) > 100
-    for f, (violations, norm) in zip(formulas, want):
+    for f, violations in zip(formulas, want):
         assert list(reduction._conflicts(f.clauses)) == \
-            list(_pairwise_conflicts(f.clauses))
+            list(support.pairwise_conflicts(f.clauses))
         assert normalization_violations(f) == violations
-        assert normalize(f) == norm
+        assert normalize(f) == support.fixpoint_normalize(f)
+
+
+@st.composite
+def raw_formulas(draw):
+    """Up to 16 clauses of one to three literals over at most 6 variables:
+    tautologies, repeated literals and conflicts all allowed."""
+    nv = draw(st.integers(1, 6))
+    lit = st.integers(1, nv).flatmap(lambda v: st.sampled_from((v, -v)))
+    return CnfFormula.of(nv, draw(st.lists(
+        st.lists(lit, min_size=1, max_size=3), min_size=1, max_size=16)))
+
+
+@given(raw_formulas())
+# a padded clause rewritten before an earlier clause's partner: the sweep
+# rewrites the padded clause's inner conflict after that partner, as the
+# fixpoint does
+@example(CnfFormula.of(7, [(1, 2, 3), (4, 5, 6), (1, 2), (4, 5, 7)]))
+@example(CnfFormula.of(7, [(1, 2, 3), (1, 2), (4, 5, 6), (4, 5, 7)]))
+@example(CnfFormula.of(2, [(1, 2), (1, 2), (2, 1), (-1, 2)]))
+@settings(max_examples=400, deadline=None)
+def test_normalize_equals_the_fixpoint_reference(f):
+    """normalize's one sweep makes the rewrites of the fixpoint that
+    rescans the whole list after each one (support.fixpoint_normalize), in
+    the same order, so the formulas are equal, fresh variables included."""
+    assert normalize(f) == support.fixpoint_normalize(f)
 
 
 def test_literal_vertex_layout():
