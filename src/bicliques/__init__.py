@@ -14,6 +14,7 @@ load them.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _Module
 
 from .colouring import (
     AbCertificate,
@@ -81,6 +82,10 @@ _LAZY = {
     ),
 }
 _SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+# the names bound above, submodules aside, and those __getattr__ binds
+__all__ = sorted([name for name, value in globals().items()
+                  if not (name.startswith("_") or isinstance(value, _Module))]
+                 + list(_SOURCE))
 
 __version__ = "0.1.0"
 

@@ -20,7 +20,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .graphs import InputError, is_int, read_json, write_json
-from .powers import first_mono_p3, first_mono_set, is_complete
+from .powers import first_mono_set, is_complete
 
 BLUE, RED, GREEN = 0, 1, 2
 
@@ -203,15 +203,16 @@ def three_colour_no_mono_p3(n: int, k: int) -> Colouring:
     size-k blocks then a green t-block.  For k < t < 2k, a-1 alternating
     size-k blocks (odd count, red at both ends) then green k, blue k,
     green t-k, which restores the block total to n.  The output is checked
-    for a monochromatic induced P3 (powers.first_mono_p3) before being
-    returned.
+    for a monochromatic star, here an induced P3 (powers.first_mono_set),
+    before being returned.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got k={k}")
     if n < 2 * k + 2:
         raise InputError(f"three-colouring needs n >= 2k+2, got n={n}, k={k}")
     colouring = _three_colouring(n, k)
-    _check_no_mono(first_mono_p3("cycle", n, k, colouring.colours), "P3")
+    _check_no_mono(first_mono_set("cycle", "star", n, k, colouring.colours),
+                   "P3")
     return colouring
 
 

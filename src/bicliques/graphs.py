@@ -2,7 +2,8 @@
 
 Vertices are dense indices 0..n-1.  Adjacency is one Python int per vertex,
 bit u of adj[v] set iff {u, v} is an edge, so subset predicates run
-word-parallel on arbitrary-width ints.
+word-parallel on arbitrary-width ints.  induced_p3s is the one walk over
+induced P3s, shared by contains_induced_c4 and oracle.find_mono_p3.
 """
 
 from __future__ import annotations
@@ -482,36 +483,42 @@ def contains_k4(g: Graph):
     return None
 
 
+def induced_p3s(adj, within):
+    """Yield every induced P3 (a, b, c, centre) with a < b < c and b, c in
+    the vertex mask within[a], in increasing (a, b, c): for a pair a < b
+    the c > b that complete one are N(a) ^ N(b) when ab is an edge (the
+    centre is whichever of a, b sees c) and N(a) & N(b) when it is not (c
+    is the centre), so each triple is met once."""
+    for a, row in enumerate(adj):
+        bs = within[a] >> (a + 1) << (a + 1)
+        while bs:
+            low = bs & -bs
+            bs ^= low  # now the part of within[a] above b
+            b = low.bit_length() - 1
+            edge = row >> b & 1
+            cs = (row ^ adj[b] if edge else row & adj[b]) & bs
+            while cs:
+                low_c = cs & -cs
+                cs ^= low_c
+                c = low_c.bit_length() - 1
+                yield a, b, c, (a if row & low_c else b) if edge else c
+
+
 def contains_induced_c4(g: Graph):
     """Lexicographically first induced 4-cycle, or None.
 
     Dropping the highest vertex d of an induced C4 leaves an induced P3 on
     a < b < c whose two ends are the neighbours of d and whose centre is
-    not.  For a pair a < b the vertices c > b completing such a P3 are
-    N(a) ^ N(b) when ab is an edge (the centre is whichever of a, b sees
-    c) and N(a) & N(b) when it is not (c is the centre).  The least d is
-    the lowest bit above c of N(end) & N(end') & ~N(centre), so the first
-    hit in increasing (a, b, c) is the lexicographically first C4.
+    not (induced_p3s).  The least d is the lowest bit above c of
+    N(end) & N(end') & ~N(centre), so the first hit in increasing
+    (a, b, c) is the lexicographically first C4.
     """
     adj = g.adj
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            edge = adj[a] >> b & 1
-            cs = (adj[a] ^ adj[b] if edge else adj[a] & adj[b]) >> (b + 1)
-            cs <<= b + 1
-            while cs:
-                low = cs & -cs
-                c = low.bit_length() - 1
-                if not edge:
-                    ends, centre = adj[a] & adj[b], c
-                elif adj[a] & low:
-                    ends, centre = adj[b] & adj[c], a
-                else:
-                    ends, centre = adj[a] & adj[c], b
-                ds = (ends & ~adj[centre]) >> (c + 1)
-                if ds:
-                    return a, b, c, c + (ds & -ds).bit_length()
-                cs ^= low
+    for a, b, c, centre in induced_p3s(adj, ((1 << g.n) - 1,) * g.n):
+        x, y = (b, c) if centre == a else (a, c) if centre == b else (a, b)
+        ds = (adj[x] & adj[y] & ~adj[centre]) >> (c + 1)
+        if ds:
+            return a, b, c, c + (ds & -ds).bit_length()
     return None
 
 

@@ -24,6 +24,7 @@ from .graphs import (
     SUBSET_SCAN_CAP,
     cb_shape,
     colour_classes,
+    induced_p3s,
     is_maximal_cb,
     maximal_cb_candidates,
     maximal_masks,
@@ -139,37 +140,21 @@ def find_mono_p3(g: Graph, colouring, reach_in=None):
     None.  Reach is the sum of the cyclic distances (g.n as the cycle
     length) from the centre to the two ends, meaningful when g is a power
     of a cycle; pass reach_in to restrict the search to specific reach
-    values.
-
-    For a < b in one colour class, the c > b of that class that complete
-    an induced P3 are N(a) ^ N(b) when ab is an edge (the centre is
-    whichever of a, b sees c) and N(a) & N(b) when it is not (c is the
-    centre); an induced P3 has one centre, so each triple is met once, in
-    increasing (a, b, c), and the search stops at the first hit."""
+    values.  The P3s come from graphs.induced_p3s, walked inside each
+    vertex's colour class in increasing (a, b, c), and the search stops
+    at the first hit."""
     colours = colour_tuple(colouring, g.n)
     wanted = None if reach_in is None else set(reach_in)
-    n, adj = g.n, g.adj
+    n = g.n
     classes: dict = {}
     for v, col in enumerate(colours):
         classes[col] = classes.get(col, 0) | 1 << v
-    for a in range(n):
-        same = classes[colours[a]]
-        bs = same >> (a + 1) << (a + 1)
-        while bs:
-            low = bs & -bs
-            bs ^= low  # now the class above b
-            b = low.bit_length() - 1
-            edge = adj[a] >> b & 1
-            cs = (adj[a] ^ adj[b] if edge else adj[a] & adj[b]) & bs
-            while cs:
-                low_c = cs & -cs
-                cs ^= low_c
-                c = low_c.bit_length() - 1
-                centre = c if not edge else a if adj[a] & low_c else b
-                reach = (cyclic_reach(n, centre, a) + cyclic_reach(n, centre, b)
-                         + cyclic_reach(n, centre, c))
-                if wanted is None or reach in wanted:
-                    return (a, b, c), reach
+    within = [classes[col] for col in colours]
+    for a, b, c, centre in induced_p3s(g.adj, within):
+        reach = (cyclic_reach(n, centre, a) + cyclic_reach(n, centre, b)
+                 + cyclic_reach(n, centre, c))
+        if wanted is None or reach in wanted:
+            return (a, b, c), reach
     return None
 
 

@@ -123,7 +123,7 @@ def circulant(n: int, distances) -> Graph:
 
 # ---------------------------------------------------------------------------
 # maximal families, from the enumeration the oracle uses, and the induced
-# P3s of cycle powers by index arithmetic (a reference for first_mono_p3)
+# P3s of cycle powers by index arithmetic (a reference for first_mono_set)
 
 def cycle_induced_p3s(n: int, k: int) -> list[tuple[tuple[int, int, int], int]]:
     """All induced P3s of C_n^k with their reach, sorted by vertex triple.
@@ -204,16 +204,17 @@ def cycle_stars(n: int, k: int) -> list[tuple[int, ...]]:
 def _first_mono_edge(colours, lo: int, hi: int):
     """The lexicographically smallest pair lo <= i < j <= hi with
     colours[i] == colours[j], or None: the first monochromatic edge of a
-    clique on lo..hi.  One pass: the smallest pair of a colour is its first
-    two positions, met when the colour first repeats, and a later class
-    wins only with a smaller i."""
-    first: dict = {}
-    best = None
-    for v in range(lo, hi + 1):
-        i = first.setdefault(colours[v], v)
-        if i != v and (best is None or i < best[0]):
-            best = (i, v)
-    return best
+    clique on lo..hi.  One right-to-left pass over the set of colours seen
+    so far: the last v whose colour is in it is the least i, and j is the
+    next position of that colour."""
+    seen, i = set(), None
+    for v in range(hi, lo - 1, -1):
+        c = colours[v]
+        if c in seen:
+            i = v
+        else:
+            seen.add(c)
+    return None if i is None else (i, colours.index(colours[i], i + 1))
 
 
 def _wrapped_sets(q, i: int, s: int, n: int, k: int, top: int, c4: bool):
@@ -299,22 +300,6 @@ def _first_in_classes(colours, n: int, k: int, top: int, cyclic: bool,
             q.append(v)
     found = (_first_set_in(q, n, k, top, cyclic, c4) for q in at.values())
     return min((f for f in found if f is not None), default=None)
-
-
-def first_mono_p3(kind: str, n: int, k: int, colours):
-    """The lexicographically smallest monochromatic induced P3 of P_n^k
-    (kind "path") or C_n^k (kind "cycle") as a sorted vertex triple, or
-    None.  colours[v] is the colour of vertex v, for v in 0..n-1.
-
-    An induced P3 is a centre b with ends b-d1 and b+d2, 1 <= d1, d2 <= k,
-    that are not adjacent: its reach d1 + d2 is more than k, and on a cycle
-    also less than n-k (n >= 2k+2, else C_n^k is complete).  The check
-    (_first_set_in) builds no graph, no n-bit row and no family.
-    """
-    cyclic = kind == "cycle"
-    top = n - k if cyclic else n  # a path's P3 has reach at most n-1
-    return (_first_in_classes(colours, n, k, top, cyclic, False)
-            if top > k + 1 else None)
 
 
 def first_mono_set(kind: str, mode: str, n: int, k: int, colours):

@@ -8,7 +8,9 @@ twice in different styles.  The brute_scan functions run the library's
 complete-bipartite and star tests (cb_sides, is_star_set) on every vertex
 subset, but decide maximality by the per-vertex extension walk here, not by
 the library's row algebra: the exhaustive scan that the oracle's
-enumeration must reproduce set for set.
+enumeration must reproduce set for set.  The walk_ functions keep the
+nested loops that searches now built on one shared library walk were
+first written as, so that walk is held to both.
 """
 
 from __future__ import annotations
@@ -228,6 +230,63 @@ def brute_mono_p3(g: Graph, colours, reach_in=None):
                     for v in triple if v != centre)
         if reach_in is None or reach in reach_in:
             return triple, reach
+    return None
+
+
+def walk_mono_p3(g: Graph, colours, reach_in=None):
+    """oracle.find_mono_p3 as its own nested loops: for a < b in one colour
+    class, the c > b of that class completing an induced P3 are N(a) ^ N(b)
+    when ab is an edge and N(a) & N(b) when it is not."""
+    wanted = None if reach_in is None else set(reach_in)
+    n, adj = g.n, g.adj
+    classes: dict = {}
+    for v, col in enumerate(colours):
+        classes[col] = classes.get(col, 0) | 1 << v
+    for a in range(n):
+        same = classes[colours[a]]
+        bs = same >> (a + 1) << (a + 1)
+        while bs:
+            low = bs & -bs
+            bs ^= low  # now the class above b
+            b = low.bit_length() - 1
+            edge = adj[a] >> b & 1
+            cs = (adj[a] ^ adj[b] if edge else adj[a] & adj[b]) & bs
+            while cs:
+                low_c = cs & -cs
+                cs ^= low_c
+                c = low_c.bit_length() - 1
+                centre = c if not edge else a if adj[a] & low_c else b
+                reach = (powers.cyclic_reach(n, centre, a)
+                         + powers.cyclic_reach(n, centre, b)
+                         + powers.cyclic_reach(n, centre, c))
+                if wanted is None or reach in wanted:
+                    return (a, b, c), reach
+    return None
+
+
+def walk_induced_c4(g: Graph):
+    """graphs.contains_induced_c4 as its own nested loops: for every pair
+    a < b, the c > b completing an induced P3, then the least d above c
+    that sees both ends and not the centre."""
+    adj = g.adj
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            edge = adj[a] >> b & 1
+            cs = (adj[a] ^ adj[b] if edge else adj[a] & adj[b]) >> (b + 1)
+            cs <<= b + 1
+            while cs:
+                low = cs & -cs
+                c = low.bit_length() - 1
+                if not edge:
+                    ends, centre = adj[a] & adj[b], c
+                elif adj[a] & low:
+                    ends, centre = adj[b] & adj[c], a
+                else:
+                    ends, centre = adj[a] & adj[c], b
+                ds = (ends & ~adj[centre]) >> (c + 1)
+                if ds:
+                    return a, b, c, c + (ds & -ds).bit_length()
+                cs ^= low
     return None
 
 

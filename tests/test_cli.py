@@ -309,6 +309,24 @@ def test_closed_form_subcommands_skip_the_oracle_and_reduction(
     assert not added & set(absent)
 
 
+def test_star_import_binds_the_lazy_names():
+    """`from bicliques import *` binds every lazily re-exported name (it
+    imports the oracle and the reduction to do so), while a plain import
+    leaves both modules unloaded."""
+    code = ("import sys\n"
+            "import bicliques\n"
+            "lazy = {'bicliques.oracle', 'bicliques.reduction'}\n"
+            "print(sorted(lazy & set(sys.modules)))\n"
+            "from bicliques import *\n"
+            "print(sorted(set(bicliques._SOURCE) - set(dir())))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded, unbound = (ast.literal_eval(line) for line in out.splitlines())
+    assert loaded == []
+    assert unbound == []
+
+
 def _run_limited(argv, cwd):
     """Run the command line in a child whose address space is capped at
     1 GiB, so a request that would outgrow it fails at once rather than

@@ -323,8 +323,8 @@ def test_constructors_search_colour_classes_not_the_whole_graph(monkeypatch):
 def test_three_colouring_check_raises_on_monochromatic_p3(monkeypatch):
     colours = three_colour_no_mono_p3(11, 3).colours
     assert colours[0] == colours[1] == colours[2]
-    monkeypatch.setattr(colouring_mod, "first_mono_p3",
-                        lambda kind, n, k, colours: (0, 1, 2))
+    monkeypatch.setattr(colouring_mod, "first_mono_set",
+                        lambda kind, mode, n, k, colours: (0, 1, 2))
     with pytest.raises(AssertionError, match=re.escape("P3 (0, 1, 2)")):
         three_colour_no_mono_p3(11, 3)
 

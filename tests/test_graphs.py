@@ -17,6 +17,7 @@ from bicliques.graphs import (
     bits,
     cb_sides,
     contains_induced_c4,
+    induced_p3s,
     contains_k4,
     graph_from_dict,
     graph_to_dict,
@@ -358,6 +359,27 @@ def _c4_by_permutations(g):
 def test_k4_and_c4_detection_match_permutation_scan(g):
     assert contains_k4(g) == _k4_by_permutations(g)
     assert contains_induced_c4(g) == _c4_by_permutations(g)
+
+
+@given(support.graph_strategy(max_n=14))
+@settings(max_examples=300, deadline=None)
+def test_induced_c4_matches_nested_loop_walk(g):
+    assert contains_induced_c4(g) == support.walk_induced_c4(g)
+
+
+def test_induced_p3s_lists_every_induced_p3_in_order():
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (1, 5)])
+    full = ((1 << g.n) - 1,) * g.n
+    walked = list(induced_p3s(g.adj, full))
+    assert [t[:3] for t in walked] == [
+        t for t in combinations(range(g.n), 3)
+        if support.induced_shape(g, t) == "P3"]
+    for a, b, c, centre in walked:
+        ends = {a, b, c} - {centre}
+        assert all(g.has_edge(centre, v) for v in ends)
+        assert not g.has_edge(*ends)
+    # within[a] restricts b and c, not a
+    assert [t[:3] for t in induced_p3s(g.adj, [0b111] * g.n)] == [(0, 1, 2)]
 
 
 def test_k4_c4_fixed_cases():

@@ -300,6 +300,16 @@ def test_find_mono_p3_matches_brute_force(g, data):
         support.brute_mono_p3(g, colours, reach_in)
 
 
+@settings(max_examples=300, deadline=None)
+@given(support.graph_strategy(max_n=14), st.integers(1, 3), st.data())
+def test_find_mono_p3_matches_nested_loop_walk(g, c, data):
+    colours = data.draw(st.lists(st.integers(0, c - 1), min_size=g.n,
+                                 max_size=g.n))
+    reach_in = data.draw(st.none() | st.sets(st.integers(1, 14), max_size=4))
+    assert find_mono_p3(g, colours, reach_in) == \
+        support.walk_mono_p3(g, colours, reach_in)
+
+
 def test_block_profile():
     assert block_profile((1, 1, 1, 0, 0)) == [(1, 3), (0, 2)]
     # wrap-around: trailing run merges with the leading one

@@ -28,7 +28,6 @@ from bicliques.powers import (
     cycle_induced_p3s,
     cycle_stars,
     cyclic_reach,
-    first_mono_p3,
     first_mono_set,
     is_complete,
     path_bicliques,
@@ -369,8 +368,9 @@ def _check_windowed(kind, mode, n, k, colours):
     assert first_mono_set(kind, mode, n, k, colours) == \
         support.first_monochromatic(colours, family), \
         (kind, mode, n, k, colours)
-    assert first_mono_p3(kind, n, k, colours) == \
-        support.first_monochromatic(colours, _induced_p3s(kind, n, k))
+    if _p3_range(kind, "star", n, k):  # the stars are the induced P3s
+        assert first_mono_set(kind, "star", n, k, colours) == \
+            support.first_monochromatic(colours, _induced_p3s(kind, n, k))
     if _p3_range(kind, mode, n, k):
         assert family == _induced_p3s(kind, n, k)
 
@@ -531,11 +531,11 @@ def test_windowed_check_on_long_powers():
     for _ in range(20):
         bad = list(colours)
         bad[rng.randrange(n)] ^= 1
-        assert first_mono_p3("cycle", n, k, bad) == \
+        assert first_mono_set("cycle", "star", n, k, bad) == \
             support.first_monochromatic(bad, p3s)
     # a hit that wraps: 0 centred between n-3 and 3 (reach 6 > k)
     wrap = list(range(n))
     for v in (n - 3, 0, 3):
         wrap[v] = n
-    assert first_mono_p3("cycle", n, k, wrap) == (0, 3, n - 3)
-    assert first_mono_p3("path", n, k, wrap) is None
+    assert first_mono_set("cycle", "star", n, k, wrap) == (0, 3, n - 3)
+    assert first_mono_set("path", "star", n, k, wrap) is None
