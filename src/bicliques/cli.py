@@ -114,7 +114,7 @@ def family_work(kind: str, n: int, k: int) -> int:
     costs about the same at any degree.  A complete graph's sets are its m
     edges; otherwise each is an induced P3 or C4, at most 2*k*m of them."""
     m = powers.power_edge_count(kind, n, k)
-    sets = m if 2 * m == n * (n - 1) else 2 * k * m
+    sets = m if powers.is_complete(kind, n, k) else 2 * k * m
     return sets * (2 * m // n)
 
 

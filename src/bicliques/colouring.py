@@ -20,7 +20,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .graphs import InputError, is_int, read_json, write_json
-from .powers import first_mono_set, is_complete
+from .powers import check_choices, first_mono_set, is_complete
 
 BLUE, RED, GREEN = 0, 1, 2
 
@@ -232,6 +232,7 @@ def closed_form(kind: str, mode: str, n: int, k: int) -> ChromaticResult:
     cycle bicliques, n <= 3k+1: value 2, one red size-k block.
     cycle: value 2 by ab_certificate's blocks, else 3 by _three_colouring.
     """
+    check_choices(kind, mode)
     if n < 1 or k < 1:
         raise InputError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     if is_complete(kind, n, k):

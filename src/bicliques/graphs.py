@@ -3,7 +3,7 @@
 Vertices are dense indices 0..n-1.  Adjacency is one Python int per vertex,
 bit u of adj[v] set iff {u, v} is an edge, so subset predicates run
 word-parallel on arbitrary-width ints.  induced_p3s is the one walk over
-induced P3s, shared by contains_induced_c4 and oracle.find_mono_p3.
+induced P3s, and maximal_family the one listing of a maximal family.
 """
 
 from __future__ import annotations
@@ -440,6 +440,30 @@ def cb_shape(a: int, b: int) -> str:
     """Shape of the complete bipartite set with side masks a and b: "P2"
     for sides 1+1, "P3" for 1+2, "C4" for 2+2, else "OTHER"."""
     return _SHAPES.get((a.bit_count(), b.bit_count()), "OTHER")
+
+
+class Biclique(NamedTuple):
+    """Maximal complete bipartite vertex set with its induced shape; reach,
+    the sum of a P3's two edge lengths, is set only on cycle powers."""
+
+    vertices: tuple[int, ...]
+    shape: str  # "P2" | "P3" | "C4" | "OTHER"
+    reach: int | None = None
+
+
+def maximal_family(adj, mode: str) -> list:
+    """The maximal bicliques (mode "biclique", as Biclique records with their
+    cb_shape and no reach) or else the maximal stars (as vertex tuples) of
+    the graph, sorted; tuple.__new__ skips the records' own __new__."""
+    vmask = (1 << len(adj)) - 1
+    if mode == "star":
+        return sorted(map(vertices_of, maximal_masks(adj, mode, vmask)))
+    new = tuple.__new__
+    out = [new(Biclique, (vertices_of(m), cb_shape(*sides), None))
+           for sides in maximal_cb_candidates(adj, vmask)
+           if is_maximal_cb(adj, m := sides[0] | sides[1], sides)]
+    out.sort()  # by vertices: no two records share them
+    return out
 
 
 def is_complete_bipartite(g: Graph, s):

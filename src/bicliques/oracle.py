@@ -1,15 +1,15 @@
 """Maximal bicliques and stars of any graph, exact chromatic search, and
 the P3 / block analysis.
 
-The maximal bicliques and stars are enumerated with work that grows with
-the number of candidates rather than with the 2^n vertex subsets
-(graphs.maximal_cb_candidates, graphs.maximal_star_candidates), and each
-candidate is checked against the whole graph.  A colouring is checked by
-searching each colour class, not by listing the family
-(graphs.smallest_maximal_inside).  The tests hold both, and the power-graph
-families that run the same enumeration, to the exhaustive subset scan.
-The enumerations are capped at SUBSET_SCAN_CAP vertices, the backtracking
-search at SEARCH_CAP; nothing is kept between calls.
+The maximal bicliques and stars are listed by graphs.maximal_family, as
+are the power graphs' families, with work that grows with the candidates
+(graphs.maximal_cb_candidates, maximal_star_candidates), not with the 2^n
+vertex subsets, and each candidate is checked against the whole graph.  A
+colouring is checked by searching each colour class, not by listing the
+family (graphs.smallest_maximal_inside).  The tests hold both to the
+exhaustive subset scan.  The enumerations are capped at SUBSET_SCAN_CAP
+vertices, the backtracking search at SEARCH_CAP; nothing is kept between
+calls.
 """
 
 from __future__ import annotations
@@ -18,20 +18,18 @@ from itertools import groupby
 
 from .colouring import Colouring, colour_tuple
 from .graphs import (
+    Biclique,
     CapacityError,
     Graph,
-    InputError,
     SUBSET_SCAN_CAP,
-    cb_shape,
     colour_classes,
     induced_p3s,
-    is_maximal_cb,
-    maximal_cb_candidates,
+    maximal_family,
     maximal_masks,
     smallest_maximal_inside,
     vertices_of,
 )
-from .powers import Biclique, cyclic_reach
+from .powers import check_choices, cyclic_reach
 
 SEARCH_CAP = 14       # exact chromatic backtracking
 
@@ -40,8 +38,7 @@ def check_scan_cap(n: int, mode: str = "biclique") -> None:
     """InputError for an unknown mode, then CapacityError if the
     enumerations would refuse a graph on n vertices; callers can check
     before they allocate its rows."""
-    if mode not in ("biclique", "star"):
-        raise InputError(f"unknown mode {mode!r}")
+    check_choices(mode=mode)
     if n > SUBSET_SCAN_CAP:
         raise CapacityError(
             f"subset scan is capped at n <= {SUBSET_SCAN_CAP}, got n={n}")
@@ -49,30 +46,17 @@ def check_scan_cap(n: int, mode: str = "biclique") -> None:
 
 def maximal_bicliques(g: Graph) -> list[Biclique]:
     """All maximal complete-bipartite vertex sets of g (>= 1 edge each),
-    sorted by vertex list.  Enumerated from (v0, B, A') triples with A' a
-    maximal independent set (graphs.maximal_cb_candidates), each checked
-    against the whole graph by is_maximal_cb; n <= SUBSET_SCAN_CAP.
-    tuple.__new__ skips the records' Python-level __new__."""
+    sorted by vertex list, with their shape (graphs.maximal_family);
+    n <= SUBSET_SCAN_CAP."""
     check_scan_cap(g.n)
-    adj, new = g.adj, tuple.__new__
-    out = [new(Biclique, (vertices_of(m), cb_shape(*sides), None))
-           for sides in maximal_cb_candidates(adj, (1 << g.n) - 1)
-           if is_maximal_cb(adj, m := sides[0] | sides[1], sides)]
-    out.sort()  # by vertices: no two records share them
-    return out
-
-
-def _maximal_sets(g: Graph, mode: str) -> list[tuple[int, ...]]:
-    """The maximal bicliques (mode "biclique") or stars of g as sorted
-    vertex tuples, sorted, from graphs.maximal_masks with no record built."""
-    check_scan_cap(g.n, mode)
-    return sorted(map(vertices_of, maximal_masks(g.adj, mode, (1 << g.n) - 1)))
+    return maximal_family(g.adj, "biclique")
 
 
 def maximal_stars(g: Graph) -> list[tuple[int, ...]]:
     """All maximal induced-star vertex sets of g, sorted.  Maximality is
     under inclusion among stars, so a P3 inside a C4 still counts."""
-    return _maximal_sets(g, "star")
+    check_scan_cap(g.n, "star")
+    return maximal_family(g.adj, "star")
 
 
 def verify_colouring(g: Graph, colouring, mode: str = "biclique"):
@@ -97,10 +81,11 @@ def exact_chromatic(g: Graph, mode: str = "biclique") -> tuple[int, Colouring]:
     if g.n > SEARCH_CAP:
         raise CapacityError(
             f"exact search is capped at n <= {SEARCH_CAP}, got n={g.n}")
+    check_scan_cap(g.n, mode)
     if g.n == 0:
         return 0, Colouring((), 0)
     by_last: list[list[tuple[int, ...]]] = [[] for _ in range(g.n)]
-    for vs in _maximal_sets(g, mode):
+    for vs in map(vertices_of, maximal_masks(g.adj, mode, (1 << g.n) - 1)):
         by_last[vs[-1]].append(vs)
 
     colours = [-1] * g.n

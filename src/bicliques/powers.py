@@ -3,9 +3,9 @@
 P_n^k joins path vertices at index distance <= k; C_n^k joins cycle vertices
 at cyclic distance <= k.  Both are K_{1,3}-free, and path powers are also
 C4-free, so every maximal complete bipartite set is an edge, an induced P3
-or an induced C4.  power_family lists the families as sorted records by
-the oracle's output-sensitive enumeration (graphs.maximal_masks), and the
-tests compare them with the exhaustive subset scan.
+or an induced C4.  power_family lists the families by the oracle's listing
+(graphs.maximal_family), and the tests compare them with the subset scan.
+Every public function rejects an unknown kind or mode (check_choices).
 
 A colouring is checked without listing the family, by one certificate
 for every kind, mode, n and k (first_mono_set): the least of the first
@@ -19,21 +19,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import NamedTuple
+from itertools import combinations
 
-from .graphs import Graph, InputError, mask_of, maximal_masks, vertices_of
+from .graphs import Biclique, Graph, InputError, mask_of, maximal_family
 
 
-class Biclique(NamedTuple):
-    """Maximal complete bipartite vertex set with its induced shape.
-
-    reach is only set for P3 bicliques of cycle powers: the sum of the cyclic
-    reaches of the two edges.
-    """
-
-    vertices: tuple[int, ...]
-    shape: str  # "P2" | "P3" | "C4" | "OTHER"
-    reach: int | None = None
+def check_choices(kind: str = "path", mode: str = "biclique") -> None:
+    """InputError for a kind other than "path" or "cycle", then for a mode
+    other than "biclique" or "star"; a caller names only what it takes."""
+    if kind not in ("path", "cycle"):
+        raise InputError(f"unknown kind {kind!r}")
+    if mode not in ("biclique", "star"):
+        raise InputError(f"unknown mode {mode!r}")
 
 
 def check_params(n: int, k: int) -> None:
@@ -52,6 +49,7 @@ def cyclic_reach(n: int, i: int, j: int) -> int:
 
 def power_label(kind: str, n: int, k: int) -> str:
     """The label of power_graph(kind, n, k): "P_n^k" or "C_n^k"."""
+    check_choices(kind)
     return f"{'P' if kind == 'path' else 'C'}_{n}^{k}"
 
 
@@ -84,12 +82,14 @@ def power_cycle(n: int, k: int) -> Graph:
 
 def power_graph(kind: str, n: int, k: int) -> Graph:
     """P_n^k for kind "path", C_n^k for kind "cycle"."""
+    check_choices(kind)
     return power_path(n, k) if kind == "path" else power_cycle(n, k)
 
 
 def is_complete(kind: str, n: int, k: int) -> bool:
     """True when power_graph(kind, n, k) is the complete graph K_n: n <= k+1
     for a path, n <= 2k+1 for a cycle."""
+    check_choices(kind)
     return n <= (k + 1 if kind == "path" else 2 * k + 1)
 
 
@@ -122,8 +122,8 @@ def circulant(n: int, distances) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# maximal families, from the enumeration the oracle uses, and the induced
-# P3s of cycle powers by index arithmetic (a reference for first_mono_set)
+# maximal families, by the oracle's listing, and the induced P3s of cycle
+# powers by index arithmetic (a reference for first_mono_set)
 
 def cycle_induced_p3s(n: int, k: int) -> list[tuple[tuple[int, int, int], int]]:
     """All induced P3s of C_n^k with their reach, sorted by vertex triple.
@@ -146,32 +146,19 @@ def cycle_induced_p3s(n: int, k: int) -> list[tuple[tuple[int, int, int], int]]:
     return sorted(found.items())
 
 
-def _listed_mode(kind: str, mode: str) -> str:
-    """The enumerator's mode for the family of mode on a power of kind: a
-    path power's stars are its bicliques, and the biclique enumerator lists
-    them faster."""
-    return mode if kind == "cycle" else "biclique"
-
-
-def _p3_reach(n: int, vs) -> int:
-    """Reach of the P3 vs of C_n^k: its pairwise distances less the non-edge's."""
-    a, b, c = vs
-    ds = (cyclic_reach(n, a, b), cyclic_reach(n, b, c), cyclic_reach(n, a, c))
-    return sum(ds) - max(ds)
-
-
 def power_family(kind: str, mode: str, n: int, k: int) -> list:
     """The maximal bicliques (mode "biclique", as Biclique) or stars (as
-    vertex tuples) of P_n^k (kind "path") or C_n^k, sorted.  Both graphs are
-    claw-free, so a set's size gives its shape: P2, P3 or C4."""
-    sets = sorted(map(vertices_of, maximal_masks(
-        power_graph(kind, n, k).adj, _listed_mode(kind, mode), (1 << n) - 1)))
-    if mode == "star":
-        return sets
-    cyclic, new = kind == "cycle", tuple.__new__
-    return [new(Biclique, (vs, ("P2", "P3", "C4")[len(vs) - 2],
-                           _p3_reach(n, vs) if cyclic and len(vs) == 3
-                           else None)) for vs in sets]
+    vertex tuples) of P_n^k (kind "path") or C_n^k, sorted, from
+    graphs.maximal_family; a P3 of C_n^k gets its reach, its pairwise
+    cyclic distances less the non-edge's."""
+    check_choices(kind, mode)
+    fam = maximal_family(power_graph(kind, n, k).adj, mode)
+    if kind == "cycle" and mode == "biclique":
+        for i, (vs, shape, _) in enumerate(fam):
+            if shape == "P3":
+                ds = [cyclic_reach(n, u, v) for u, v in combinations(vs, 2)]
+                fam[i] = fam[i]._replace(reach=sum(ds) - max(ds))
+    return fam
 
 
 def path_bicliques(n: int, k: int) -> list[Biclique]:
@@ -319,6 +306,7 @@ def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
 
     The check takes O(n + k*k*log n) time and O(n) memory.
     """
+    check_choices(kind, mode)
     cyclic = kind == "cycle"
     if cyclic:
         lo, hi = 0, n - 1 if n <= 2 * k + 1 else -1

@@ -419,11 +419,13 @@ def random_raw_formula(rng: random.Random) -> CnfFormula:
 # every function of powers that builds n-bit rows or lists a family
 ROWS_AND_FAMILIES = ("power_path", "power_cycle", "power_graph",
                      "path_bicliques", "cycle_bicliques", "path_stars",
-                     "cycle_stars", "power_family", "maximal_masks",
+                     "cycle_stars", "power_family", "maximal_family",
                      "cycle_induced_p3s")
-# every function of graphs that searches colour classes for maximal sets
+# every function of graphs that searches colour classes for maximal sets or
+# lists a whole family
 CLASS_SEARCH = ("colour_classes", "smallest_maximal_inside", "maximal_masks",
-                "maximal_cb_candidates", "maximal_star_candidates")
+                "maximal_family", "maximal_cb_candidates",
+                "maximal_star_candidates")
 
 
 def forbid_rows_and_families(monkeypatch) -> None:

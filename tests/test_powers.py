@@ -1,6 +1,8 @@
 """Power-graph generators and closed-form biclique / star enumerations,
 checked against the oracle enumeration and independent test-side scanners."""
 
+import hashlib
+import json
 import random
 import time
 from functools import lru_cache
@@ -15,6 +17,7 @@ from bicliques import powers
 from bicliques.colouring import (
     biclique_colour_cycle,
     biclique_colour_path,
+    closed_form,
     star_colour_cycle,
     star_colour_path,
 )
@@ -87,6 +90,57 @@ def test_power_param_validation():
             power_path(*bad)
         with pytest.raises(InputError):
             power_cycle(*bad)
+
+
+# every public function of powers and colouring that takes a kind or a
+# mode: (name, call with that kind and mode, whether it takes a mode)
+_KIND_MODE_CALLS = [
+    ("power_label", lambda kind, mode: powers.power_label(kind, 5, 1), False),
+    ("power_graph", lambda kind, mode: power_graph(kind, 5, 1), False),
+    ("is_complete", lambda kind, mode: is_complete(kind, 5, 1), False),
+    ("power_edge_count", lambda kind, mode: power_edge_count(kind, 5, 1),
+     False),
+    ("power_family", lambda kind, mode: power_family(kind, mode, 8, 2), True),
+    ("first_mono_set",
+     lambda kind, mode: first_mono_set(kind, mode, 11, 4, (0, 1) * 5 + (2,)),
+     True),
+    ("closed_form", lambda kind, mode: closed_form(kind, mode, 11, 4), True),
+]
+
+
+@pytest.mark.parametrize("name, call, takes_mode", _KIND_MODE_CALLS,
+                         ids=[c[0] for c in _KIND_MODE_CALLS])
+def test_unknown_kind_or_mode_is_an_input_error(name, call, takes_mode):
+    """A kind other than "path" / "cycle" or a mode other than "biclique" /
+    "star" raises InputError naming it, whatever the letter case: no
+    function reads it as the other kind or mode."""
+    for kind in ("path", "cycle"):
+        call(kind, "biclique")
+        call(kind, "star")
+    for bad in ("Path", "Cycle", "paths", ""):
+        with pytest.raises(InputError, match=f"^unknown kind {bad!r}$"):
+            call(bad, "biclique")
+    if takes_mode:
+        for bad in ("bicliques", "stars", "Star", ""):
+            with pytest.raises(InputError, match=f"^unknown mode {bad!r}$"):
+                call("cycle", bad)
+
+
+def test_unknown_kind_or_mode_regressions():
+    """Each of these once gave an answer for another kind or mode, or
+    blamed the package: a star witness for a valid biclique colouring, a
+    biclique family for stars, C_5^1 for "Path", and a construction bug
+    for "Cycle"."""
+    colours = closed_form("cycle", "biclique", 11, 4).colouring.colours
+    assert first_mono_set("cycle", "biclique", 11, 4, colours) is None
+    with pytest.raises(InputError, match="^unknown mode 'bicliques'$"):
+        first_mono_set("cycle", "bicliques", 11, 4, colours)
+    with pytest.raises(InputError, match="^unknown mode 'stars'$"):
+        power_family("cycle", "stars", 8, 2)
+    with pytest.raises(InputError, match="^unknown kind 'Path'$"):
+        power_graph("Path", 5, 1)
+    with pytest.raises(InputError, match="^unknown kind 'Cycle'$"):
+        closed_form("Cycle", "biclique", 11, 4)
 
 
 def test_circulant_matches_cycle_power():
@@ -307,6 +361,24 @@ def test_stars_vs_bicliques():
     assert stars and all(len(s) == 3 for s in stars)
     assert stars == [t for t, _ in cycle_induced_p3s(11, 4)]
     assert stars != [b.vertices for b in cycle_bicliques(11, 4)]
+
+
+FAMILY_DIGEST = \
+    "66cb95ac2b3cc383337c6a279c87d24aef5d0f14002977396b3459ff9394bae2"
+
+
+def test_every_family_is_pinned():
+    """power_family of every kind and mode, on every k <= 8 and n <= 8k+3,
+    hashes to FAMILY_DIGEST: its sets, shapes and reaches, in order."""
+    digest = hashlib.sha256()
+    for k in range(1, 9):
+        for n in range(1, 8 * k + 4):
+            for kind in ("path", "cycle"):
+                for mode in ("biclique", "star"):
+                    digest.update(json.dumps(
+                        [kind, mode, n, k, power_family(kind, mode, n, k)]
+                    ).encode())
+    assert digest.hexdigest() == FAMILY_DIGEST
 
 
 def test_biclique_record_fields():
