@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 a verification answered "invalid" (monochromatic
 witness found, or a certification mismatch), 2 bad input, 3 a size cap was
 exceeded: the oracle's and the reduction's brute-force caps, or the caps
 below on what one command builds, which are checked before anything is
-allocated or printed.
+allocated or printed, all but the reduction's by graphs.check_cap.  A
+file's P_n^k / C_n^k label is read by powers.power_params.
 
 The oracle, the reduction and csv are imported by the subcommands that use
 them, so chromatic, gen, bicliques --kind and verify of a generated power
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import powers
@@ -23,7 +23,6 @@ from .colouring import (
     ChromaticResult,
     biclique_colour_cycle,
     biclique_colour_path,
-    colour_tuple,
     read_colouring,
     star_colour_cycle,
     star_colour_path,
@@ -33,6 +32,8 @@ from .graphs import (
     CapacityError,
     Graph,
     InputError,
+    check_cap,
+    colour_tuple,
     graph_fields,
     graph_to_dict,
     read_json,
@@ -54,8 +55,6 @@ EDGES_CAP = 1_000_000        # edges written by gen and --dot
 FAMILY_CAP = 1_000_000       # bicliques listing a family: sets times degree
 SWEEP_ROWS_CAP = 10_000      # rows of one sweep
 
-_POWER_LABEL = re.compile(r"^([PC])_(\d+)\^(\d+)$")
-
 
 def _constructor(kind: str, mode: str):
     """The closed-form constructor of the power of a path or cycle in a
@@ -70,27 +69,6 @@ def _constructor(kind: str, mode: str):
     }[(kind, mode)]
 
 
-def _power_params(label, n: int, edges):
-    """(kind, n, k) when label names P_n^k or C_n^k on n vertices and the
-    edge pairs (checked by graph_fields: in range, no loops) are exactly
-    that graph's, else None.  They are when the distinct pairs number as
-    many as its edges and each lies within index distance k (cyclic
-    distance for C_n^k), so no graph is built.  A k or n that no power
-    graph has is an InputError, as in power_graph."""
-    m = _POWER_LABEL.match(label or "")
-    if not m or int(m.group(2)) != n:
-        return None
-    kind, k = ("path" if m.group(1) == "P" else "cycle"), int(m.group(3))
-    # each unordered pair keyed as one int: hashing ints is cheaper than tuples
-    distinct = {i * n + j if i < j else j * n + i for i, j in edges}
-    if len(distinct) != powers.power_edge_count(kind, n, k):
-        return None
-    cyclic = kind == "cycle"  # the cyclic distance is |i-j| or n-|i-j|
-    near = all(abs(i - j) <= k or cyclic and n - abs(i - j) <= k
-               for i, j in edges)
-    return (kind, n, k) if near else None
-
-
 def _oracle_graph(n: int, edges, label) -> Graph:
     """The graph of a file that the oracle will scan, after the oracle's
     cap is checked, so a huge declared n is rejected before its n
@@ -98,14 +76,6 @@ def _oracle_graph(n: int, edges, label) -> Graph:
     from . import oracle
     oracle.check_scan_cap(n)
     return Graph.from_edges(n, edges, label)
-
-
-def _check_cap(what: str, name: str, size: int, cap: int) -> None:
-    """CapacityError naming the requested size and the cap when size is
-    over it."""
-    if size > cap:
-        raise CapacityError(
-            f"{what} is capped at {name} <= {cap}, got {name}={size}")
 
 
 def family_work(kind: str, n: int, k: int) -> int:
@@ -123,13 +93,13 @@ def _check_closed_form(n: int, k: int) -> None:
     (powers.first_mono_set) takes O(n + k*k*log n) time and O(n) memory.
     A bad n or k is left for the constructor to report."""
     if n >= 1 and k >= 1:
-        _check_cap("a closed form", "n", n, CLOSED_FORM_CAP)
+        check_cap("a closed form", "n", n, CLOSED_FORM_CAP)
 
 
 def _check_graph(n: int, edges: int = 0) -> None:
     """The caps on building a graph's n-bit rows and writing its edges."""
-    _check_cap("building a graph's rows", "n", n, ROWS_CAP)
-    _check_cap("writing a graph", "edges", edges, EDGES_CAP)
+    check_cap("building a graph's rows", "n", n, ROWS_CAP)
+    check_cap("writing a graph", "edges", edges, EDGES_CAP)
 
 
 def _certificate_text(result: ChromaticResult) -> str:
@@ -199,17 +169,17 @@ def cmd_verify(args) -> int:
     # The colouring's length, then the oracle's cap, are checked before the
     # graph's n rows are allocated, so a huge declared n is rejected at
     # once.  A file that is the power graph its label names is checked as
-    # that graph's family (powers.first_mono_set), with no graph built and
-    # the oracle not imported.
+    # that graph's family (powers.first_mono_set, which checks the length
+    # too), with no graph built and the oracle not imported.
     n, edges, label = graph_fields(read_json(args.graph))
     col = read_colouring(args.colouring)
-    params = _power_params(label, n, edges)
-    colours = colour_tuple(col, n)
+    params = powers.power_params(label, n, edges)
     if params is not None:
-        witness = powers.first_mono_set(params[0], args.mode, n, params[2],
-                                        colours)
+        kind, _, k = params
+        witness = powers.first_mono_set(kind, args.mode, n, k, col)
     else:
         from . import oracle
+        colours = colour_tuple(col, n)
         witness = oracle.verify_colouring(
             _oracle_graph(n, edges, label), colours, args.mode)
     if witness is None:
@@ -224,7 +194,8 @@ def cmd_bicliques(args) -> int:
         # The oracle's cap and the label are checked before the n adjacency
         # rows are allocated, so a huge declared n is rejected at once.
         n, edges, label = graph_fields(read_json(args.graph))
-        params = _power_params(label, n, edges) if args.closed_form else None
+        params = (powers.power_params(label, n, edges) if args.closed_form
+                  else None)
         if args.closed_form and params is None:
             raise InputError(
                 "--closed-form needs a generated power graph "
@@ -237,8 +208,8 @@ def cmd_bicliques(args) -> int:
 
     if params is not None:
         kind, n, k = params
-        _check_cap(f"listing the family of {powers.power_label(kind, n, k)}",
-                   "sets*degree", family_work(kind, n, k), FAMILY_CAP)
+        check_cap(f"listing the family of {powers.power_label(kind, n, k)}",
+                  "sets*degree", family_work(kind, n, k), FAMILY_CAP)
         _check_graph(n)
         source = "closed-form"
         fam = powers.power_family(kind, args.mode, n, k)
@@ -297,15 +268,15 @@ def cmd_sweep(args) -> int:
         raise InputError(
             f"empty sweep range: k {args.k_from}..{args.k_to}, "
             f"n {args.n_from}..{args.n_to}")
-    _check_cap("a sweep", "rows", (args.k_to - args.k_from + 1)
-               * (args.n_to - args.n_from + 1), SWEEP_ROWS_CAP)
+    check_cap("a sweep", "rows", (args.k_to - args.k_from + 1)
+              * (args.n_to - args.n_from + 1), SWEEP_ROWS_CAP)
     grid = [(n, k) for k in range(args.k_from, args.k_to + 1)
             for n in range(args.n_from, args.n_to + 1)]
     for n, k in grid:
         _check_closed_form(n, k)
     if args.n_from >= 1 and args.k_from >= 1:  # else row 1 is refused at once
-        _check_cap("a sweep", "sum(n)", sum(n for n, _ in grid),
-                   CLOSED_FORM_CAP)
+        check_cap("a sweep", "sum(n)", sum(n for n, _ in grid),
+                  CLOSED_FORM_CAP)
     construct = _constructor(args.kind, args.mode)
     rows = []
     for n, k in grid:

@@ -68,16 +68,6 @@ class Colouring(_ColouringFields):
         return len(self.colours)
 
 
-def colour_tuple(colouring, n: int) -> tuple[int, ...]:
-    """The colours of a Colouring or a sequence as a tuple; InputError
-    unless there are exactly n of them."""
-    colours = tuple(colouring.colours if isinstance(colouring, Colouring)
-                    else colouring)
-    if len(colours) != n:
-        raise InputError(f"colouring has {len(colours)} entries for n={n}")
-    return colours
-
-
 class EvenDivision(NamedTuple):
     """n = a*k + t with a even, a >= 2, 0 <= t < 2k."""
 
@@ -128,21 +118,17 @@ def even_division(n: int, k: int) -> EvenDivision:
 def ab_certificate(n: int, k: int) -> AbCertificate | None:
     """(a, b) with n = a*k + b*(k+1) and a + b even, or None.
 
-    Only c0 = floor(n/k) and c1 = c0 - 1 can be the total block count with
-    every block size in {k, k+1}, so two divisions decide existence; c0 is
-    preferred when both qualify.  Requires n >= 2k+2 so that an accepted
-    total is at least 2.
+    c blocks of sizes k and k+1 fill n exactly when c*k <= n <= c*(k+1).
+    The largest even c with c*k <= n is a of even_division(n, k), so an
+    even c exists exactly when n <= a*(k+1), that is t <= a, and then t
+    blocks take k+1.  Requires n >= 2k+2 so that the total is at least 2.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got k={k}")
     if n < 2 * k + 2:
         raise InputError(f"block certificate needs n >= 2k+2, got n={n}, k={k}")
-    q = n // k
-    for c in (q, q - 1):
-        b = n - c * k
-        if c % 2 == 0 and 0 <= b <= c:
-            return AbCertificate(c - b, b)
-    return None
+    a, t = even_division(n, k)
+    return AbCertificate(a - t, t) if t <= a else None
 
 
 def decide_two_vs_three(n: int, k: int) -> tuple[int, AbCertificate | None]:

@@ -3,7 +3,8 @@
 Vertices are dense indices 0..n-1.  Adjacency is one Python int per vertex,
 bit u of adj[v] set iff {u, v} is an edge, so subset predicates run
 word-parallel on arbitrary-width ints.  induced_p3s is the one walk over
-induced P3s, and maximal_family the one listing of a maximal family.
+induced P3s, maximal_family the one listing of a maximal family, and
+check_cap and colour_tuple the one cap check and colouring length check.
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ class InputError(ValueError):
 
 class CapacityError(RuntimeError):
     """Request exceeds a named brute-force size cap."""
+
+
+def check_cap(what: str, name: str, size: int, cap: int) -> None:
+    """CapacityError naming the requested size and the cap when size is
+    over it: "{what} is capped at {name} <= {cap}, got {name}={size}"."""
+    if size > cap:
+        raise CapacityError(
+            f"{what} is capped at {name} <= {cap}, got {name}={size}")
 
 
 def is_int(x) -> bool:
@@ -268,8 +277,8 @@ def is_maximal_star(adj, smask: int) -> bool:
 # ---------------------------------------------------------------------------
 # output-sensitive enumeration (mask level)
 
-# Reach of the enumerations (the oracle's, the containment scan's): the size
-# that the exhaustive subset scan they are tested against covers in minutes.
+# Reach of the enumerations, which scan no subsets: the size that the tests'
+# reference for them, an exhaustive subset scan, covers in minutes.
 SUBSET_SCAN_CAP = 22
 
 
@@ -394,12 +403,20 @@ def maximal_masks(adj, mode: str, vmask: int) -> list[int]:
             if is_maximal_cb(adj, m := sides[0] | sides[1], sides)]
 
 
-def colour_classes(colours) -> list[int]:
-    """The vertex masks of the colour classes (colours[v] is v's colour)."""
+def colour_tuple(colouring, n: int) -> tuple[int, ...]:
+    """A Colouring's or sequence's colours as a tuple; InputError unless n."""
+    colours = tuple(getattr(colouring, "colours", colouring))
+    if len(colours) != n:
+        raise InputError(f"colouring has {len(colours)} entries for n={n}")
+    return colours
+
+
+def colour_classes(colours) -> dict:
+    """Each colour mapped to the vertex mask of its class, by first use."""
     classes: dict = {}
     for v, c in enumerate(colours):
         classes[c] = classes.get(c, 0) | 1 << v
-    return list(classes.values())
+    return classes
 
 
 def _smallest_maximal_cb(adj, vmask: int):
@@ -663,8 +680,8 @@ DOT_PALETTE = (
 
 def write_dot(g: Graph, colours=None) -> str:
     """Graphviz source for g; vertices filled by colour id when given."""
-    if colours is not None and len(colours) != g.n:
-        raise InputError(f"colouring has {len(colours)} entries for n={g.n}")
+    if colours is not None:
+        colours = colour_tuple(colours, g.n)
     name = json.dumps(g.label or "g")
     lines = [f"graph {name} {{"]
     lines.append("  node [shape=circle, style=filled];")

@@ -7,22 +7,23 @@ are the power graphs' families, with work that grows with the candidates
 vertex subsets, and each candidate is checked against the whole graph.  A
 colouring is checked by searching each colour class, not by listing the
 family (graphs.smallest_maximal_inside).  The tests hold both to the
-exhaustive subset scan.  The enumerations are capped at SUBSET_SCAN_CAP
-vertices, the backtracking search at SEARCH_CAP; nothing is kept between
-calls.
+exhaustive subset scan.  graphs.check_cap caps the enumerations at
+SUBSET_SCAN_CAP vertices and the backtracking search at SEARCH_CAP;
+nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 
-from .colouring import Colouring, colour_tuple
+from .colouring import Colouring
 from .graphs import (
     Biclique,
-    CapacityError,
     Graph,
     SUBSET_SCAN_CAP,
+    check_cap,
     colour_classes,
+    colour_tuple,
     induced_p3s,
     maximal_family,
     maximal_masks,
@@ -39,9 +40,7 @@ def check_scan_cap(n: int, mode: str = "biclique") -> None:
     enumerations would refuse a graph on n vertices; callers can check
     before they allocate its rows."""
     check_choices(mode=mode)
-    if n > SUBSET_SCAN_CAP:
-        raise CapacityError(
-            f"subset scan is capped at n <= {SUBSET_SCAN_CAP}, got n={n}")
+    check_cap("subset scan", "n", n, SUBSET_SCAN_CAP)
 
 
 def maximal_bicliques(g: Graph) -> list[Biclique]:
@@ -66,7 +65,8 @@ def verify_colouring(g: Graph, colouring, mode: str = "biclique"):
     powers.first_mono_set checks a power of a path or cycle past that cap."""
     colours = colour_tuple(colouring, g.n)
     check_scan_cap(g.n, mode)
-    sets = smallest_maximal_inside(g.adj, mode, colour_classes(colours))
+    sets = smallest_maximal_inside(g.adj, mode,
+                                   colour_classes(colours).values())
     return min(sets, default=None)
 
 
@@ -78,9 +78,7 @@ def exact_chromatic(g: Graph, mode: str = "biclique") -> tuple[int, Colouring]:
     one such colouring.  Backtracking over canonical colourings: vertex 0 is
     fixed to colour 0 and a vertex may use at most one colour id beyond those
     already in use, which breaks colour-permutation symmetry."""
-    if g.n > SEARCH_CAP:
-        raise CapacityError(
-            f"exact search is capped at n <= {SEARCH_CAP}, got n={g.n}")
+    check_cap("exact search", "n", g.n, SEARCH_CAP)
     check_scan_cap(g.n, mode)
     if g.n == 0:
         return 0, Colouring((), 0)
@@ -131,9 +129,7 @@ def find_mono_p3(g: Graph, colouring, reach_in=None):
     colours = colour_tuple(colouring, g.n)
     wanted = None if reach_in is None else set(reach_in)
     n = g.n
-    classes: dict = {}
-    for v, col in enumerate(colours):
-        classes[col] = classes.get(col, 0) | 1 << v
+    classes = colour_classes(colours)
     within = [classes[col] for col in colours]
     for a, b, c, centre in induced_p3s(g.adj, within):
         reach = (cyclic_reach(n, centre, a) + cyclic_reach(n, centre, b)
@@ -149,8 +145,7 @@ def block_profile(colouring, cyclic: bool = True) -> list[tuple[int, int]]:
     In cyclic mode a wrap-around run (first and last runs sharing a colour)
     is merged into one block, reported at the position of the trailing run.
     """
-    colours = tuple(colouring.colours if isinstance(colouring, Colouring)
-                    else colouring)
+    colours = getattr(colouring, "colours", colouring)
     runs = [(c, len(list(grp))) for c, grp in groupby(colours)]
     if cyclic and len(runs) >= 2 and runs[0][0] == runs[-1][0]:
         merged = (runs[0][0], runs[0][1] + runs[-1][1])

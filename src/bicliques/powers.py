@@ -17,11 +17,15 @@ alone.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
 
-from .graphs import Biclique, Graph, InputError, mask_of, maximal_family
+from .graphs import (Biclique, Graph, InputError, colour_tuple, mask_of,
+                     maximal_family)
+
+_POWER_LABEL = re.compile(r"^([PC])_(\d+)\^(\d+)$")
 
 
 def check_choices(kind: str = "path", mode: str = "biclique") -> None:
@@ -101,6 +105,25 @@ def power_edge_count(kind: str, n: int, k: int) -> int:
     if is_complete(kind, n, k):
         return n * (n - 1) // 2
     return k * n - k * (k + 1) // 2 if kind == "path" else k * n
+
+
+def power_params(label, n: int, edges):
+    """(kind, n, k) when label names P_n^k or C_n^k on n vertices and the
+    edge pairs (in range, no loops: graph_fields) are its edges, as many
+    distinct pairs each within (cyclic) distance k, so no graph is built;
+    else None.  An n or k that no power graph has is an InputError."""
+    m = _POWER_LABEL.match(label or "")
+    if not m or int(m.group(2)) != n:
+        return None
+    kind, k = ("path" if m.group(1) == "P" else "cycle"), int(m.group(3))
+    # each unordered pair keyed as one int: hashing ints is cheaper than tuples
+    distinct = {i * n + j if i < j else j * n + i for i, j in edges}
+    if len(distinct) != power_edge_count(kind, n, k):
+        return None
+    cyclic = kind == "cycle"  # the cyclic distance is |i-j| or n-|i-j|
+    near = all(abs(i - j) <= k or cyclic and n - abs(i - j) <= k
+               for i, j in edges)
+    return (kind, n, k) if near else None
 
 
 def circulant(n: int, distances) -> Graph:
@@ -304,12 +327,15 @@ def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
         in an induced C4;
     (3) for cycle bicliques with 2k+2 <= n <= 4k, the first induced C4.
 
-    The check takes O(n + k*k*log n) time and O(n) memory.
+    The check takes O(n + k*k*log n) time and O(n) memory.  Bad input
+    (check_choices, check_params, colour_tuple) is an InputError.
     """
     check_choices(kind, mode)
+    check_params(n, k)
+    colours = colour_tuple(colours, n)
     cyclic = kind == "cycle"
     if cyclic:
-        lo, hi = 0, n - 1 if n <= 2 * k + 1 else -1
+        lo, hi = 0, n - 1 if is_complete(kind, n, k) else -1
         top = n - 2 * k if mode == "biclique" else n - k
     else:
         lo, hi, top = max(0, n - 1 - k), min(k, n - 1), n

@@ -398,13 +398,15 @@ def certify_reduction(f: CnfFormula,
 
 def read_dimacs(path: str) -> CnfFormula:
     """Parse DIMACS CNF: a "p cnf V C" header, 'c' comment lines, and
-    zero-terminated clauses that may span lines."""
+    zero-terminated clauses that may span lines; a "%" line ends the file."""
     num_vars = num_clauses = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()

@@ -146,12 +146,15 @@ def test_enumeration_does_not_walk_subsets_of_a_large_side():
 
 
 def test_scan_cap():
+    """Both caps are worded by graphs.check_cap, as the command line's."""
     too_big = Graph(SUBSET_SCAN_CAP + 1, (0,) * (SUBSET_SCAN_CAP + 1))
-    with pytest.raises(CapacityError):
+    scan = "^subset scan is capped at n <= 22, got n=23$"
+    with pytest.raises(CapacityError, match=scan):
         maximal_bicliques(too_big)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=scan):
         maximal_stars(too_big)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError,
+                       match="^exact search is capped at n <= 14, got n=15$"):
         exact_chromatic(power_path(SEARCH_CAP + 1, 1))
 
 
@@ -204,7 +207,7 @@ def test_class_search_equals_scan_of_sorted_family_on_powers():
                             if c else built
                         want = support.first_monochromatic(colours, family)
                         assert min(smallest_maximal_inside(
-                            g.adj, mode, colour_classes(colours)),
+                            g.adj, mode, colour_classes(colours).values()),
                             default=None) == want, (kind, mode, n, k)
                         assert first_mono_set(kind, mode, n, k, colours) \
                             == want, (kind, mode, n, k)

@@ -6,7 +6,7 @@ import json
 import random
 import time
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -583,8 +583,47 @@ def test_c4_range_scan_of_slow_shapes_matches_the_class_search(shape):
         adj = power_graph("cycle", n, k).adj
         for mode in ("biclique", "star"):
             assert first_mono_set("cycle", mode, n, k, colours) == min(
-                smallest_maximal_inside(adj, mode, colour_classes(colours)),
+                smallest_maximal_inside(adj, mode,
+                                        colour_classes(colours).values()),
                 default=None), (shape, n, mode)
+
+
+@pytest.mark.parametrize("kind, mode, k_max, c4_range_only", [
+    ("cycle", "biclique", 4, True),
+    ("cycle", "star", 3, False),
+    ("path", "biclique", 3, False),
+])
+def test_exact_witness_on_every_two_colouring(kind, mode, k_max, c4_range_only):
+    """Every 2-colouring of the power for k <= k_max, on the C4 range
+    2k+2 <= n <= 4k of cycle bicliques (138 448 colourings) or else on
+    1 <= n <= 4k: first_mono_set gives exactly the listed family's first
+    monochromatic set, and every witness is a member of the family.  A
+    bound one too high in the certificate, such as the C4 bound of
+    _wrapped_sets, shows here as a witness that is no member."""
+    for k in range(1, k_max + 1):
+        for n in range(2 * k + 2 if c4_range_only else 1, 4 * k + 1):
+            family = _family_sets(kind, mode, n, k)
+            members = set(family)
+            for colours in product((0, 1), repeat=n):
+                got = first_mono_set(kind, mode, n, k, colours)
+                assert got == support.first_monochromatic(colours, family), \
+                    (kind, mode, n, k, colours)
+                assert got is None or got in members
+
+
+@pytest.mark.parametrize("n, k, colours, fragment", [
+    (4, 1, (0, 1, 0, 1, 0, 0, 0), "colouring has 7 entries for n=4"),
+    (-3, 1, (), "need n >= 1, got n=-3"),
+    (4, 0, (0, 0, 0, 0), "need k >= 1, got k=0"),
+])
+def test_first_mono_set_rejects_impossible_input(n, k, colours, fragment):
+    """A colouring longer than n once gave a set outside the graph, (4, 5,
+    6) on P_4^1, and n = -3 or k = 0 once gave None: each is an
+    InputError, in both kinds and modes."""
+    for kind in ("path", "cycle"):
+        for mode in ("biclique", "star"):
+            with pytest.raises(InputError, match=f"^{fragment}$"):
+                first_mono_set(kind, mode, n, k, colours)
 
 
 def test_windowed_check_on_long_powers():

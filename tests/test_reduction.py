@@ -325,6 +325,20 @@ def test_dimacs_parsing(tmp_path):
     assert read_dimacs(path) == CnfFormula.of(3, [(1, -2), (2, 3)])
 
 
+def test_dimacs_satlib_trailer_ends_the_file(tmp_path, capsys):
+    """SATLIB files end with a "%" line and then "0", which once was read
+    as a third, empty clause: reduce exited 2 with "header declares 2
+    clauses, found 3"."""
+    from bicliques.cli import main
+    path = tmp_path / "uf3.cnf"
+    path.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n\n")
+    assert read_dimacs(path) == CnfFormula.of(3, [(1, -2, 3), (-1, 2)])
+    assert main(["reduce", str(path), "--out-prefix",
+                 str(tmp_path / "uf3")]) == 0
+    assert capsys.readouterr().out.startswith(
+        "normalized: 3 vars, 2 clauses -> ")
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("1 2 0\n", "before 'p cnf'"),
     ("p cnf 2 1\n1 x 0\n", "bad literal"),
