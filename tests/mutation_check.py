@@ -2,8 +2,7 @@
 
 Run from anywhere, with pytest and hypothesis installed:
 
-    python tests/mutation_check.py            # every mutant
-    python tests/mutation_check.py c4-bound   # the mutants named
+    python tests/mutation_check.py
 
 A mutant is (file under src/bicliques, old text, new text, targeted tests).
 The old text must occur exactly once in the file, so a refactor that moves
@@ -11,9 +10,11 @@ or rewrites the code stops the check instead of skipping the mutant.  The
 script copies src/, tests/ and pyproject.toml to a temporary directory and
 runs the targeted tests there, first on the unmutated copy, which must
 pass, then with each mutant applied in turn, under pytest -x: the tests
-must fail.  It exits 0 when every mutant is caught and 1 otherwise.  The
-file name keeps pytest from collecting it; it uses the standard library
-only, and pytest in a child process.
+must fail.  pytest's output is printed when the unmutated copy fails or a
+mutant ends in an error rather than a failed test (say a collection
+error).  It exits 0 when every mutant is caught and 1 otherwise.  The file
+name keeps pytest from collecting it; it uses the standard library only,
+and pytest in a child process.
 """
 
 from __future__ import annotations
@@ -81,24 +82,21 @@ MUTANTS = {
 }
 
 
-def _run(copy: Path, tests) -> int:
-    """pytest's exit code on the tests of the copy: 0 when all pass, 1
-    when one fails (-x stops there); other codes are errors.  No bytecode
-    is written, so a restored file is never read from a mutant's cache."""
+def _run(copy: Path, tests) -> subprocess.CompletedProcess:
+    """pytest on the tests of the copy; its exit code is 0 when all pass, 1
+    when one fails (-x stops there), and other codes are errors.  No
+    bytecode is written, so a restored file is never read from a mutant's
+    cache."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL).returncode
+         *tests], cwd=copy, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True)
 
 
-def main(names) -> int:
-    unknown = [name for name in names if name not in MUTANTS]
-    if unknown:
-        sys.exit(f"unknown mutants {unknown}; known: {sorted(MUTANTS)}")
-    chosen = {name: MUTANTS[name] for name in names or MUTANTS}
-    for name, (file, old, _, _) in chosen.items():
+def main() -> int:
+    for name, (file, old, _, _) in MUTANTS.items():
         count = (ROOT / "src" / "bicliques" / file).read_text().count(old)
         if count != 1:
             sys.exit(f"{name}: {old!r} occurs {count} times in {file}")
@@ -108,33 +106,37 @@ def main(names) -> int:
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", copy)
-        targets = sorted({t for *_, tests in chosen.values() for t in tests})
+        targets = sorted({t for *_, tests in MUTANTS.values() for t in tests})
         start = time.perf_counter()
-        code = _run(copy, targets)
-        print(f"unmutated: exit {code} in "
+        run = _run(copy, targets)
+        print(f"unmutated: exit {run.returncode} in "
               f"{time.perf_counter() - start:.1f} s", flush=True)
-        if code != 0:
+        if run.returncode != 0:
+            print(run.stdout)
             return 1
         survived = []
-        for name, (file, old, new, tests) in chosen.items():
+        for name, (file, old, new, tests) in MUTANTS.items():
             path = copy / "src" / "bicliques" / file
             text = path.read_text()
             path.write_text(text.replace(old, new))
             start = time.perf_counter()
-            code = _run(copy, tests)
+            run = _run(copy, tests)
             path.write_text(text)
+            code = run.returncode
             verdict = "caught" if code == 1 else "SURVIVED" if code == 0 \
                 else f"ERROR (pytest exit {code})"
             print(f"{name}: {verdict} in {time.perf_counter() - start:.1f} s",
                   flush=True)
+            if code not in (0, 1):
+                print(run.stdout, flush=True)
             if code != 1:
                 survived.append(name)
     if survived:
         print(f"not caught: {', '.join(survived)}")
         return 1
-    print(f"all {len(chosen)} mutants caught")
+    print(f"all {len(MUTANTS)} mutants caught")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
