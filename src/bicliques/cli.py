@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 a verification answered "invalid" (monochromatic
 witness found, or a certification mismatch), 2 bad input, 3 a size cap was
 exceeded: the oracle's and the reduction's brute-force caps, or the caps
-below on what one command builds, which are checked before anything is
-allocated or printed, all but the reduction's by graphs.check_cap.  A
-file's P_n^k / C_n^k label is read by powers.power_params.
+below on what one command builds, checked by graphs.check_cap before
+anything is allocated or printed, and after powers.check_params refuses a
+bad n or k.  A file's P_n^k / C_n^k label is read by powers.power_params.
 
 The oracle, the reduction and csv are imported by the subcommands that use
 them, so chromatic, gen, bicliques --kind and verify of a generated power
@@ -89,11 +89,11 @@ def family_work(kind: str, n: int, k: int) -> int:
 
 
 def _check_closed_form(n: int, k: int) -> None:
-    """The cap on a closed-form value's n; its check of the colouring
-    (powers.first_mono_set) takes O(n + k*k*log n) time and O(n) memory.
-    A bad n or k is left for the constructor to report."""
-    if n >= 1 and k >= 1:
-        check_cap("a closed form", "n", n, CLOSED_FORM_CAP)
+    """n, k >= 1 (powers.check_params), then the cap on a closed-form
+    value's n; its check of the colouring (powers.first_mono_set) takes
+    O(n + k*k*log n) time and O(n) memory."""
+    powers.check_params(n, k)
+    check_cap("a closed form", "n", n, CLOSED_FORM_CAP)
 
 
 def _check_graph(n: int, edges: int = 0) -> None:
@@ -122,8 +122,8 @@ def cmd_gen(args) -> int:
         except ValueError:
             raise InputError("--distances must be comma-separated integers, "
                              f"got {args.distances!r}") from None
-        if args.n >= 1:  # each distance gives at most n edges
-            _check_graph(args.n, args.n * len(set(distances)))
+        # each distance gives at most n edges
+        _check_graph(args.n, args.n * len(set(distances)))
         g = powers.circulant(args.n, distances)
     else:
         if args.k is None:
@@ -143,7 +143,7 @@ def cmd_gen(args) -> int:
 
 def cmd_chromatic(args) -> int:
     _check_closed_form(args.n, args.k)
-    if args.dot and args.n >= 1 and args.k >= 1:
+    if args.dot:
         _check_graph(args.n,
                      powers.power_edge_count(args.kind, args.n, args.k))
     result = _constructor(args.kind, args.mode)(args.n, args.k)
@@ -268,15 +268,13 @@ def cmd_sweep(args) -> int:
         raise InputError(
             f"empty sweep range: k {args.k_from}..{args.k_to}, "
             f"n {args.n_from}..{args.n_to}")
+    powers.check_params(args.n_from, args.k_from)  # the grid's least n and k
     check_cap("a sweep", "rows", (args.k_to - args.k_from + 1)
               * (args.n_to - args.n_from + 1), SWEEP_ROWS_CAP)
     grid = [(n, k) for k in range(args.k_from, args.k_to + 1)
             for n in range(args.n_from, args.n_to + 1)]
-    for n, k in grid:
-        _check_closed_form(n, k)
-    if args.n_from >= 1 and args.k_from >= 1:  # else row 1 is refused at once
-        check_cap("a sweep", "sum(n)", sum(n for n, _ in grid),
-                  CLOSED_FORM_CAP)
+    # each n >= 1, so this also caps every row's n at CLOSED_FORM_CAP
+    check_cap("a sweep", "sum(n)", sum(n for n, _ in grid), CLOSED_FORM_CAP)
     construct = _constructor(args.kind, args.mode)
     rows = []
     for n, k in grid:

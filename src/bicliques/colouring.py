@@ -20,7 +20,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .graphs import InputError, is_int, read_json, write_json
-from .powers import check_choices, first_mono_set, is_complete
+from .powers import check_choices, check_params, first_mono_set, is_complete
 
 BLUE, RED, GREEN = 0, 1, 2
 
@@ -106,8 +106,7 @@ def even_division(n: int, k: int) -> EvenDivision:
 
     Exactly one even integer lies in (n/k - 2, n/k], which pins a.
     """
-    if k < 1:
-        raise InputError(f"need k >= 1, got k={k}")
+    check_params(n, k)
     if n < 2 * k:
         raise InputError(f"even division needs n >= 2k, got n={n}, k={k}")
     q = n // k
@@ -123,8 +122,7 @@ def ab_certificate(n: int, k: int) -> AbCertificate | None:
     even c exists exactly when n <= a*(k+1), that is t <= a, and then t
     blocks take k+1.  Requires n >= 2k+2 so that the total is at least 2.
     """
-    if k < 1:
-        raise InputError(f"need k >= 1, got k={k}")
+    check_params(n, k)
     if n < 2 * k + 2:
         raise InputError(f"block certificate needs n >= 2k+2, got n={n}, k={k}")
     a, t = even_division(n, k)
@@ -141,15 +139,13 @@ def decide_two_vs_three(n: int, k: int) -> tuple[int, AbCertificate | None]:
 
 
 def guaranteed_ab_certificate(n: int, k: int) -> AbCertificate:
-    """For n >= 2k**2 an (a, b) certificate always exists: with n = a'k + t
-    from even_division, a' >= 2k > t, so (a' - t, t) works."""
-    if k < 1:
-        raise InputError(f"need k >= 1, got k={k}")
-    if n < 2 * k * k:
-        raise InputError(f"shortcut needs n >= 2k^2, got n={n}, k={k}")
-    a_prime, t = even_division(n, k)
-    cert = AbCertificate(a_prime - t, t)
-    assert cert.is_valid_for(n, k)
+    """ab_certificate(n, k), which is never None for n >= max(2k**2, 2k+2):
+    with n = a'k + t from even_division, a' >= 2k > t, so t <= a'."""
+    check_params(n, k)
+    if n < max(2 * k * k, 2 * k + 2):
+        raise InputError(f"shortcut needs n >= max(2k^2, 2k+2), got n={n}, k={k}")
+    cert = ab_certificate(n, k)
+    assert cert is not None
     return cert
 
 
@@ -192,8 +188,7 @@ def three_colour_no_mono_p3(n: int, k: int) -> Colouring:
     for a monochromatic star, here an induced P3 (powers.first_mono_set),
     before being returned.
     """
-    if k < 1:
-        raise InputError(f"need k >= 1, got k={k}")
+    check_params(n, k)
     if n < 2 * k + 2:
         raise InputError(f"three-colouring needs n >= 2k+2, got n={n}, k={k}")
     colouring = _three_colouring(n, k)
@@ -219,8 +214,7 @@ def closed_form(kind: str, mode: str, n: int, k: int) -> ChromaticResult:
     cycle: value 2 by ab_certificate's blocks, else 3 by _three_colouring.
     """
     check_choices(kind, mode)
-    if n < 1 or k < 1:
-        raise InputError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    check_params(n, k)
     if is_complete(kind, n, k):
         everyone = tuple(range(n))
         result = ChromaticResult(n, Colouring(everyone, n),

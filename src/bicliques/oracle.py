@@ -78,8 +78,8 @@ def exact_chromatic(g: Graph, mode: str = "biclique") -> tuple[int, Colouring]:
     one such colouring.  Backtracking over canonical colourings: vertex 0 is
     fixed to colour 0 and a vertex may use at most one colour id beyond those
     already in use, which breaks colour-permutation symmetry."""
+    check_choices(mode=mode)
     check_cap("exact search", "n", g.n, SEARCH_CAP)
-    check_scan_cap(g.n, mode)
     if g.n == 0:
         return 0, Colouring((), 0)
     by_last: list[list[tuple[int, ...]]] = [[] for _ in range(g.n)]

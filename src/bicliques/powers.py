@@ -38,7 +38,7 @@ def check_choices(kind: str = "path", mode: str = "biclique") -> None:
 
 
 def check_params(n: int, k: int) -> None:
-    """InputError unless n >= 1 and k >= 1, as P_n^k and C_n^k need."""
+    """InputError for an n, then a k, below 1, as no P_n^k or C_n^k has."""
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
     if k < 1:
@@ -111,11 +111,15 @@ def power_params(label, n: int, edges):
     """(kind, n, k) when label names P_n^k or C_n^k on n vertices and the
     edge pairs (in range, no loops: graph_fields) are its edges, as many
     distinct pairs each within (cyclic) distance k, so no graph is built;
-    else None.  An n or k that no power graph has is an InputError."""
+    else None, also for a number past int()'s digit limit.  An n or k that
+    no power graph has is an InputError."""
     m = _POWER_LABEL.match(label or "")
-    if not m or int(m.group(2)) != n:
+    try:
+        if not m or int(m.group(2)) != n:
+            return None
+        kind, k = ("path" if m.group(1) == "P" else "cycle"), int(m.group(3))
+    except ValueError:
         return None
-    kind, k = ("path" if m.group(1) == "P" else "cycle"), int(m.group(3))
     # each unordered pair keyed as one int: hashing ints is cheaper than tuples
     distinct = {i * n + j if i < j else j * n + i for i, j in edges}
     if len(distinct) != power_edge_count(kind, n, k):

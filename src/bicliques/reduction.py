@@ -10,7 +10,9 @@ no two clauses sharing more than one literal.
 
 Containment is decided by the check that verifies colourings
 (graphs.smallest_maximal_inside) with V' as the one vertex mask: it lists
-no family and walks none of the 2^|V'| subsets of V'.
+no family and walks none of the 2^|V'| subsets of V'.  graphs.check_cap
+caps the truth table at TRUTH_TABLE_CAP variables and containment at
+SUBSET_SCAN_CAP vertices of V'.
 
 Literals follow the DIMACS convention: nonzero signed ints, variable numbers
 1..num_vars.
@@ -28,10 +30,10 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .graphs import (
-    CapacityError,
     Graph,
     InputError,
     SUBSET_SCAN_CAP,
+    check_cap,
     contains_induced_c4,
     contains_k4,
     graph_to_dict,
@@ -84,10 +86,7 @@ def evaluate(f: CnfFormula, assignment) -> bool:
 
 
 def _check_truth_table_cap(f: CnfFormula) -> None:
-    if f.num_vars > TRUTH_TABLE_CAP:
-        raise CapacityError(
-            f"truth table capped at {TRUTH_TABLE_CAP} variables, "
-            f"got {f.num_vars}")
+    check_cap("a truth table", "variables", f.num_vars, TRUTH_TABLE_CAP)
 
 
 def find_satisfying_assignment(f: CnfFormula):
@@ -301,9 +300,7 @@ def write_instance(inst: ReductionInstance, path: str) -> None:
 # containment and certification
 
 def _check_containment_cap(size: int) -> None:
-    if size > SUBSET_SCAN_CAP:
-        raise CapacityError(f"containment scan is capped at "
-                            f"|V'| <= {SUBSET_SCAN_CAP}, got {size}")
+    check_cap("containment scan", "|V'|", size, SUBSET_SCAN_CAP)
 
 
 def check_certify_caps(f: CnfFormula) -> None:

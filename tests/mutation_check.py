@@ -52,6 +52,31 @@ MUTANTS = {
         "for v in range(hi, lo - 1, -1):",
         "for v in range(hi, lo, -1):",
         ["tests/test_powers.py::test_exact_witness_on_every_two_colouring"]),
+    "p3-window": (
+        "powers.py",
+        "bisect_left(q, q[s] - k, i + 1)",
+        "bisect_left(q, q[s] - k + 1, i + 1)",
+        ["tests/test_powers.py"]),
+    "centre-reach": (
+        "powers.py",
+        "max(w, v + n - top + 1)",
+        "max(w, v + n - top)",
+        ["tests/test_powers.py"]),
+    "path-clique": (
+        "powers.py",
+        "max(0, n - 1 - k)",
+        "max(0, n - k)",
+        ["tests/test_powers.py"]),
+    "wrapped-range": (
+        "powers.py",
+        "if cyclic and u < k:",
+        "if cyclic and u < k - 1:",
+        ["tests/test_powers.py"]),
+    "params-k": (
+        "powers.py",
+        "if k < 1:",
+        "if k < 0:",
+        ["tests/test_powers.py"]),
     # the maximality kernel
     "maximal-cb": (
         "graphs.py",
@@ -79,6 +104,11 @@ MUTANTS = {
         "return AbCertificate(a - t, t) if t <= a else None",
         "return AbCertificate(a - t, t) if t < a else None",
         ["tests/test_colouring.py::test_ab_certificate_frozen"]),
+    "guaranteed-bound": (
+        "colouring.py",
+        "max(2 * k * k, 2 * k + 2)",
+        "max(2 * k * k, 2 * k + 1)",
+        ["tests/test_colouring.py::test_guaranteed_ab_certificate"]),
 }
 
 

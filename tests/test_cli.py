@@ -890,18 +890,18 @@ def test_reduce_certify_checks_the_containment_cap_first(tmp_path, capsys):
                  "--certify"]) == EXIT_CAPACITY
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == \
-        "error: containment scan is capped at |V'| <= 22, got 41\n"
+        "error: containment scan is capped at |V'| <= 22, got |V'|=41\n"
     # over both caps, the truth table's is still reported first
     write_dimacs(CnfFormula.of(21, [(v,) for v in range(1, 22)]), cnf)
     assert main(["reduce", str(cnf), "--out-prefix", str(tmp_path / "f"),
                  "--certify"]) == EXIT_CAPACITY
     assert capsys.readouterr().err == \
-        "error: truth table capped at 20 variables, got 21\n"
+        "error: a truth table is capped at variables <= 20, got variables=21\n"
 
 
 @pytest.mark.parametrize("nv, message", (
-    (11, "containment scan is capped at |V'| <= 22, got 23"),
-    (21, "truth table capped at 20 variables, got 21")))
+    (11, "containment scan is capped at |V'| <= 22, got |V'|=23"),
+    (21, "a truth table is capped at variables <= 20, got variables=21")))
 def test_reduce_certify_checks_its_caps_before_building_the_gadget(
         tmp_path, capsys, monkeypatch, nv, message):
     """A formula of nv unit clauses is past one of certify's caps: reduce
@@ -1003,6 +1003,45 @@ def test_chromatic_dot_colours(tmp_path):
                  "--dot", str(dot)]) == EXIT_OK
     text = dot.read_text()
     assert DOT_PALETTE[1] in text and DOT_PALETTE[0] in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["chromatic", "cycle", "--n", "2000000", "--k", "0"],
+    ["chromatic", "path", "--n", "200000", "--k", "0", "--dot", "x.dot"],
+    ["sweep", "--kind", "cycle", "--k-from", "0", "--k-to", "1",
+     "--n-from", "999999", "--n-to", "1000001"],
+    ["sweep", "--kind", "cycle", "--k-from", "0", "--k-to", "100000",
+     "--n-from", "1", "--n-to", "100000"],
+    ["gen", "cycle", "--n", "200000", "--k", "0"],
+    ["bicliques", "--kind", "cycle", "--n", "200000", "--k", "0"],
+])
+def test_bad_parameters_come_before_caps(tmp_path, monkeypatch, capsys,
+                                         argv):
+    """A k of 0 is bad input whatever size is asked for: every subcommand
+    exits 2 with powers.check_params's message before any cap is
+    checked."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: need k >= 1, got k=0\n")
+    assert not (tmp_path / "x.dot").exists()
+
+
+def test_power_label_past_the_int_digit_limit_names_no_power_graph(
+        tmp_path, capsys):
+    """A label whose n or k has more digits than int() reads names no power
+    graph: verify asks the oracle, and bicliques --closed-form refuses the
+    file as it refuses any label that names none."""
+    graph, col = tmp_path / "g.json", tmp_path / "c.json"
+    col.write_text(json.dumps({"n": 3, "colours": [0, 1, 0]}))
+    for label in ("P_3^" + "9" * 5000, "P_" + "0" * 5000 + "3^1"):
+        graph.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]],
+                                     "label": label}))
+        assert main(["verify", str(graph), str(col)]) == EXIT_OK
+        assert capsys.readouterr().out == "valid\n"
+        assert main(["bicliques", "--graph", str(graph),
+                     "--closed-form"]) == EXIT_INPUT
+        assert "--closed-form needs a generated power graph" in \
+            capsys.readouterr().err
 
 
 def test_chromatic_bad_params(capsys):

@@ -119,10 +119,15 @@ def test_guaranteed_ab_certificate():
     assert guaranteed_ab_certificate(8, 2) == AbCertificate(4, 0)
     assert guaranteed_ab_certificate(50, 4) == AbCertificate(10, 2)
     for k in range(1, 7):
-        for n in range(2 * k * k, 2 * k * k + 25):
-            assert guaranteed_ab_certificate(n, k).is_valid_for(n, k)
-    with pytest.raises(InputError):
-        guaranteed_ab_certificate(17, 3)
+        start = max(2 * k * k, 2 * k + 2)
+        for n in range(start, start + 25):
+            cert = guaranteed_ab_certificate(n, k)
+            assert cert.is_valid_for(n, k)
+            assert cert == ab_certificate(n, k)
+    # C_2^1 and C_3^1 are complete and take n colours: no (a, b) blocks
+    for n, k in ((2, 1), (3, 1), (17, 3)):
+        with pytest.raises(InputError, match=r"^shortcut needs"):
+            guaranteed_ab_certificate(n, k)
 
 
 def test_three_colouring_frozen():

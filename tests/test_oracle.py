@@ -156,6 +156,9 @@ def test_scan_cap():
     with pytest.raises(CapacityError,
                        match="^exact search is capped at n <= 14, got n=15$"):
         exact_chromatic(power_path(SEARCH_CAP + 1, 1))
+    # an unknown mode is bad input, refused before the cap
+    with pytest.raises(InputError, match="^unknown mode 'x'$"):
+        exact_chromatic(power_path(SEARCH_CAP + 1, 1), "x")
 
 
 def test_verify_colouring_witnesses():
