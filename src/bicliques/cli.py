@@ -56,17 +56,15 @@ FAMILY_CAP = 1_000_000       # bicliques listing a family: sets times degree
 SWEEP_ROWS_CAP = 10_000      # rows of one sweep
 
 
-def _constructor(kind: str, mode: str):
-    """The closed-form constructor of the power of a path or cycle in a
-    mode: the named function that calls colouring.closed_form, which the
-    benchmark's tracer times.  Once the tracer times closed_form itself
-    (ROADMAP item 2), callers can call it and this table can go."""
-    return {
-        ("path", "biclique"): biclique_colour_path,
-        ("cycle", "biclique"): biclique_colour_cycle,
-        ("path", "star"): star_colour_path,
-        ("cycle", "star"): star_colour_cycle,
-    }[(kind, mode)]
+# Each (kind, mode)'s constructor: the named function that calls
+# colouring.closed_form, which the benchmark's tracer times.  Once it times
+# closed_form itself (ROADMAP item 2), callers can call that, and this goes.
+_CONSTRUCTORS = {
+    ("path", "biclique"): biclique_colour_path,
+    ("cycle", "biclique"): biclique_colour_cycle,
+    ("path", "star"): star_colour_path,
+    ("cycle", "star"): star_colour_cycle,
+}
 
 
 def _oracle_graph(n: int, edges, label) -> Graph:
@@ -86,14 +84,6 @@ def family_work(kind: str, n: int, k: int) -> int:
     m = powers.power_edge_count(kind, n, k)
     sets = m if powers.is_complete(kind, n, k) else 2 * k * m
     return sets * (2 * m // n)
-
-
-def _check_closed_form(n: int, k: int) -> None:
-    """n, k >= 1 (powers.check_params), then the cap on a closed-form
-    value's n; its check of the colouring (powers.first_mono_set) takes
-    O(n + k*k*log n) time and O(n) memory."""
-    powers.check_params(n, k)
-    check_cap("a closed form", "n", n, CLOSED_FORM_CAP)
 
 
 def _check_graph(n: int, edges: int = 0) -> None:
@@ -122,9 +112,9 @@ def cmd_gen(args) -> int:
         except ValueError:
             raise InputError("--distances must be comma-separated integers, "
                              f"got {args.distances!r}") from None
-        # each distance gives at most n edges
-        _check_graph(args.n, args.n * len(set(distances)))
-        g = powers.circulant(args.n, distances)
+        ds = powers.circulant_distances(args.n, distances)
+        _check_graph(args.n, args.n * len(ds))  # at most n edges a distance
+        g = powers.circulant(args.n, ds)
     else:
         if args.k is None:
             raise InputError(f"{args.kind} needs --k")
@@ -142,11 +132,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_chromatic(args) -> int:
-    _check_closed_form(args.n, args.k)
+    powers.check_params(args.n, args.k)
+    check_cap("a closed form", "n", args.n, CLOSED_FORM_CAP)
     if args.dot:
         _check_graph(args.n,
                      powers.power_edge_count(args.kind, args.n, args.k))
-    result = _constructor(args.kind, args.mode)(args.n, args.k)
+    result = _CONSTRUCTORS[args.kind, args.mode](args.n, args.k)
     print(result.value)
     cert = _certificate_text(result)
     if cert:
@@ -220,13 +211,12 @@ def cmd_bicliques(args) -> int:
         fam = oracle.maximal_bicliques(g) if args.mode == "biclique" \
             else oracle.maximal_stars(g)
     if args.mode == "biclique":
-        body = [{"vertices": list(b.vertices), "shape": b.shape,
-                 **({"reach": b.reach} if b.reach is not None else {})}
-                for b in fam]
+        key, body = "bicliques", [
+            {"vertices": list(b.vertices), "shape": b.shape,
+             **({"reach": b.reach} if b.reach is not None else {})}
+            for b in fam]
     else:
-        body = [list(s) for s in fam]
-
-    key = "bicliques" if args.mode == "biclique" else "stars"
+        key, body = "stars", [list(s) for s in fam]
     write_json({"label": label, "mode": args.mode, "source": source,
                 "count": len(body), key: body}, args.out)
     return EXIT_OK
@@ -263,7 +253,6 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import csv
     if args.k_from > args.k_to or args.n_from > args.n_to:
         raise InputError(
             f"empty sweep range: k {args.k_from}..{args.k_to}, "
@@ -271,25 +260,21 @@ def cmd_sweep(args) -> int:
     powers.check_params(args.n_from, args.k_from)  # the grid's least n and k
     check_cap("a sweep", "rows", (args.k_to - args.k_from + 1)
               * (args.n_to - args.n_from + 1), SWEEP_ROWS_CAP)
-    grid = [(n, k) for k in range(args.k_from, args.k_to + 1)
-            for n in range(args.n_from, args.n_to + 1)]
+    ks = range(args.k_from, args.k_to + 1)
+    ns = range(args.n_from, args.n_to + 1)
     # each n >= 1, so this also caps every row's n at CLOSED_FORM_CAP
-    check_cap("a sweep", "sum(n)", sum(n for n, _ in grid), CLOSED_FORM_CAP)
-    construct = _constructor(args.kind, args.mode)
-    rows = []
-    for n, k in grid:
-        result = construct(n, k)
-        rows.append({
-            "n": n, "k": k, "kind": args.kind, "mode": args.mode,
-            "value": result.value,
-            "certificate": _certificate_text(result),
-        })
-    fieldnames = ["n", "k", "kind", "mode", "value", "certificate"]
+    check_cap("a sweep", "sum(n)", len(ks) * sum(ns), CLOSED_FORM_CAP)
+    import csv
+    construct = _CONSTRUCTORS[args.kind, args.mode]
+    rows = [("n", "k", "kind", "mode", "value", "certificate")]
+    for k in ks:
+        for n in ns:
+            result = construct(n, k)
+            rows.append((n, k, args.kind, args.mode, result.value,
+                         _certificate_text(result)))
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        csv.writer(out).writerows(rows)
     finally:
         if args.out:
             out.close()

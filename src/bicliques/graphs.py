@@ -582,11 +582,11 @@ def graph_to_dict(g: Graph) -> dict:
     return d
 
 
-def graph_fields(d: dict) -> tuple[int, list[tuple[int, int]], str | None]:
-    """(n, edge pairs, label) of a graph object, after the checks that
-    building it makes, in the same order, but before its n adjacency rows
-    are allocated: a caller can then reject other input cheaply even when
-    the declared n is huge."""
+def graph_fields(d: dict) -> tuple[int, list[list[int]], str | None]:
+    """(n, edges, label) of a graph object, edges its own list of [i, j]
+    entries, not copied, after the checks that building it makes, in the
+    same order, but before its n adjacency rows are allocated: a caller can
+    then reject other input cheaply even when the declared n is huge."""
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise InputError('graph object needs "n" and "edges" keys')
     n = d["n"]
@@ -597,22 +597,20 @@ def graph_fields(d: dict) -> tuple[int, list[tuple[int, int]], str | None]:
         raise InputError('"edges" must be a list of pairs')
     # The per-edge checks are is_int and _check_edge written inline: a file
     # may hold millions of edges, and a call per edge doubles the time.
-    pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2
                 and isinstance(e[0], int) and not isinstance(e[0], bool)
                 and isinstance(e[1], int) and not isinstance(e[1], bool)):
             raise InputError(f"malformed edge entry {e!r}")
-        pairs.append((e[0], e[1]))
     label = d.get("label")
     if label is not None and not isinstance(label, str):
         raise InputError('"label" must be a string')
-    for i, j in pairs:
+    for i, j in edges:
         if not (0 <= i < n and 0 <= j < n and i != j):
             _check_edge(n, i, j)
     if n < 0:
         raise InputError("vertex count must be non-negative")
-    return n, pairs, label
+    return n, edges, label
 
 
 def graph_from_dict(d: dict) -> Graph:

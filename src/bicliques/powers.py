@@ -22,8 +22,8 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
 
-from .graphs import (Biclique, Graph, InputError, colour_tuple, mask_of,
-                     maximal_family)
+from .graphs import (Biclique, Graph, InputError, colour_tuple, is_int,
+                     mask_of, maximal_family)
 
 _POWER_LABEL = re.compile(r"^([PC])_(\d+)\^(\d+)$")
 
@@ -130,20 +130,33 @@ def power_params(label, n: int, edges):
     return (kind, n, k) if near else None
 
 
-def circulant(n: int, distances) -> Graph:
-    """Circulant graph C_n(d1, ..., dm): edge iff the cyclic distance of the
-    endpoints is some min(di mod n, n - di mod n).  The distances are
-    checked, then built as in power_cycle, which is C_n(1, 2, ..., k)."""
+def circulant_distances(n: int, distances) -> list[int]:
+    """The sorted distinct distances of C_n(distances), read once, after
+    InputErrors for n < 1, a distance that is no int (a bool included), no
+    distance, then the least distance below 1 or multiple of n."""
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
-    ds = sorted(set(distances))
+    ds = list(distances)
+    for d in ds:
+        if not is_int(d):
+            raise InputError(f"distances must be positive integers, got {d!r}")
+    ds = sorted(set(ds))
     if not ds:
         raise InputError("need at least one distance")
     for d in ds:
-        if not isinstance(d, int) or d < 1:
+        if d < 1:
             raise InputError(f"distances must be positive integers, got {d!r}")
         if d % n == 0:
             raise InputError(f"distance {d} is 0 mod {n}")
+    return ds
+
+
+def circulant(n: int, distances) -> Graph:
+    """Circulant graph C_n(d1, ..., dm): edge iff the cyclic distance of the
+    endpoints is some min(di mod n, n - di mod n).  The distances are
+    checked (circulant_distances), then built as in power_cycle, which is
+    C_n(1, 2, ..., k)."""
+    ds = circulant_distances(n, distances)
     label = f"C_{n}({','.join(str(d) for d in ds)})"
     return tuple.__new__(Graph, (n, _circulant_rows(n, ds), label))
 

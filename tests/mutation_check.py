@@ -77,6 +77,32 @@ MUTANTS = {
         "if k < 1:",
         "if k < 0:",
         ["tests/test_powers.py"]),
+    "class-size": (
+        "powers.py",
+        "if size >= 3}",
+        "if size >= 4}",
+        ["tests/test_powers.py"]),
+    "wrapped-end": (
+        "powers.py",
+        "lo = max(w - k, u + n - top + 1)",
+        "lo = max(w - k, u + n - top)",
+        ["tests/test_powers.py"]),
+    "c4-third": (
+        "powers.py",
+        "max(c0, b + 1, q[j] - k)",
+        "max(c0, b + 1, q[j] - k + 1)",
+        ["tests/test_powers.py"]),
+    "clique-pair": (
+        "powers.py",
+        "colours.index(colours[i], i + 1)",
+        "colours.index(colours[i], i + 2)",
+        ["tests/test_powers.py"]),
+    "circulant-bool": (
+        "powers.py",
+        "if not is_int(d):",
+        "if not isinstance(d, int):",
+        ["tests/test_powers.py::"
+         "test_circulant_rejects_a_distance_that_is_no_int"]),
     # the maximality kernel
     "maximal-cb": (
         "graphs.py",
@@ -93,11 +119,21 @@ MUTANTS = {
         "return not (row ^ adj[nb.bit_length() - 1]) & ~smask",
         "return not (row & adj[nb.bit_length() - 1]) & ~smask",
         ["tests/test_graphs.py"]),
+    "smallest-group": (
+        "graphs.py",
+        "if best is not None and a & -a != group:",
+        "if best is not None:",
+        ["tests/test_graphs.py", "tests/test_oracle.py"]),
     # the rows of closed_form, and the (a, b) division
     "c4-row": (
         "colouring.py",
         'elif mode == "biclique" and n <= 3 * k + 1:',
         'elif mode == "biclique" and n <= 3 * k + 2:',
+        ["tests/test_colouring.py"]),
+    "path-universal-row": (
+        "colouring.py",
+        'elif kind == "path" and n <= 2 * k:',
+        'elif kind == "path" and n <= 2 * k - 1:',
         ["tests/test_colouring.py"]),
     "ab-division": (
         "colouring.py",

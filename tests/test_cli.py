@@ -53,6 +53,22 @@ def test_gen_circulant(tmp_path):
     assert main(["gen", "path", "--n", "9", "--out", str(out)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("n, distances, message", [
+    ("100000000", "0", "distances must be positive integers, got 0"),
+    ("100000000", "100000000", "distance 100000000 is 0 mod 100000000"),
+    ("30000", "-3", "distances must be positive integers, got -3"),
+])
+def test_gen_circulant_checks_distances_before_the_caps(tmp_path, capsys, n,
+                                                        distances, message):
+    """A bad distance is bad input at any n: these once exited 3 on the
+    rows cap, while the same distance at n = 13 exited 2."""
+    out = tmp_path / "c.json"
+    assert main(["gen", "circulant", "--n", n, "--distances", distances,
+                 "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_gen_dot_output(tmp_path):
     dot = tmp_path / "g.dot"
     assert main(["gen", "path", "--n", "4", "--k", "1", "--out",

@@ -19,6 +19,7 @@ from bicliques.graphs import (
     contains_induced_c4,
     induced_p3s,
     contains_k4,
+    graph_fields,
     graph_from_dict,
     graph_to_dict,
     induced_subgraph,
@@ -422,6 +423,15 @@ def test_induced_shape():
 @settings(max_examples=80, deadline=None)
 def test_graph_dict_round_trip(g):
     assert graph_from_dict(graph_to_dict(g)) == g
+
+
+def test_graph_fields_returns_the_edges_it_checked_uncopied():
+    """graph_fields checks the file's [i, j] entries where they are and
+    returns that same list, so a large file's edges are held once."""
+    d = graph_to_dict(power_cycle(9, 2))
+    n, edges, label = graph_fields(d)
+    assert (n, label) == (9, "C_9^2")
+    assert edges is d["edges"]
 
 
 def test_graph_file_round_trip(tmp_path):

@@ -4,6 +4,7 @@ checked against the oracle enumeration and independent test-side scanners."""
 import hashlib
 import json
 import random
+import re
 import time
 from functools import lru_cache
 from itertools import combinations, product
@@ -158,6 +159,19 @@ def test_circulant_matches_cycle_power():
         circulant(6, [])
     with pytest.raises(InputError):
         circulant(6, [-1])
+
+
+def test_circulant_rejects_a_distance_that_is_no_int():
+    """A bool once built C_5(True), and a str or a list raised TypeError
+    from the sort: each is the distances' InputError, naming the first such
+    distance, and a generator of good distances is read once."""
+    for distances, bad in (([True], "True"), ([1, "a"], "'a'"),
+                           ([[1]], "[1]"), ([2, 1.5, "b"], "1.5")):
+        with pytest.raises(InputError,
+                           match="^distances must be positive integers, "
+                                 f"got {re.escape(bad)}$"):
+            circulant(5, distances)
+    assert circulant(5, (d for d in (2, 1, 2))).label == "C_5(1,2)"
 
 
 def _assert_rows(g, edge):
@@ -588,23 +602,27 @@ def test_c4_range_scan_of_slow_shapes_matches_the_class_search(shape):
                 default=None), (shape, n, mode)
 
 
-@pytest.mark.parametrize("kind, mode, k_max, c4_range_only", [
-    ("cycle", "biclique", 4, True),
-    ("cycle", "star", 3, False),
-    ("path", "biclique", 3, False),
+@pytest.mark.parametrize("kind, mode, k_max, c4_range_only, palette", [
+    ("cycle", "biclique", 4, True, 2),
+    ("cycle", "star", 4, False, 2),
+    ("path", "biclique", 3, False, 2),
+    ("cycle", "biclique", 2, True, 3),
+    ("cycle", "star", 2, False, 3),
+    ("path", "biclique", 2, False, 3),
 ])
-def test_exact_witness_on_every_two_colouring(kind, mode, k_max, c4_range_only):
-    """Every 2-colouring of the power for k <= k_max, on the C4 range
-    2k+2 <= n <= 4k of cycle bicliques (138 448 colourings) or else on
-    1 <= n <= 4k: first_mono_set gives exactly the listed family's first
-    monochromatic set, and every witness is a member of the family.  A
-    bound one too high in the certificate, such as the C4 bound of
-    _wrapped_sets, shows here as a witness that is no member."""
+def test_exact_witness_on_every_two_colouring(kind, mode, k_max,
+                                              c4_range_only, palette):
+    """Every colouring with palette colours (2 or 3) of the power for k <=
+    k_max, on the C4 range 2k+2 <= n <= 4k of cycle bicliques (138 448
+    2-colourings) or else on 1 <= n <= 4k: first_mono_set gives exactly the
+    listed family's first monochromatic set, and every witness is a member
+    of the family.  A bound one too high in the certificate, such as the C4
+    bound of _wrapped_sets, shows here as a witness that is no member."""
     for k in range(1, k_max + 1):
         for n in range(2 * k + 2 if c4_range_only else 1, 4 * k + 1):
             family = _family_sets(kind, mode, n, k)
             members = set(family)
-            for colours in product((0, 1), repeat=n):
+            for colours in product(range(palette), repeat=n):
                 got = first_mono_set(kind, mode, n, k, colours)
                 assert got == support.first_monochromatic(colours, family), \
                     (kind, mode, n, k, colours)
