@@ -343,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--mode", choices=["biclique", "star"], default="biclique")
     p.add_argument("--closed-form", action="store_true",
-                   help="use the power-graph closed forms instead of the "
-                        "oracle enumeration")
+                   help="with --graph: read the file as the P_n^k / C_n^k "
+                        "its label names, list under FAMILY_CAP and ROWS_CAP "
+                        "and add each cycle P3's reach")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_bicliques)
 

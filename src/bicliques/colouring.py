@@ -33,21 +33,23 @@ class _ColouringFields(NamedTuple):
 class Colouring(_ColouringFields):
     """Vertex colouring: colours[v] is the colour id of vertex v.
 
-    Invariant: every id in [0, num_colours) is used at least once, checked
-    when it is built.  The records of this module are named tuples, not
-    dataclasses, since importing dataclasses costs every command line run
-    about 12 ms.
+    Invariant: num_colours is an int >= 0 and every id in [0, num_colours)
+    is used at least once, checked when it is built.  The records of this
+    module are named tuples, not dataclasses, since importing dataclasses
+    costs every command line run about 12 ms.
     """
 
     __slots__ = ()
 
     def __new__(cls, colours: tuple[int, ...], num_colours: int):
+        if not (is_int(num_colours) and num_colours >= 0):
+            raise InputError('"num_colours" must be a non-negative integer')
         used = set(colours)
         for c in used:
             if not 0 <= c < num_colours:
                 raise InputError(
                     f"colour id {c} outside [0, {num_colours})")
-        if colours and len(used) != num_colours:
+        if len(used) != num_colours:
             # num_colours comes from the file, so at most 20 of the missing
             # ids are listed rather than all of range(num_colours)
             missing = list(islice(
@@ -311,8 +313,6 @@ def colouring_from_dict(d: dict) -> Colouring:
         raise InputError(
             f'"n" is {d["n"]} but {len(colours)} colours are listed')
     num = d.get("num_colours", (max(colours) + 1) if colours else 0)
-    if not is_int(num):
-        raise InputError('"num_colours" must be an integer')
     return Colouring(tuple(colours), num)
 
 

@@ -2,9 +2,10 @@
 
 Vertices are dense indices 0..n-1.  Adjacency is one Python int per vertex,
 bit u of adj[v] set iff {u, v} is an edge, so subset predicates run
-word-parallel on arbitrary-width ints.  induced_p3s is the one walk over
-induced P3s, maximal_family the one listing of a maximal family, and
-check_cap and colour_tuple the one cap check and colouring length check.
+word-parallel on arbitrary-width ints.  Each job is done one way:
+vertices_of lists a mask's vertices, _edge_pairs walks the edges,
+induced_p3s the induced P3s, maximal_family lists a maximal family, and
+check_cap and colour_tuple check a cap and a colouring's length.
 """
 
 from __future__ import annotations
@@ -36,16 +37,8 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def bits(mask: int):
-    """Yield the set bit positions of mask in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def vertices_of(mask: int) -> tuple[int, ...]:
-    """tuple(bits(mask)), by an inline loop with no generator."""
+    """The set bit positions of mask, in increasing order."""
     vs = []
     while mask:
         low = mask & -mask
@@ -110,12 +103,9 @@ class Graph(_GraphFields):
             if row >> v & 1:
                 raise InputError(f"self-loop at vertex {v}")
         for v, row in enumerate(adj):
-            while row:
-                low = row & -row
-                u = low.bit_length() - 1
+            for u in vertices_of(row):
                 if not adj[u] >> v & 1:
                     raise InputError(f"asymmetric adjacency between {v} and {u}")
-                row ^= low
         return super().__new__(cls, n, adj, label)
 
     @staticmethod
@@ -139,13 +129,13 @@ class Graph(_GraphFields):
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbours(self, v: int):
-        return bits(self.adj[v])
+    def neighbours(self, v: int) -> tuple[int, ...]:
+        """The neighbours of v, in increasing order."""
+        return vertices_of(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list, each pair once with i < j, lexicographically sorted."""
-        adj = self.adj
-        return [(i, j) for i in range(self.n) for j in bits(adj[i]) if i < j]
+        return [(i, j) for i, j in _edge_pairs(self.adj)]
 
     @property
     def edge_count(self) -> int:
@@ -156,7 +146,7 @@ def induced_subgraph(g: Graph, s) -> Graph:
     """Subgraph induced by vertex set s, relabelled 0..|s|-1 in sorted order."""
     vs = vertex_set(s, g.n)
     index = {v: i for i, v in enumerate(vs)}
-    return Graph(len(vs), tuple(mask_of(index[u] for u in bits(g.adj[v])
+    return Graph(len(vs), tuple(mask_of(index[u] for u in g.neighbours(v)
                                         if u in index) for v in vs))
 
 
@@ -566,17 +556,21 @@ def contains_induced_c4(g: Graph):
 # ---------------------------------------------------------------------------
 # serialization
 
-def graph_to_dict(g: Graph) -> dict:
-    """{"n", "edges", "label"} of g, each edge [i, j] once with i < j in
-    lexicographic order (as g.edges()), listed straight from the rows."""
-    edges = []
-    for i, row in enumerate(g.adj):
+def _edge_pairs(adj):
+    """Yield each edge once as a list [i, j], i < j, in lexicographic order
+    (graph_to_dict writes them as they come): the one walk over edges."""
+    for i, row in enumerate(adj):
         row >>= i + 1  # the neighbours above i, shifted down by i + 1
         while row:
             low = row & -row
-            edges.append([i, i + low.bit_length()])
+            yield [i, i + low.bit_length()]
             row ^= low
-    d: dict = {"n": g.n, "edges": edges}
+
+
+def graph_to_dict(g: Graph) -> dict:
+    """{"n", "edges", "label"} of g, each edge [i, j] once with i < j in
+    lexicographic order (as g.edges())."""
+    d: dict = {"n": g.n, "edges": list(_edge_pairs(g.adj))}
     if g.label is not None:
         d["label"] = g.label
     return d
@@ -613,10 +607,6 @@ def graph_fields(d: dict) -> tuple[int, list[list[int]], str | None]:
     return n, edges, label
 
 
-def graph_from_dict(d: dict) -> Graph:
-    return Graph.from_edges(*graph_fields(d))
-
-
 def read_text(path: str) -> str:
     """The contents of the UTF-8 text file at path, newlines translated as
     when reading lines; other bytes are an InputError that names the file."""
@@ -644,7 +634,7 @@ def read_json(path: str):
 
 
 def read_graph(path: str) -> Graph:
-    return graph_from_dict(read_json(path))
+    return Graph.from_edges(*graph_fields(read_json(path)))
 
 
 def write_json(value, path: str | None = None) -> None:
@@ -687,7 +677,6 @@ def write_dot(g: Graph, colours=None) -> str:
         fill = "white" if colours is None \
             else DOT_PALETTE[colours[v] % len(DOT_PALETTE)]
         lines.append(f'  {v} [fillcolor="{fill}"];')
-    for i, j in g.edges():
-        lines.append(f"  {i} -- {j};")
+    lines.extend(f"  {i} -- {j};" for i, j in _edge_pairs(g.adj))
     lines.append("}")
     return "\n".join(lines) + "\n"

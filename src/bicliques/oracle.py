@@ -28,7 +28,6 @@ from .graphs import (
     maximal_family,
     maximal_masks,
     smallest_maximal_inside,
-    vertices_of,
 )
 from .powers import check_choices, cyclic_reach
 
@@ -77,34 +76,32 @@ def exact_chromatic(g: Graph, mode: str = "biclique") -> tuple[int, Colouring]:
     """Least c admitting a colouring with no monochromatic hyperedge, with
     one such colouring.  Backtracking over canonical colourings: vertex 0 is
     fixed to colour 0 and a vertex may use at most one colour id beyond those
-    already in use, which breaks colour-permutation symmetry."""
+    already in use, which breaks colour-permutation symmetry.  Each maximal
+    set's mask is filed under its highest vertex v, and colour col is
+    refused for v when one of them lies inside col's class mask with v."""
     check_choices(mode=mode)
     check_cap("exact search", "n", g.n, SEARCH_CAP)
     if g.n == 0:
         return 0, Colouring((), 0)
-    by_last: list[list[tuple[int, ...]]] = [[] for _ in range(g.n)]
-    for vs in map(vertices_of, maximal_masks(g.adj, mode, (1 << g.n) - 1)):
-        by_last[vs[-1]].append(vs)
-
-    colours = [-1] * g.n
-
-    def violates(v: int) -> bool:
-        col = colours[v]
-        for vs in by_last[v]:
-            if all(colours[u] == col for u in vs):
-                return True
-        return False
-
     n = g.n
+    by_last: list[list[int]] = [[] for _ in range(n)]
+    for m in maximal_masks(g.adj, mode, (1 << n) - 1):
+        by_last[m.bit_length() - 1].append(m)
+    colours = [0] * n
+    classes = [0] * n  # the vertex mask of each colour id
 
     def search(v: int, used: int, limit: int) -> bool:
         if v == n:
             return True
         for col in range(min(used + 1, limit)):
+            cls = classes[col] | 1 << v
+            if any(m & cls == m for m in by_last[v]):
+                continue
+            classes[col] = cls
             colours[v] = col
-            if not violates(v) and search(v + 1, max(used, col + 1), limit):
+            if search(v + 1, max(used, col + 1), limit):
                 return True
-        colours[v] = -1
+            classes[col] = cls ^ 1 << v
         return False
 
     for c in range(1, g.n + 1):

@@ -38,7 +38,10 @@ def check_choices(kind: str = "path", mode: str = "biclique") -> None:
 
 
 def check_params(n: int, k: int) -> None:
-    """InputError for an n, then a k, below 1, as no P_n^k or C_n^k has."""
+    """The one n, k gate of powers and colouring: InputError for an n or k
+    that is no int (graphs.is_int), then for an n, then a k, below 1."""
+    if not (is_int(n) and is_int(k)):
+        raise InputError(f"n and k must be integers, got n={n!r}, k={k!r}")
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
     if k < 1:
@@ -132,8 +135,10 @@ def power_params(label, n: int, edges):
 
 def circulant_distances(n: int, distances) -> list[int]:
     """The sorted distinct distances of C_n(distances), read once, after
-    InputErrors for n < 1, a distance that is no int (a bool included), no
-    distance, then the least distance below 1 or multiple of n."""
+    InputErrors for a non-int n (graphs.is_int), n < 1, a non-int distance,
+    no distance, then the least distance below 1 or multiple of n."""
+    if not is_int(n):
+        raise InputError(f"n must be an integer, got n={n!r}")
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
     ds = list(distances)

@@ -151,10 +151,6 @@ def normalization_violations(f: CnfFormula) -> list[str]:
     return out
 
 
-def is_normalized(f: CnfFormula) -> bool:
-    return not normalization_violations(f)
-
-
 def check_normalized(f: CnfFormula) -> None:
     violations = normalization_violations(f)
     if violations:

@@ -97,6 +97,13 @@ MUTANTS = {
         "colours.index(colours[i], i + 1)",
         "colours.index(colours[i], i + 2)",
         ["tests/test_powers.py"]),
+    "params-int-k": (
+        "powers.py",
+        "if not (is_int(n) and is_int(k)):",
+        "if not is_int(n):",
+        ["tests/test_powers.py::test_first_mono_set_rejects_impossible_input",
+         "tests/test_powers.py::"
+         "test_power_functions_refuse_non_integer_n_and_k"]),
     "circulant-bool": (
         "powers.py",
         "if not is_int(d):",
@@ -119,12 +126,34 @@ MUTANTS = {
         "return not (row ^ adj[nb.bit_length() - 1]) & ~smask",
         "return not (row & adj[nb.bit_length() - 1]) & ~smask",
         ["tests/test_graphs.py"]),
+    "edge-shift": (
+        "graphs.py",
+        "row >>= i + 1",
+        "row >>= i",
+        ["tests/test_graphs.py"]),
     "smallest-group": (
         "graphs.py",
         "if best is not None and a & -a != group:",
         "if best is not None:",
         ["tests/test_graphs.py", "tests/test_oracle.py"]),
-    # the rows of closed_form, and the (a, b) division
+    # the exact search's colour-class masks
+    "exact-restore": (
+        "oracle.py",
+        "classes[col] = cls ^ 1 << v",
+        "classes[col] = cls",
+        ["tests/test_oracle.py"]),
+    "exact-filing": (
+        "oracle.py",
+        "by_last[m.bit_length() - 1]",
+        "by_last[(m & -m).bit_length() - 1]",
+        ["tests/test_oracle.py"]),
+    # the Colouring invariant, the rows of closed_form, and the (a, b)
+    # division
+    "colouring-empty": (
+        "colouring.py",
+        "if len(used) != num_colours:",
+        "if colours and len(used) != num_colours:",
+        ["tests/test_colouring.py::test_colouring_validation"]),
     "c4-row": (
         "colouring.py",
         'elif mode == "biclique" and n <= 3 * k + 1:',

@@ -20,7 +20,8 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from bicliques.graphs import Graph, InputError, bits, cb_sides, is_star_set
+from bicliques.graphs import (Graph, InputError, cb_sides, is_star_set,
+                              vertices_of)
 from bicliques import graphs, powers
 from bicliques.reduction import CnfFormula, normalize
 
@@ -98,7 +99,7 @@ def brute_maximal_inside(g: Graph, mode: str, vmask: int):
     subset of vmask is tested, and one is maximal when no single vertex of
     g extends it."""
     test = bfs_complete_bipartite if mode == "biclique" else is_star_by_loops
-    inside = list(bits(vmask))
+    inside = vertices_of(vmask)
     found = set()
     for r in range(2, len(inside) + 1):
         for vs in combinations(inside, r):
@@ -157,7 +158,7 @@ def walk_is_maximal_cb(adj, smask: int, sides) -> bool:
     a, b = sides
     ext = (adj[(a & -a).bit_length() - 1]
            | adj[(b & -b).bit_length() - 1]) & ~smask
-    for w in bits(ext):
+    for w in vertices_of(ext):
         seen = adj[w] & smask
         if seen == a or seen == b:
             return False
@@ -181,7 +182,7 @@ def walk_is_maximal_star(adj, smask: int) -> bool:
         centres = nb
     ext = (adj[(centres & -centres).bit_length() - 1]
            | adj[centres.bit_length() - 1]) & ~smask
-    for w in bits(ext):
+    for w in vertices_of(ext):
         seen = adj[w] & smask
         if seen & centres and seen & (seen - 1) == 0:
             return False
@@ -200,7 +201,7 @@ def brute_scan_bicliques(g: Graph) -> list[tuple[tuple[int, ...], str]]:
             continue
         sides = cb_sides(adj, m)
         if sides is not None and walk_is_maximal_cb(adj, m, sides):
-            vs = tuple(bits(m))
+            vs = vertices_of(m)
             out.append((vs, induced_shape(g, vs)))
     return sorted(out)
 
@@ -209,7 +210,7 @@ def brute_scan_stars(g: Graph) -> list[tuple[int, ...]]:
     """Every maximal star of g as a sorted vertex tuple, sorted: is_star_set
     and walk_is_maximal_star applied to each of the 2^n vertex subsets."""
     adj = g.adj
-    return sorted(tuple(bits(m)) for m in range(3, 1 << g.n)
+    return sorted(vertices_of(m) for m in range(3, 1 << g.n)
                   if m.bit_count() >= 2 and is_star_set(adj, m)
                   and walk_is_maximal_star(adj, m))
 
@@ -293,7 +294,7 @@ def walk_induced_c4(g: Graph):
 def brute_maximal_independent_sets(g: Graph, mask: int) -> set[int]:
     """Masks of the maximal independent subsets of the vertex mask, found
     among all its submasks with nested has_edge loops."""
-    vs = list(bits(mask))
+    vs = vertices_of(mask)
     found = []
     for r in range(len(vs) + 1):
         for sub in combinations(vs, r):

@@ -5,7 +5,6 @@ pytest -s) and fails hard on any mismatch or budget overrun.
 """
 
 import csv
-import json
 import random
 import time
 

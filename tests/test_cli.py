@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 import support
 from bicliques import cli, oracle, powers, reduction
 from bicliques.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
-from bicliques.colouring import (biclique_colour_cycle, biclique_colour_path,
-                                 read_colouring)
+from bicliques.colouring import biclique_colour_cycle, biclique_colour_path
 from bicliques.graphs import DOT_PALETTE, Graph, read_graph, write_graph
 from bicliques.reduction import CnfFormula, write_dimacs
 

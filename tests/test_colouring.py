@@ -17,7 +17,6 @@ from bicliques.colouring import (
     GREEN,
     RED,
     AbCertificate,
-    ChromaticResult,
     Colouring,
     EvenDivision,
     ab_certificate,
@@ -58,6 +57,12 @@ def test_colouring_validation():
         Colouring((0, 0), 2)  # id 1 unused
     assert Colouring.from_sequence([2, 0, 1, 0]).num_colours == 3
     assert Colouring.from_sequence([]).num_colours == 0
+    assert Colouring((), 0).n == 0
+    for num in (3, -1, True, 2.0):  # an empty colouring is checked too
+        with pytest.raises(InputError):
+            Colouring((), num)
+    with pytest.raises(InputError, match="non-negative"):
+        Colouring((0,), -1)
     with pytest.raises(InputError, match=r"^colour ids \[1, 3\] unused$"):
         Colouring((0, 2, 0), 4)
     # num_colours is read from files: a huge one is reported, not expanded

@@ -14,13 +14,11 @@ from bicliques.graphs import (
     DOT_PALETTE,
     Graph,
     InputError,
-    bits,
     cb_sides,
     contains_induced_c4,
     induced_p3s,
     contains_k4,
     graph_fields,
-    graph_from_dict,
     graph_to_dict,
     induced_subgraph,
     is_complete_bipartite,
@@ -43,13 +41,12 @@ from bicliques.powers import power_cycle, power_path
 
 
 def test_bits_and_mask_round_trip():
-    assert list(bits(0)) == []
-    assert list(bits(0b10110)) == [1, 2, 4]
+    assert vertices_of(0) == ()
+    assert vertices_of(0b10110) == (1, 2, 4)
     assert mask_of([4, 1, 2]) == 0b10110
     for seed in range(20):
         rng = random.Random(seed)
         vs = sorted(rng.sample(range(40), rng.randint(0, 12)))
-        assert list(bits(mask_of(vs))) == vs
         assert vertices_of(mask_of(vs)) == tuple(vs)
 
 
@@ -188,7 +185,7 @@ def _assert_maximality_matches_walk(adj):
         s = a | b
         assert is_maximal_cb(adj, s, (a, b)) == \
             support.walk_is_maximal_cb(adj, s, (a, b))
-        for v in bits(s):
+        for v in vertices_of(s):
             m = s ^ 1 << v
             sides = cb_sides(adj, m) if m & (m - 1) else None
             if sides is not None:
@@ -197,13 +194,23 @@ def _assert_maximality_matches_walk(adj):
                 checked += 1
     for s in maximal_star_candidates(adj, (1 << len(adj)) - 1):
         assert is_maximal_star(adj, s) == support.walk_is_maximal_star(adj, s)
-        for v in bits(s):
+        for v in vertices_of(s):
             m = s ^ 1 << v
             if m & (m - 1) and is_star_set(adj, m):
                 assert is_maximal_star(adj, m) == \
                     support.walk_is_maximal_star(adj, m)
                 checked += 1
     assert checked  # some smaller sets were compared
+
+
+def _assert_edge_listings_match(g):
+    """g.edges(), graph_to_dict's edges and write_dot's edge lines are the
+    reference listing: each pair once, i < j, in lexicographic order."""
+    ref = [(i, j) for i in range(g.n) for j in vertices_of(g.adj[i]) if i < j]
+    assert g.edges() == ref
+    assert graph_to_dict(g)["edges"] == [[i, j] for i, j in ref]
+    dot_edges = [line for line in write_dot(g).splitlines() if " -- " in line]
+    assert dot_edges == [f"  {i} -- {j};" for i, j in ref]
 
 
 @pytest.mark.parametrize("kind, n, k", (
@@ -215,6 +222,7 @@ def test_maximality_algebra_matches_walk_on_wide_powers(kind, n, k):
     bipartite sets of 2..4 vertices, stars of up to 2k leaves."""
     g = (power_path if kind == "path" else power_cycle)(n, k)
     _assert_maximality_matches_walk(g.adj)
+    _assert_edge_listings_match(g)
 
 
 @pytest.mark.parametrize("n, p", ((23, 0.3), (40, 0.2), (65, 0.12),
@@ -251,7 +259,7 @@ def test_candidates_cover_sets_maximal_within_the_mask(g, vmask):
     that no vertex of the mask extends.  Both decided here by the
     independent loop checkers."""
     vmask &= (1 << g.n) - 1
-    inside = list(bits(vmask))
+    inside = vertices_of(vmask)
     cb = list(maximal_cb_candidates(g.adj, vmask))
     assert len(cb) == len(set(cb))  # no (a, b) pair twice
     lows = [a & -a for a, _ in cb]
@@ -311,7 +319,7 @@ def test_every_star_candidate_is_a_star(g):
     a centre and an independent set of its neighbours, so a star."""
     for s in maximal_star_candidates(g.adj, (1 << g.n) - 1):
         assert is_star_set(g.adj, s)
-        assert support.is_star_by_loops(g, tuple(bits(s)))
+        assert support.is_star_by_loops(g, vertices_of(s))
 
 
 @given(support.graph_strategy(max_n=14), st.integers(1, 30), st.integers(0, 3))
@@ -422,7 +430,8 @@ def test_induced_shape():
 @given(support.graph_strategy(max_n=16))
 @settings(max_examples=80, deadline=None)
 def test_graph_dict_round_trip(g):
-    assert graph_from_dict(graph_to_dict(g)) == g
+    assert Graph.from_edges(*graph_fields(graph_to_dict(g))) == g
+    _assert_edge_listings_match(g)
 
 
 def test_graph_fields_returns_the_edges_it_checked_uncopied():
@@ -460,7 +469,7 @@ def test_read_graph_error_reporting(tmp_path):
         read_graph(missing)
     for d in ({"n": True, "edges": []}, {"n": 3, "edges": [[0, True]]}):
         with pytest.raises(InputError):
-            graph_from_dict(d)
+            Graph.from_edges(*graph_fields(d))
     # bytes that are not UTF-8, nesting past the parser's recursion limit
     # and an integer too long to convert all name the file
     for data, fragment in ((b'{"n": 3, "label": "\xe9"}', "byte 19: not UTF-8"),

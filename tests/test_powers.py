@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import support
 from bicliques import powers
 from bicliques.colouring import (
+    ab_certificate,
     biclique_colour_cycle,
     biclique_colour_path,
     closed_form,
@@ -633,15 +634,34 @@ def test_exact_witness_on_every_two_colouring(kind, mode, k_max,
     (4, 1, (0, 1, 0, 1, 0, 0, 0), "colouring has 7 entries for n=4"),
     (-3, 1, (), "need n >= 1, got n=-3"),
     (4, 0, (0, 0, 0, 0), "need k >= 1, got k=0"),
+    (7, 2.5, (0,) * 7, "n and k must be integers, got n=7, k=2.5"),
+    (7.0, 2, (0,) * 7, "n and k must be integers, got n=7.0, k=2"),
+    (True, 1, (0,), "n and k must be integers, got n=True, k=1"),
 ])
 def test_first_mono_set_rejects_impossible_input(n, k, colours, fragment):
     """A colouring longer than n once gave a set outside the graph, (4, 5,
-    6) on P_4^1, and n = -3 or k = 0 once gave None: each is an
-    InputError, in both kinds and modes."""
+    6) on P_4^1, n = -3 or k = 0 once gave None, and k = 2.5 a set of the
+    wrong graph: each is an InputError, in both kinds and modes."""
     for kind in ("path", "cycle"):
         for mode in ("biclique", "star"):
             with pytest.raises(InputError, match=f"^{fragment}$"):
                 first_mono_set(kind, mode, n, k, colours)
+
+
+def test_power_functions_refuse_non_integer_n_and_k():
+    """A float or bool n or k once gave a float answer, a TypeError or the
+    answer for 1: each is an InputError before any arithmetic."""
+    calls = (lambda x: closed_form("path", "star", x, 2),
+             lambda x: closed_form("path", "star", 5, x),
+             lambda x: power_path(5, x),
+             lambda x: ab_certificate(14, x),
+             lambda x: power_edge_count("cycle", 9, x),
+             lambda x: circulant(x, [1]))
+    for call in calls:
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(InputError,
+                               match="must be (an integer|integers), got"):
+                call(bad)
 
 
 def test_windowed_check_on_long_powers():

@@ -27,7 +27,6 @@ from bicliques.reduction import (
     evaluate,
     find_satisfying_assignment,
     instance_to_dict,
-    is_normalized,
     literal_vertex,
     normalization_violations,
     normalize,
@@ -63,7 +62,7 @@ def test_evaluate_and_truth_table():
 
 
 def test_normalization_violation_detection():
-    assert is_normalized(PHI)
+    assert not normalization_violations(PHI)
     msgs = normalization_violations(
         CnfFormula.of(4, [(), (1, -1, 2), (1, 2, 3), (1, 2)]))
     assert any("empty" in m for m in msgs)
@@ -91,13 +90,13 @@ def test_normalize_rewrites_conflicting_pair():
     assert g.num_vars == 6
     assert g.clauses == ((1, 2, 3), (1, 4, 5), (2, 4, -5), (2, -4, 6),
                          (3, -4, -6))
-    assert is_normalized(g)
+    assert not normalization_violations(g)
     assert (find_satisfying_assignment(f) is None) == \
         (find_satisfying_assignment(g) is None)
     # two-literal conflicts pad the middle literal; the padded replacement
     # conflicts once with itself and is rewritten again
     h = normalize(CnfFormula.of(2, [(1, 2), (1, 2)]))
-    assert is_normalized(h)
+    assert not normalization_violations(h)
     assert h.clauses == ((1, 2), (1, 3, 4), (2, 3, -4), (2, -3, 5),
                          (2, 6, 7), (-3, 6, -7), (-3, -6, 8), (-5, -6, -8))
     assert support.truth_table_sat(h)
@@ -108,7 +107,7 @@ def test_normalize_equisatisfiable_on_random_corpus():
     for _ in range(80):
         raw = support.random_raw_formula(rng)
         norm = normalize(raw)
-        assert is_normalized(norm)
+        assert not normalization_violations(norm)
         # a padded rewrite may cascade once: at most 7 clauses and 6 fresh
         # variables per original clause
         assert len(norm.clauses) <= 7 * len(raw.clauses)
