@@ -7,34 +7,20 @@ numbers exactly for P_n^k and C_n^k via closed forms, emits optimal
 colourings with certificates, verifies arbitrary colourings against a
 brute-force oracle, and builds the 3SAT-to-biclique-containment gadget.
 
-The oracle's and the reduction's names are re-exported lazily (PEP 562):
-their module is imported on first use of one of them, so the closed-form
-subcommands, which need only the modules imported here at once, do not
-load them.
+Only graphs, which holds the records and everything the oracle runs, is
+imported at once.  The names of colouring, powers, the oracle and the
+reduction are re-exported lazily (PEP 562): their module is imported on
+first use of one of them, so a command line run compiles only what its
+subcommand uses, and the oracle's first call loads the oracle alone.
 """
 
 from importlib import import_module as _import_module
 from types import ModuleType as _Module
 
-from .colouring import (
-    AbCertificate,
-    ChromaticResult,
-    Colouring,
-    EvenDivision,
-    ab_certificate,
-    biclique_colour_cycle,
-    biclique_colour_path,
-    decide_two_vs_three,
-    even_division,
-    guaranteed_ab_certificate,
-    read_colouring,
-    star_colour_cycle,
-    star_colour_path,
-    three_colour_no_mono_p3,
-    write_colouring,
-)
 from .graphs import (
+    Biclique,
     CapacityError,
+    Colouring,
     Graph,
     InputError,
     contains_induced_c4,
@@ -45,20 +31,25 @@ from .graphs import (
     write_dot,
     write_graph,
 )
-from .powers import (
-    Biclique,
-    circulant,
-    cycle_bicliques,
-    cycle_induced_p3s,
-    cycle_stars,
-    path_bicliques,
-    path_stars,
-    power_cycle,
-    power_path,
-)
 
 # submodule -> the names re-exported from it on first use
 _LAZY = {
+    "colouring": (
+        "AbCertificate",
+        "ChromaticResult",
+        "EvenDivision",
+        "ab_certificate",
+        "biclique_colour_cycle",
+        "biclique_colour_path",
+        "decide_two_vs_three",
+        "even_division",
+        "guaranteed_ab_certificate",
+        "read_colouring",
+        "star_colour_cycle",
+        "star_colour_path",
+        "three_colour_no_mono_p3",
+        "write_colouring",
+    ),
     "oracle": (
         "block_profile",
         "exact_chromatic",
@@ -66,6 +57,16 @@ _LAZY = {
         "maximal_bicliques",
         "maximal_stars",
         "verify_colouring",
+    ),
+    "powers": (
+        "circulant",
+        "cycle_bicliques",
+        "cycle_induced_p3s",
+        "cycle_stars",
+        "path_bicliques",
+        "path_stars",
+        "power_cycle",
+        "power_path",
     ),
     "reduction": (
         "CnfFormula",

@@ -7,9 +7,11 @@ below on what one command builds, checked by graphs.check_cap before
 anything is allocated or printed, and after powers.check_params refuses a
 bad n or k.  A file's P_n^k / C_n^k label is read by powers.power_params.
 
-The oracle, the reduction and csv are imported by the subcommands that use
-them, so chromatic, gen, bicliques --kind and verify of a generated power
-graph load none of them.
+Only graphs is imported at once.  powers, colouring, the oracle, the
+reduction and csv are imported by the subcommands that use them, so reduce
+compiles neither powers nor colouring, and chromatic, gen, bicliques --kind
+and verify of a generated power graph load neither the oracle nor the
+reduction.
 """
 
 from __future__ import annotations
@@ -18,16 +20,6 @@ import argparse
 import json
 import sys
 
-from . import powers
-from .colouring import (
-    ChromaticResult,
-    biclique_colour_cycle,
-    biclique_colour_path,
-    read_colouring,
-    star_colour_cycle,
-    star_colour_path,
-    write_colouring,
-)
 from .graphs import (
     CapacityError,
     Graph,
@@ -56,17 +48,6 @@ FAMILY_CAP = 1_000_000       # bicliques listing a family: sets times degree
 SWEEP_ROWS_CAP = 10_000      # rows of one sweep
 
 
-# Each (kind, mode)'s constructor: the named function that calls
-# colouring.closed_form, which the benchmark's tracer times.  Once it times
-# closed_form itself (ROADMAP item 2), callers can call that, and this goes.
-_CONSTRUCTORS = {
-    ("path", "biclique"): biclique_colour_path,
-    ("cycle", "biclique"): biclique_colour_cycle,
-    ("path", "star"): star_colour_path,
-    ("cycle", "star"): star_colour_cycle,
-}
-
-
 def _oracle_graph(n: int, edges, label) -> Graph:
     """The graph of a file that the oracle will scan, after the oracle's
     cap is checked, so a huge declared n is rejected before its n
@@ -81,6 +62,7 @@ def family_work(kind: str, n: int, k: int) -> int:
     sets times the degree 2m/n (m edges), an overestimate, since a set
     costs about the same at any degree.  A complete graph's sets are its m
     edges; otherwise each is an induced P3 or C4, at most 2*k*m of them."""
+    from . import powers
     m = powers.power_edge_count(kind, n, k)
     sets = m if powers.is_complete(kind, n, k) else 2 * k * m
     return sets * (2 * m // n)
@@ -92,7 +74,14 @@ def _check_graph(n: int, edges: int = 0) -> None:
     check_cap("writing a graph", "edges", edges, EDGES_CAP)
 
 
-def _certificate_text(result: ChromaticResult) -> str:
+def _constructor(kind: str, mode: str):
+    """The named constructor, such as biclique_colour_path, that calls
+    colouring.closed_form; the benchmark's tracer times it (ROADMAP item 1)."""
+    from . import colouring
+    return getattr(colouring, f"{mode}_colour_{kind}")
+
+
+def _certificate_text(result) -> str:  # of a colouring.ChromaticResult
     if result.ab is not None:
         return f"a={result.ab.a};b={result.ab.b}"
     if result.universal_witness is not None:
@@ -104,6 +93,7 @@ def _certificate_text(result: ChromaticResult) -> str:
 # subcommands
 
 def cmd_gen(args) -> int:
+    from . import powers
     if args.kind == "circulant":
         if args.distances is None:
             raise InputError("circulant needs --distances")
@@ -132,12 +122,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_chromatic(args) -> int:
+    from . import colouring, powers
     powers.check_params(args.n, args.k)
     check_cap("a closed form", "n", args.n, CLOSED_FORM_CAP)
     if args.dot:
         _check_graph(args.n,
                      powers.power_edge_count(args.kind, args.n, args.k))
-    result = _CONSTRUCTORS[args.kind, args.mode](args.n, args.k)
+    result = _constructor(args.kind, args.mode)(args.n, args.k)
     print(result.value)
     cert = _certificate_text(result)
     if cert:
@@ -146,9 +137,9 @@ def cmd_chromatic(args) -> int:
         print("certified: colouring verified against the "
               f"{args.mode} family")
     if args.emit_colouring:
-        write_colouring(result.colouring, args.emit_colouring,
-                        ab=result.ab,
-                        universal_witness=result.universal_witness)
+        colouring.write_colouring(result.colouring, args.emit_colouring,
+                                  ab=result.ab,
+                                  universal_witness=result.universal_witness)
     if args.dot:
         g = powers.power_graph(args.kind, args.n, args.k)
         with open(args.dot, "w") as fh:
@@ -162,8 +153,9 @@ def cmd_verify(args) -> int:
     # once.  A file that is the power graph its label names is checked as
     # that graph's family (powers.first_mono_set, which checks the length
     # too), with no graph built and the oracle not imported.
+    from . import colouring, powers
     n, edges, label = graph_fields(read_json(args.graph))
-    col = read_colouring(args.colouring)
+    col = colouring.read_colouring(args.colouring)
     params = powers.power_params(label, n, edges)
     if params is not None:
         kind, _, k = params
@@ -181,6 +173,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bicliques(args) -> int:
+    from . import powers
     if args.graph:
         # The oracle's cap and the label are checked before the n adjacency
         # rows are allocated, so a huge declared n is rejected at once.
@@ -257,6 +250,7 @@ def cmd_sweep(args) -> int:
         raise InputError(
             f"empty sweep range: k {args.k_from}..{args.k_to}, "
             f"n {args.n_from}..{args.n_to}")
+    from . import powers
     powers.check_params(args.n_from, args.k_from)  # the grid's least n and k
     check_cap("a sweep", "rows", (args.k_to - args.k_from + 1)
               * (args.n_to - args.n_from + 1), SWEEP_ROWS_CAP)
@@ -265,7 +259,7 @@ def cmd_sweep(args) -> int:
     # each n >= 1, so this also caps every row's n at CLOSED_FORM_CAP
     check_cap("a sweep", "sum(n)", len(ks) * sum(ns), CLOSED_FORM_CAP)
     import csv
-    construct = _CONSTRUCTORS[args.kind, args.mode]
+    construct = _constructor(args.kind, args.mode)
     rows = [("n", "k", "kind", "mode", "value", "certificate")]
     for k in ks:
         for n in ns:

@@ -11,63 +11,19 @@ A monochromatic set is a bug in this module, not bad input, and raises
 AssertionError.
 
 Colour ids are 0 = blue, 1 = red, 2 = green; further ids only appear in the
-all-distinct colourings of complete graphs.
+all-distinct colourings of complete graphs.  The records are named tuples,
+as graphs.Colouring is.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import NamedTuple
 
-from .graphs import InputError, is_int, read_json, write_json
-from .powers import check_choices, check_params, first_mono_set, is_complete
+from .graphs import (Colouring, InputError, check_choices, is_int, read_json,
+                     write_json)
+from .powers import check_params, first_mono_set, is_complete
 
 BLUE, RED, GREEN = 0, 1, 2
-
-
-class _ColouringFields(NamedTuple):
-    colours: tuple[int, ...]
-    num_colours: int
-
-
-class Colouring(_ColouringFields):
-    """Vertex colouring: colours[v] is the colour id of vertex v.
-
-    Invariant: num_colours is an int >= 0 and every id in [0, num_colours)
-    is used at least once, checked when it is built.  The records of this
-    module are named tuples, not dataclasses, since importing dataclasses
-    costs every command line run about 12 ms.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, colours: tuple[int, ...], num_colours: int):
-        if not (is_int(num_colours) and num_colours >= 0):
-            raise InputError('"num_colours" must be a non-negative integer')
-        used = set(colours)
-        for c in used:
-            if not 0 <= c < num_colours:
-                raise InputError(
-                    f"colour id {c} outside [0, {num_colours})")
-        if len(used) != num_colours:
-            # num_colours comes from the file, so at most 20 of the missing
-            # ids are listed rather than all of range(num_colours)
-            missing = list(islice(
-                (c for c in range(num_colours) if c not in used), 21))
-            shown = ", ".join(map(str, missing[:20]))
-            if len(missing) > 20:
-                shown += ", ..."
-            raise InputError(f"colour ids [{shown}] unused")
-        return super().__new__(cls, colours, num_colours)
-
-    @staticmethod
-    def from_sequence(colours) -> "Colouring":
-        cs = tuple(colours)
-        return Colouring(cs, max(cs) + 1 if cs else 0)
-
-    @property
-    def n(self) -> int:
-        return len(self.colours)
 
 
 class EvenDivision(NamedTuple):

@@ -5,13 +5,16 @@ bit u of adj[v] set iff {u, v} is an edge, so subset predicates run
 word-parallel on arbitrary-width ints.  Each job is done one way:
 vertices_of lists a mask's vertices, _edge_pairs walks the edges,
 induced_p3s the induced P3s, maximal_family lists a maximal family, and
-check_cap and colour_tuple check a cap and a colouring's length.
+check_cap, check_choices and colour_tuple check a cap, a kind or mode and
+a colouring's length.  The records (Graph, Colouring, Biclique) and all
+that the oracle runs live here, so the oracle imports this module alone.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from itertools import islice
 from typing import NamedTuple
 
 
@@ -31,6 +34,15 @@ def check_cap(what: str, name: str, size: int, cap: int) -> None:
             f"{what} is capped at {name} <= {cap}, got {name}={size}")
 
 
+def check_choices(kind: str = "path", mode: str = "biclique") -> None:
+    """InputError for a kind other than "path" or "cycle", then for a mode
+    other than "biclique" or "star"; a caller names only what it takes."""
+    if kind not in ("path", "cycle"):
+        raise InputError(f"unknown kind {kind!r}")
+    if mode not in ("biclique", "star"):
+        raise InputError(f"unknown mode {mode!r}")
+
+
 def is_int(x) -> bool:
     """True for an int that is not a bool.  JSON true/false load as bool,
     a subclass of int, so a plain isinstance check would let them pass."""
@@ -45,6 +57,12 @@ def vertices_of(mask: int) -> tuple[int, ...]:
         vs.append(low.bit_length() - 1)
         mask ^= low
     return tuple(vs)
+
+
+def cyclic_reach(n: int, i: int, j: int) -> int:
+    """Cyclic distance between vertices i and j of an n-cycle."""
+    d = (i - j) % n
+    return min(d, n - d)
 
 
 def mask_of(vertices) -> int:
@@ -148,6 +166,51 @@ def induced_subgraph(g: Graph, s) -> Graph:
     index = {v: i for i, v in enumerate(vs)}
     return Graph(len(vs), tuple(mask_of(index[u] for u in g.neighbours(v)
                                         if u in index) for v in vs))
+
+
+class _ColouringFields(NamedTuple):
+    colours: tuple[int, ...]
+    num_colours: int
+
+
+class Colouring(_ColouringFields):
+    """Vertex colouring: colours[v] is the colour id of vertex v.
+
+    Invariant: num_colours is an int >= 0 and every id in [0, num_colours)
+    is used at least once, checked when it is built.  A named tuple, as
+    Graph is, since importing dataclasses costs every command line run
+    about 12 ms.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, colours: tuple[int, ...], num_colours: int):
+        if not (is_int(num_colours) and num_colours >= 0):
+            raise InputError('"num_colours" must be a non-negative integer')
+        used = set(colours)
+        for c in used:
+            if not 0 <= c < num_colours:
+                raise InputError(
+                    f"colour id {c} outside [0, {num_colours})")
+        if len(used) != num_colours:
+            # num_colours comes from the file, so at most 20 of the missing
+            # ids are listed rather than all of range(num_colours)
+            missing = list(islice(
+                (c for c in range(num_colours) if c not in used), 21))
+            shown = ", ".join(map(str, missing[:20]))
+            if len(missing) > 20:
+                shown += ", ..."
+            raise InputError(f"colour ids [{shown}] unused")
+        return super().__new__(cls, colours, num_colours)
+
+    @staticmethod
+    def from_sequence(colours) -> "Colouring":
+        cs = tuple(colours)
+        return Colouring(cs, max(cs) + 1 if cs else 0)
+
+    @property
+    def n(self) -> int:
+        return len(self.colours)
 
 
 # ---------------------------------------------------------------------------

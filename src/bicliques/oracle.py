@@ -9,27 +9,28 @@ colouring is checked by searching each colour class, not by listing the
 family (graphs.smallest_maximal_inside).  The tests hold both to the
 exhaustive subset scan.  graphs.check_cap caps the enumerations at
 SUBSET_SCAN_CAP vertices and the backtracking search at SEARCH_CAP;
-nothing is kept between calls.
+nothing is kept between calls.  It imports graphs alone.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 
-from .colouring import Colouring
 from .graphs import (
     Biclique,
+    Colouring,
     Graph,
     SUBSET_SCAN_CAP,
     check_cap,
+    check_choices,
     colour_classes,
     colour_tuple,
+    cyclic_reach,
     induced_p3s,
     maximal_family,
     maximal_masks,
     smallest_maximal_inside,
 )
-from .powers import check_choices, cyclic_reach
 
 SEARCH_CAP = 14       # exact chromatic backtracking
 

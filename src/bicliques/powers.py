@@ -22,19 +22,10 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
 
-from .graphs import (Biclique, Graph, InputError, colour_tuple, is_int,
-                     mask_of, maximal_family)
+from .graphs import (Biclique, Graph, InputError, check_choices, colour_tuple,
+                     cyclic_reach, is_int, mask_of, maximal_family)
 
 _POWER_LABEL = re.compile(r"^([PC])_(\d+)\^(\d+)$")
-
-
-def check_choices(kind: str = "path", mode: str = "biclique") -> None:
-    """InputError for a kind other than "path" or "cycle", then for a mode
-    other than "biclique" or "star"; a caller names only what it takes."""
-    if kind not in ("path", "cycle"):
-        raise InputError(f"unknown kind {kind!r}")
-    if mode not in ("biclique", "star"):
-        raise InputError(f"unknown mode {mode!r}")
 
 
 def check_params(n: int, k: int) -> None:
@@ -46,12 +37,6 @@ def check_params(n: int, k: int) -> None:
         raise InputError(f"need n >= 1, got n={n}")
     if k < 1:
         raise InputError(f"need k >= 1, got k={k}")
-
-
-def cyclic_reach(n: int, i: int, j: int) -> int:
-    """Cyclic distance between vertices i and j of an n-cycle."""
-    d = (i - j) % n
-    return min(d, n - d)
 
 
 def power_label(kind: str, n: int, k: int) -> str:

@@ -150,7 +150,7 @@ MUTANTS = {
     # the Colouring invariant, the rows of closed_form, and the (a, b)
     # division
     "colouring-empty": (
-        "colouring.py",
+        "graphs.py",
         "if len(used) != num_colours:",
         "if colours and len(used) != num_colours:",
         ["tests/test_colouring.py::test_colouring_validation"]),

@@ -280,7 +280,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     (["verify", "{graph}", "{col}"],
      ("bicliques.oracle", "bicliques.reduction", "csv")),
     (["reduce", "{cnf}", "--out-prefix", "{prefix}", "--certify"],
-     ("dataclasses", "inspect", "bicliques.oracle", "csv")),
+     ("dataclasses", "inspect", "bicliques.oracle", "bicliques.colouring",
+      "bicliques.powers", "csv")),
     (["gen", "cycle", "--n", "9", "--k", "2", "--out", "{prefix}.json"],
      ("bicliques.oracle", "bicliques.reduction", "csv")),
     (["bicliques", "--kind", "cycle", "--n", "9", "--k", "2"],
@@ -291,10 +292,9 @@ def test_closed_form_subcommands_skip_the_oracle_and_reduction(
         tmp_path, argv, absent):
     """A command line run imports only what its subcommand uses: the
     closed-form subcommands and verify of a labelled power graph leave the
-    oracle and the reduction unimported, reduce loads neither dataclasses
-    nor inspect, and only sweep loads csv.  Importing the package still
-    loads colouring, graphs and powers at once, so an in-process caller
-    does not pay for them on its first call."""
+    oracle and the reduction unimported, reduce loads neither dataclasses,
+    inspect, colouring nor powers, and only sweep loads csv.  Importing the
+    package loads graphs at once, and neither colouring nor powers."""
     graph, col = tmp_path / "g.json", tmp_path / "c.json"
     assert main(["gen", "path", "--n", "9", "--k", "2",
                  "--out", str(graph)]) == EXIT_OK
@@ -318,19 +318,20 @@ def test_closed_form_subcommands_skip_the_oracle_and_reduction(
                          capture_output=True, text=True).stdout
     eager, added = (set(ast.literal_eval(line))
                     for line in out.splitlines()[-2:])
-    assert {"bicliques.colouring", "bicliques.graphs",
-            "bicliques.powers"} <= eager
+    assert "bicliques.graphs" in eager
+    assert not eager & {"bicliques.colouring", "bicliques.powers"}
     assert "bicliques.cli" in added
     assert not added & set(absent)
 
 
 def test_star_import_binds_the_lazy_names():
     """`from bicliques import *` binds every lazily re-exported name (it
-    imports the oracle and the reduction to do so), while a plain import
-    leaves both modules unloaded."""
+    imports colouring, powers, the oracle and the reduction to do so),
+    while a plain import leaves all four modules unloaded."""
     code = ("import sys\n"
             "import bicliques\n"
-            "lazy = {'bicliques.oracle', 'bicliques.reduction'}\n"
+            "lazy = {'bicliques.colouring', 'bicliques.oracle',\n"
+            "        'bicliques.powers', 'bicliques.reduction'}\n"
             "print(sorted(lazy & set(sys.modules)))\n"
             "from bicliques import *\n"
             "print(sorted(set(bicliques._SOURCE) - set(dir())))\n")
@@ -340,6 +341,27 @@ def test_star_import_binds_the_lazy_names():
     loaded, unbound = (ast.literal_eval(line) for line in out.splitlines())
     assert loaded == []
     assert unbound == []
+
+
+def test_oracle_calls_load_only_the_oracle():
+    """The first call of each oracle function after `import bicliques`
+    imports the oracle and nothing else: everything it runs is in graphs,
+    which the package imports at once, so an in-process caller's first
+    timed call does not pay for colouring or powers."""
+    code = ("import sys\n"
+            "import bicliques\n"
+            "before = set(sys.modules)\n"
+            "g = bicliques.Graph.from_edges(\n"
+            "    5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])\n"
+            "bicliques.maximal_bicliques(g)\n"
+            "bicliques.maximal_stars(g)\n"
+            "bicliques.verify_colouring(g, [0, 1, 0, 1, 2])\n"
+            "bicliques.exact_chromatic(g)\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert ast.literal_eval(out.splitlines()[-1]) == ["bicliques.oracle"]
 
 
 def _run_limited(argv, cwd):
