@@ -9,9 +9,9 @@ bad n or k.  A file's P_n^k / C_n^k label is read by powers.power_params.
 
 Only graphs is imported at once.  powers, colouring, the oracle, the
 reduction and csv are imported by the subcommands that use them, so reduce
-compiles neither powers nor colouring, and chromatic, gen, bicliques --kind
-and verify of a generated power graph load neither the oracle nor the
-reduction.
+and bicliques --graph without --closed-form compile neither powers nor
+colouring, and chromatic, gen, bicliques --kind and verify of a generated
+power graph load neither the oracle nor the reduction.
 """
 
 from __future__ import annotations
@@ -173,36 +173,36 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bicliques(args) -> int:
-    from . import powers
     if args.graph:
         # The oracle's cap and the label are checked before the n adjacency
         # rows are allocated, so a huge declared n is rejected at once.
         n, edges, label = graph_fields(read_json(args.graph))
-        params = (powers.power_params(label, n, edges) if args.closed_form
-                  else None)
-        if args.closed_form and params is None:
-            raise InputError(
-                "--closed-form needs a generated power graph "
-                "(matching P_n^k / C_n^k label)")
-    else:
-        if args.kind is None or args.n is None or args.k is None:
-            raise InputError("need --graph FILE, or --kind with --n and --k")
-        params = args.kind, args.n, args.k
-        label = powers.power_label(*params)
+    elif args.kind is None or args.n is None or args.k is None:
+        raise InputError("need --graph FILE, or --kind with --n and --k")
 
-    if params is not None:
+    if args.graph and not args.closed_form:
+        from . import oracle
+        g = _oracle_graph(n, edges, label)
+        source = "oracle"
+        fam = oracle.maximal_bicliques(g) if args.mode == "biclique" \
+            else oracle.maximal_stars(g)
+    else:
+        from . import powers
+        if args.graph:
+            params = powers.power_params(label, n, edges)
+            if params is None:
+                raise InputError(
+                    "--closed-form needs a generated power graph "
+                    "(matching P_n^k / C_n^k label)")
+        else:
+            params = args.kind, args.n, args.k
+            label = powers.power_label(*params)
         kind, n, k = params
         check_cap(f"listing the family of {powers.power_label(kind, n, k)}",
                   "sets*degree", family_work(kind, n, k), FAMILY_CAP)
         _check_graph(n)
         source = "closed-form"
         fam = powers.power_family(kind, args.mode, n, k)
-    else:
-        from . import oracle
-        g = _oracle_graph(n, edges, label)
-        source = "oracle"
-        fam = oracle.maximal_bicliques(g) if args.mode == "biclique" \
-            else oracle.maximal_stars(g)
     if args.mode == "biclique":
         key, body = "bicliques", [
             {"vertices": list(b.vertices), "shape": b.shape,

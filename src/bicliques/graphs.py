@@ -506,10 +506,12 @@ def smallest_maximal_inside(adj, mode: str, vmasks) -> list[tuple[int, ...]]:
 _SHAPES = {(1, 1): "P2", (1, 2): "P3", (2, 1): "P3", (2, 2): "C4"}
 
 
-def cb_shape(a: int, b: int) -> str:
-    """Shape of the complete bipartite set with side masks a and b: "P2"
-    for sides 1+1, "P3" for 1+2, "C4" for 2+2, else "OTHER"."""
-    return _SHAPES.get((a.bit_count(), b.bit_count()), "OTHER")
+def cb_shape(adj, m: int) -> str:
+    """Shape of the complete bipartite set with vertex mask m by its side
+    sizes: "P2" for 1+1, "P3" for 1+2 or 2+1, "C4" for 2+2, else "OTHER".
+    The sides are forced: b is the lowest vertex's neighbours inside m."""
+    b = adj[(m & -m).bit_length() - 1] & m
+    return _SHAPES.get(((m ^ b).bit_count(), b.bit_count()), "OTHER")
 
 
 class Biclique(NamedTuple):
@@ -522,16 +524,15 @@ class Biclique(NamedTuple):
 
 
 def maximal_family(adj, mode: str) -> list:
-    """The maximal bicliques (mode "biclique", as Biclique records with their
-    cb_shape and no reach) or else the maximal stars (as vertex tuples) of
-    the graph, sorted; tuple.__new__ skips the records' own __new__."""
-    vmask = (1 << len(adj)) - 1
+    """maximal_masks over all vertices, sorted: the maximal bicliques (mode
+    "biclique", as Biclique records with their cb_shape and no reach) or
+    else stars (as vertex tuples); tuple.__new__ skips Biclique.__new__."""
+    masks = maximal_masks(adj, mode, (1 << len(adj)) - 1)
     if mode == "star":
-        return sorted(map(vertices_of, maximal_masks(adj, mode, vmask)))
+        return sorted(map(vertices_of, masks))
     new = tuple.__new__
-    out = [new(Biclique, (vertices_of(m), cb_shape(*sides), None))
-           for sides in maximal_cb_candidates(adj, vmask)
-           if is_maximal_cb(adj, m := sides[0] | sides[1], sides)]
+    out = [new(Biclique, (vertices_of(m), cb_shape(adj, m), None))
+           for m in masks]
     out.sort()  # by vertices: no two records share them
     return out
 

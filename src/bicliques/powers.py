@@ -218,27 +218,11 @@ def cycle_stars(n: int, k: int) -> list[tuple[int, ...]]:
 # the arithmetic check: a colouring's first monochromatic set, from vertex
 # indices alone
 
-def _first_mono_edge(colours, lo: int, hi: int):
-    """The lexicographically smallest pair lo <= i < j <= hi with
-    colours[i] == colours[j], or None: the first monochromatic edge of a
-    clique on lo..hi.  One right-to-left pass over the set of colours seen
-    so far: the last v whose colour is in it is the least i, and j is the
-    next position of that colour."""
-    seen, i = set(), None
-    for v in range(hi, lo - 1, -1):
-        c = colours[v]
-        if c in seen:
-            i = v
-        else:
-            seen.add(c)
-    return None if i is None else (i, colours.index(colours[i], i + 1))
-
-
 def _wrapped_sets(q, i: int, s: int, n: int, k: int, top: int, c4: bool):
     """The least sets inside q, the ascending positions of one colour on
-    C_n^k (n >= 2k+2), whose least vertex u = q[i] < k has neighbours
-    across n-1 -> 0: the first of them in q is w = q[t], at or after
-    u+n-k; q[s] is the first vertex of q past u+k.  One set per way:
+    C_n^k, whose least vertex u = q[i] < k has neighbours across n-1 -> 0:
+    the first of them in q is w = q[t], at or after u+n-k; q[s] is the
+    first vertex of q past u+k.  A complete C_n^k has none.  One set per way:
 
     (B) u is an end of a P3 centred at w, with reach n-(v-u) < top: its
         other end is the first v in [w-k, u+n-k) past u+n-top.
@@ -304,21 +288,6 @@ def _first_set_in(q, n: int, k: int, top: int, cyclic: bool, c4: bool):
     return None
 
 
-def _first_in_classes(colours, n: int, k: int, top: int, cyclic: bool,
-                      c4: bool):
-    """The least of _first_set_in over the colour classes, or None.  A set
-    has three or more vertices, so the classes are counted first and only
-    those of three or more are listed."""
-    at = {c: [] for c, size in Counter(colours).items() if size >= 3}
-    get = at.get
-    for v, c in enumerate(colours):
-        q = get(c)
-        if q is not None:
-            q.append(v)
-    found = (_first_set_in(q, n, k, top, cyclic, c4) for q in at.values())
-    return min((f for f in found if f is not None), default=None)
-
-
 def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
     """The lexicographically smallest monochromatic set of the family of
     mode on P_n^k (kind "path") or C_n^k, or None, by index arithmetic: no
@@ -334,6 +303,11 @@ def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
         in an induced C4;
     (3) for cycle bicliques with 2k+2 <= n <= 4k, the first induced C4.
 
+    One walk lists the positions of each colour used twice or more.  U's
+    first pair in a list is found by bisection, and a list of three or more
+    is searched for (2) and (3) (_first_set_in).  No guard is needed: on a
+    complete graph top <= k+1 leaves (2) no P3, and (3) needs n >= 2k+2.
+
     The check takes O(n + k*k*log n) time and O(n) memory.  Bad input
     (check_choices, check_params, colour_tuple) is an InputError.
     """
@@ -347,7 +321,19 @@ def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
     else:
         lo, hi, top = max(0, n - 1 - k), min(k, n - 1), n
     c4 = cyclic and mode == "biclique" and 2 * k + 2 <= n <= 4 * k
-    found = [_first_mono_edge(colours, lo, hi)]
-    if top > k + 1 or c4:  # else the family is U's edges alone
-        found.append(_first_in_classes(colours, n, k, top, cyclic, c4))
+    at = {c: [] for c, size in Counter(colours).items() if size >= 2}
+    if not at:  # every colour is used once, as on K_n
+        return None
+    get = at.get
+    for v, c in enumerate(colours):
+        q = get(c)
+        if q is not None:
+            q.append(v)
+    found = []
+    for q in at.values():
+        j = bisect_left(q, lo)
+        if j + 1 < len(q) and q[j + 1] <= hi:
+            found.append((q[j], q[j + 1]))
+        if len(q) >= 3:
+            found.append(_first_set_in(q, n, k, top, cyclic, c4))
     return min((f for f in found if f is not None), default=None)

@@ -25,7 +25,6 @@ CnfFormula checks its literals when it is built.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import combinations
 from typing import NamedTuple
 
@@ -119,19 +118,6 @@ def _pair_index(clauses) -> dict:
     return index
 
 
-def _conflicts(clauses):
-    """The pairs (i, j), i < j, of clauses sharing two or more literals, in
-    combinations order, read off _pair_index."""
-    index = _pair_index(clauses)
-    for i, clause in enumerate(clauses):
-        later = set()
-        for pair in _pairs(clause):
-            js = index[pair]
-            later.update(js[bisect_right(js, i):])
-        for j in sorted(later):
-            yield i, j
-
-
 def normalization_violations(f: CnfFormula) -> list[str]:
     """Human-readable list of normalization violations (empty if normalized)."""
     out = []
@@ -146,7 +132,9 @@ def normalization_violations(f: CnfFormula) -> list[str]:
     for v in range(1, f.num_vars + 1):
         if v not in used:
             out.append(f"variable {v} occurs in no clause")
-    for i, j in _conflicts(f.clauses):
+    conflicts = {pair for js in _pair_index(f.clauses).values()
+                 for pair in combinations(js, 2)}
+    for i, j in sorted(conflicts):
         out.append(f"clauses {i} and {j} share two or more literals")
     return out
 

@@ -49,8 +49,8 @@ MUTANTS = {
         ["tests/test_powers.py::test_exact_witness_on_every_two_colouring"]),
     "clique-window": (
         "powers.py",
-        "for v in range(hi, lo - 1, -1):",
-        "for v in range(hi, lo, -1):",
+        "q[j + 1] <= hi",
+        "q[j + 1] < hi",
         ["tests/test_powers.py::test_exact_witness_on_every_two_colouring"]),
     "p3-window": (
         "powers.py",
@@ -79,8 +79,8 @@ MUTANTS = {
         ["tests/test_powers.py"]),
     "class-size": (
         "powers.py",
+        "if size >= 2}",
         "if size >= 3}",
-        "if size >= 4}",
         ["tests/test_powers.py"]),
     "wrapped-end": (
         "powers.py",
@@ -94,9 +94,14 @@ MUTANTS = {
         ["tests/test_powers.py"]),
     "clique-pair": (
         "powers.py",
-        "colours.index(colours[i], i + 1)",
-        "colours.index(colours[i], i + 2)",
+        "j = bisect_left(q, lo)",
+        "j = bisect_left(q, lo + 1)",
         ["tests/test_powers.py"]),
+    "class-scan": (
+        "powers.py",
+        "if len(q) >= 3:",
+        "if len(q) >= 4:",
+        ["tests/test_powers.py::test_exact_witness_on_every_two_colouring"]),
     "params-int-k": (
         "powers.py",
         "if not (is_int(n) and is_int(k)):",

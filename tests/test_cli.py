@@ -286,14 +286,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
      ("bicliques.oracle", "bicliques.reduction", "csv")),
     (["bicliques", "--kind", "cycle", "--n", "9", "--k", "2"],
      ("bicliques.oracle", "bicliques.reduction", "csv")),
-    (["bicliques", "--graph", "{plain}"], ("bicliques.reduction", "csv")),
+    (["bicliques", "--graph", "{plain}"],
+     ("bicliques.reduction", "bicliques.powers", "bicliques.colouring",
+      "csv")),
 ])
 def test_closed_form_subcommands_skip_the_oracle_and_reduction(
         tmp_path, argv, absent):
     """A command line run imports only what its subcommand uses: the
     closed-form subcommands and verify of a labelled power graph leave the
     oracle and the reduction unimported, reduce loads neither dataclasses,
-    inspect, colouring nor powers, and only sweep loads csv.  Importing the
+    inspect, colouring nor powers, bicliques --graph without --closed-form
+    neither colouring nor powers, and only sweep loads csv.  Importing the
     package loads graphs at once, and neither colouring nor powers."""
     graph, col = tmp_path / "g.json", tmp_path / "c.json"
     assert main(["gen", "path", "--n", "9", "--k", "2",
@@ -455,6 +458,23 @@ def test_huge_requests_exit_3_before_anything_is_built(tmp_path, argv,
     assert (code, out, err) == (EXIT_CAPACITY, "", f"error: {message}\n")
     assert wall < 1
     assert not (tmp_path / "x.dot").exists()
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["chromatic", "path", "--n", "1000000", "--k", "700000"], "400002"),
+    (["chromatic", "cycle", "--n", "1000000", "--k", "1000000"], "1000000"),
+])
+def test_closed_forms_at_the_cap_in_bounded_time_and_memory(tmp_path, argv,
+                                                            first):
+    """CLOSED_FORM_CAP is priced at the cap: chromatic on P_n^k with a
+    universal clique of 400 002 vertices, and on C_n^n, which is K_n,
+    answers and certifies its colouring in a child limited to 1 GiB of
+    address space, in seconds and under 250 MB."""
+    assert int(argv[3]) == cli.CLOSED_FORM_CAP
+    code, out, err, wall, rss = _run_limited(argv, tmp_path)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0] == first
+    assert wall < 10 and rss < 250, (wall, rss)
 
 
 @pytest.mark.parametrize("argv", [
