@@ -30,7 +30,6 @@ from .graphs import (
     graph_to_dict,
     read_json,
     write_dot,
-    write_graph,
     write_json,
 )
 
@@ -111,10 +110,7 @@ def cmd_gen(args) -> int:
         _check_graph(args.n,
                      powers.power_edge_count(args.kind, args.n, args.k))
         g = powers.power_graph(args.kind, args.n, args.k)
-    if args.out:
-        write_graph(g, args.out)
-    else:
-        write_json(graph_to_dict(g))
+    write_json(graph_to_dict(g), args.out)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(write_dot(g))

@@ -3,10 +3,12 @@
 Vertices are dense indices 0..n-1.  Adjacency is one Python int per vertex,
 bit u of adj[v] set iff {u, v} is an edge, so subset predicates run
 word-parallel on arbitrary-width ints.  Each job is done one way:
-vertices_of lists a mask's vertices, _edge_pairs walks the edges,
-induced_p3s the induced P3s, maximal_family lists a maximal family, and
-check_cap, check_choices and colour_tuple check a cap, a kind or mode and
-a colouring's length.  The records (Graph, Colouring, Biclique) and all
+vertices_of lists a mask's vertices (the hot kernels walk theirs inline,
+which measured faster), _edge_pairs walks the edges, induced_p3s the
+induced P3s, cb_sides a complete bipartite set's sides (a star's has one
+vertex), maximal_family lists a maximal family, and check_cap,
+check_choices and colour_tuple check a cap, a kind or mode and a
+colouring's length.  The records (Graph, Colouring, Biclique) and all
 that the oracle runs live here, so the oracle imports this module alone.
 """
 
@@ -120,7 +122,6 @@ class Graph(_GraphFields):
                 raise InputError(f"vertex {v} has a neighbour outside [0, {n})")
             if row >> v & 1:
                 raise InputError(f"self-loop at vertex {v}")
-        for v, row in enumerate(adj):
             for u in vertices_of(row):
                 if not adj[u] >> v & 1:
                     raise InputError(f"asymmetric adjacency between {v} and {u}")
@@ -218,30 +219,20 @@ class Colouring(_ColouringFields):
 
 def cb_sides(adj, smask: int):
     """Bipartition masks if smask induces a complete bipartite graph with at
-    least one edge, else None.
-
-    The partition of a connected complete bipartite graph is forced: the side
-    not containing the lowest vertex v0 must be exactly N(v0) inside the set.
-    Returns (side containing the lowest vertex, other side).
+    least one edge, else None: (side containing the lowest vertex v0, other
+    side).  The sides are forced, b being N(v0) inside the set, so one walk
+    checks that each vertex's row inside the set is the side it is not on.
     """
-    v0 = (smask & -smask).bit_length() - 1
-    b = adj[v0] & smask
-    if not b:
-        return None
+    low = smask & -smask
+    b = adj[low.bit_length() - 1] & smask
     a = smask ^ b
-    rest = a
+    rest = smask ^ low  # v0's row inside the set is b
     while rest:
         low = rest & -rest
-        if adj[low.bit_length() - 1] & smask != b:
+        if adj[low.bit_length() - 1] & smask != (a if low & b else b):
             return None
         rest ^= low
-    rest = b
-    while rest:
-        low = rest & -rest
-        if adj[low.bit_length() - 1] & smask != a:
-            return None
-        rest ^= low
-    return a, b
+    return (a, b) if b else None
 
 
 def is_maximal_cb(adj, smask: int, sides) -> bool:
@@ -277,26 +268,10 @@ def is_maximal_cb(adj, smask: int, sides) -> bool:
 
 
 def is_star_set(adj, smask: int) -> bool:
-    """True if smask induces a star K_{1,q} with q >= 1: some centre adjacent
-    to every other vertex, the rest pairwise non-adjacent.
-
-    The lowest vertex v0 is either a centre (adjacent to all the others) or
-    a leaf, whose one neighbour in the set is then the only possible centre.
-    """
-    low = smask & -smask
-    nb = adj[low.bit_length() - 1] & smask
-    if nb and nb == smask ^ low:
-        centre, leaves = low, nb
-    elif nb and nb & (nb - 1) == 0:
-        centre, leaves = nb, smask ^ nb
-    else:
-        return False
-    while leaves:
-        leaf = leaves & -leaves
-        if adj[leaf.bit_length() - 1] & smask != centre:
-            return False
-        leaves ^= leaf
-    return True
+    """True if smask induces a star K_{1,q} with q >= 1: a complete
+    bipartite set (cb_sides) with a one-vertex side, the centre."""
+    sides = cb_sides(adj, smask)
+    return sides is not None and any(s & (s - 1) == 0 for s in sides)
 
 
 def is_maximal_star(adj, smask: int) -> bool:
@@ -642,9 +617,10 @@ def graph_to_dict(g: Graph) -> dict:
 
 def graph_fields(d: dict) -> tuple[int, list[list[int]], str | None]:
     """(n, edges, label) of a graph object, edges its own list of [i, j]
-    entries, not copied, after the checks that building it makes, in the
-    same order, but before its n adjacency rows are allocated: a caller can
-    then reject other input cheaply even when the declared n is huge."""
+    entries, not copied, after the checks that building it makes but before
+    its n adjacency rows are allocated: a caller can then reject other input
+    cheaply even when the declared n is huge.  The label is checked first,
+    then each entry's shape and range in turn, then n >= 0."""
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise InputError('graph object needs "n" and "edges" keys')
     n = d["n"]
@@ -653,17 +629,16 @@ def graph_fields(d: dict) -> tuple[int, list[list[int]], str | None]:
     edges = d["edges"]
     if not isinstance(edges, list):
         raise InputError('"edges" must be a list of pairs')
+    label = d.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InputError('"label" must be a string')
     # The per-edge checks are is_int and _check_edge written inline: a file
     # may hold millions of edges, and a call per edge doubles the time.
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2
-                and isinstance(e[0], int) and not isinstance(e[0], bool)
-                and isinstance(e[1], int) and not isinstance(e[1], bool)):
+                and isinstance(i := e[0], int) and not isinstance(i, bool)
+                and isinstance(j := e[1], int) and not isinstance(j, bool)):
             raise InputError(f"malformed edge entry {e!r}")
-    label = d.get("label")
-    if label is not None and not isinstance(label, str):
-        raise InputError('"label" must be a string')
-    for i, j in edges:
         if not (0 <= i < n and 0 <= j < n and i != j):
             _check_edge(n, i, j)
     if n < 0:

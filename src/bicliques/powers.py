@@ -321,9 +321,11 @@ def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
     else:
         lo, hi, top = max(0, n - 1 - k), min(k, n - 1), n
     c4 = cyclic and mode == "biclique" and 2 * k + 2 <= n <= 4 * k
-    at = {c: [] for c, size in Counter(colours).items() if size >= 2}
-    if not at:  # every colour is used once, as on K_n
+    counts = Counter(colours)
+    if len(counts) == n:  # every colour is used once, as on K_n
         return None
+    at = {c: [] for c, size in counts.items() if size >= 2}
+    del counts  # not held while the lists fill
     get = at.get
     for v, c in enumerate(colours):
         q = get(c)

@@ -141,6 +141,34 @@ MUTANTS = {
         "if best is not None and a & -a != group:",
         "if best is not None:",
         ["tests/test_graphs.py", "tests/test_oracle.py"]),
+    # the structural checks, each one walk over its input
+    "cb-sides-swap": (
+        "graphs.py",
+        "(a if low & b else b)",
+        "(b if low & b else a)",
+        ["tests/test_graphs.py"]),
+    "cb-sides-edge": (
+        "graphs.py",
+        "return (a, b) if b else None",
+        "return a, b",
+        ["tests/test_graphs.py"]),
+    "star-side": (
+        "graphs.py",
+        "any(s & (s - 1) == 0 for s in sides)",
+        "all(s & (s - 1) == 0 for s in sides)",
+        ["tests/test_graphs.py"]),
+    "graph-symmetry": (
+        "graphs.py",
+        "if not adj[u] >> v & 1:",
+        "if False and not adj[u] >> v & 1:",
+        ["tests/test_graphs.py"]),
+    "fields-self-loop": (
+        "graphs.py",
+        "and i != j):\n            _check_edge(n, i, j)\n",
+        "):\n            _check_edge(n, i, j)\n",
+        ["tests/test_graphs.py::"
+         "test_graph_fields_rejects_bad_input_with_its_message",
+         "tests/test_cli.py::test_labelled_self_loop_is_bad_input"]),
     # the exact search's colour-class masks
     "exact-restore": (
         "oracle.py",

@@ -591,6 +591,25 @@ def test_labelled_power_graph_rebuilt_only_on_matching_edge_count(
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", (
+    ["verify", "g.json", "c.json"],
+    ["bicliques", "--graph", "g.json", "--closed-form"]))
+def test_labelled_self_loop_is_bad_input(tmp_path, capsys, monkeypatch,
+                                         argv):
+    """P_30^1 with [10, 11] replaced by [5, 5] has P_30^1's edge count and
+    every pair within distance 1, so only the file's self-loop check keeps
+    the label's closed form from answering for it."""
+    edges = [[i, i + 1] for i in range(29)]
+    edges[10] = [5, 5]
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"n": 30, "edges": edges, "label": "P_30^1"}))
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"n": 30, "colours": [v % 2 for v in range(30)], "num_colours": 2}))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: self-loop edge (5, 5)\n")
+
+
 def test_matching_labelled_verify_builds_no_graph(
         tmp_path, capsys, monkeypatch):
     """A file that is the power graph its label names is checked by index

@@ -93,7 +93,9 @@ def test_from_edges_equals_the_checked_rows(n, rng):
     assert type(Graph.from_edges(n, edges)) is Graph
 
 
-@pytest.mark.parametrize("n, edges, message", (
+# (n, edges, message): out-of-range edges, self-loops and a negative n,
+# with and without edges, the edges being checked before n
+BAD_EDGES = (
     (3, [(0, 3)], "edge (0, 3) out of range for n=3"),
     (3, [(-1, 0)], "edge (-1, 0) out of range for n=3"),
     (0, [(0, 0)], "edge (0, 0) out of range for n=0"),
@@ -101,13 +103,24 @@ def test_from_edges_equals_the_checked_rows(n, rng):
     (2, [(0, 1), (1, 1)], "self-loop edge (1, 1)"),
     (-1, [], "vertex count must be non-negative"),
     (-2, [(0, 1)], "edge (0, 1) out of range for n=-2"),
-    (-1, [(0, 0)], "edge (0, 0) out of range for n=-1")))
+    (-1, [(0, 0)], "edge (0, 0) out of range for n=-1"))
+
+
+@pytest.mark.parametrize("n, edges, message", BAD_EDGES)
 def test_from_edges_rejects_bad_input_with_its_message(n, edges, message):
-    """Out-of-range edges, self-loops and a negative n, with and without
-    edges: an InputError with the message that names the first fault, the
-    edges being checked before n."""
+    """An InputError with the message that names the first fault."""
     with pytest.raises(InputError) as err:
         Graph.from_edges(n, edges)
+    assert type(err.value) is InputError and str(err.value) == message
+
+
+@pytest.mark.parametrize("n, edges, message", BAD_EDGES)
+def test_graph_fields_rejects_bad_input_with_its_message(n, edges, message):
+    """A file's [i, j] entries get from_edges' message for the same fault,
+    before any row is built: power_params, which reads the edges with no
+    graph built, relies on graph_fields to refuse a self-loop."""
+    with pytest.raises(InputError) as err:
+        graph_fields({"n": n, "edges": [list(e) for e in edges]})
     assert type(err.value) is InputError and str(err.value) == message
 
 
@@ -159,12 +172,15 @@ def test_is_complete_bipartite_examples():
 @settings(max_examples=60, deadline=None)
 def test_maximality_kernels_match_extension_scan(g):
     """Maximal means no single outside vertex gives a larger complete
-    bipartite set (star), decided here by the independent loop checkers."""
-    for r in range(2, g.n + 1):
+    bipartite set (star), decided here by the independent loop checkers.
+    One-vertex sets are neither; cb_sides refuses them as edgeless."""
+    for r in range(1, g.n + 1):
         for vs in combinations(range(g.n), r):
             m = mask_of(vs)
             outside = [w for w in range(g.n) if w not in vs]
-            if support.bfs_complete_bipartite(g, vs) is not None:
+            complete = support.bfs_complete_bipartite(g, vs) is not None
+            assert (cb_sides(g.adj, m) is not None) == complete
+            if complete:
                 expect = not any(
                     support.bfs_complete_bipartite(g, vs + (w,)) is not None
                     for w in outside)
