@@ -25,8 +25,6 @@ from .graphs import (
     InputError,
     contains_induced_c4,
     contains_k4,
-    induced_subgraph,
-    is_complete_bipartite,
     read_graph,
     write_dot,
     write_graph,

@@ -161,14 +161,6 @@ class Graph(_GraphFields):
         return sum(row.bit_count() for row in self.adj) // 2
 
 
-def induced_subgraph(g: Graph, s) -> Graph:
-    """Subgraph induced by vertex set s, relabelled 0..|s|-1 in sorted order."""
-    vs = vertex_set(s, g.n)
-    index = {v: i for i, v in enumerate(vs)}
-    return Graph(len(vs), tuple(mask_of(index[u] for u in g.neighbours(v)
-                                        if u in index) for v in vs))
-
-
 class _ColouringFields(NamedTuple):
     colours: tuple[int, ...]
     num_colours: int
@@ -311,9 +303,13 @@ SUBSET_SCAN_CAP = 22
 
 
 def maximal_independent_subsets(adj, mask: int):
-    """Every maximal independent subset of the vertex mask, each once; a
-    mask of at most one vertex yields itself (maximal_cb_candidates yields
-    that A' inline, so only the star enumerator meets the fast path).
+    """Every maximal independent subset of the vertex mask, each once.
+
+    A mask of at most two vertices is answered directly, in the order the
+    search below would give: an edge yields its two ends, the higher
+    first, and any other mask yields itself.  Most masks that the
+    enumerators pass (a biclique's A' choices, a star's leaves) are that
+    small.
 
     Bron-Kerbosch on the complement graph: choosing a vertex drops its
     neighbours from the candidates and from the excluded vertices, and a
@@ -322,8 +318,13 @@ def maximal_independent_subsets(adj, mask: int):
     vertices remain.  A maximal set holds the lowest candidate or excluded
     vertex p or one of p's neighbours, so only those are branched on.
     """
-    if mask & (mask - 1) == 0:  # no vertex or one: the set is the mask
-        yield mask
+    rest = mask & (mask - 1)  # the mask less its lowest vertex
+    if rest & (rest - 1) == 0:  # at most two vertices
+        if rest and adj[rest.bit_length() - 1] & mask:
+            yield rest
+            yield mask ^ rest
+        else:
+            yield mask
         return
     stack = [(0, mask, 0)]
     while stack:
@@ -481,14 +482,6 @@ def smallest_maximal_inside(adj, mode: str, vmasks) -> list[tuple[int, ...]]:
 _SHAPES = {(1, 1): "P2", (1, 2): "P3", (2, 1): "P3", (2, 2): "C4"}
 
 
-def cb_shape(adj, m: int) -> str:
-    """Shape of the complete bipartite set with vertex mask m by its side
-    sizes: "P2" for 1+1, "P3" for 1+2 or 2+1, "C4" for 2+2, else "OTHER".
-    The sides are forced: b is the lowest vertex's neighbours inside m."""
-    b = adj[(m & -m).bit_length() - 1] & m
-    return _SHAPES.get(((m ^ b).bit_count(), b.bit_count()), "OTHER")
-
-
 class Biclique(NamedTuple):
     """Maximal complete bipartite vertex set with its induced shape; reach,
     the sum of a P3's two edge lengths, is set only on cycle powers."""
@@ -499,32 +492,25 @@ class Biclique(NamedTuple):
 
 
 def maximal_family(adj, mode: str) -> list:
-    """maximal_masks over all vertices, sorted: the maximal bicliques (mode
-    "biclique", as Biclique records with their cb_shape and no reach) or
-    else stars (as vertex tuples); tuple.__new__ skips Biclique.__new__."""
-    masks = maximal_masks(adj, mode, (1 << len(adj)) - 1)
+    """The maximal stars (mode "star", as vertex tuples) or else bicliques
+    of the whole graph, sorted.  A biclique is a Biclique record with no
+    reach, built in the one pass over maximal_cb_candidates that checks
+    each candidate: its shape is "P2" for sides of 1+1 vertices, "P3" for
+    1+2 or 2+1, "C4" for 2+2 and else "OTHER".  tuple.__new__ skips
+    Biclique.__new__."""
+    vmask = (1 << len(adj)) - 1
     if mode == "star":
-        return sorted(map(vertices_of, masks))
+        return sorted(map(vertices_of, maximal_masks(adj, mode, vmask)))
     new = tuple.__new__
-    out = [new(Biclique, (vertices_of(m), cb_shape(adj, m), None))
-           for m in masks]
+    out = []
+    for sides in maximal_cb_candidates(adj, vmask):
+        a, b = sides
+        if is_maximal_cb(adj, m := a | b, sides):
+            out.append(new(Biclique, (
+                vertices_of(m),
+                _SHAPES.get((a.bit_count(), b.bit_count()), "OTHER"), None)))
     out.sort()  # by vertices: no two records share them
     return out
-
-
-def is_complete_bipartite(g: Graph, s):
-    """Whether s induces a complete bipartite subgraph with >= 1 edge.
-
-    Returns (True, (side_a, side_b)) with the side containing the smallest
-    vertex first and both sides sorted, or (False, None).
-    """
-    vs = vertex_set(s, g.n)
-    if len(vs) < 2:
-        raise InputError("complete-bipartite test needs at least two vertices")
-    sides = cb_sides(g.adj, mask_of(vs))
-    if sides is None:
-        return False, None
-    return True, tuple(map(vertices_of, sides))
 
 
 def contains_k4(g: Graph):

@@ -141,6 +141,18 @@ MUTANTS = {
         "if best is not None and a & -a != group:",
         "if best is not None:",
         ["tests/test_graphs.py", "tests/test_oracle.py"]),
+    "pair-edge": (
+        "graphs.py",
+        "if rest and adj[rest.bit_length() - 1] & mask:",
+        "if rest and adj[rest.bit_length() - 1] & rest:",
+        ["tests/test_graphs.py::"
+         "test_maximal_independent_subsets_of_two_vertices"]),
+    "family-shape": (
+        "graphs.py",
+        '_SHAPES.get((a.bit_count(), b.bit_count()), "OTHER")',
+        '_SHAPES.get((a.bit_count(), a.bit_count()), "OTHER")',
+        ["tests/test_graphs.py::"
+         "test_family_records_carry_the_shape_of_their_sides"]),
     # the structural checks, each one walk over its input
     "cb-sides-swap": (
         "graphs.py",

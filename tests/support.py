@@ -21,7 +21,7 @@ from itertools import combinations, product
 from hypothesis import strategies as st
 
 from bicliques.graphs import (Graph, InputError, cb_sides, is_star_set,
-                              vertices_of)
+                              mask_of, vertex_set, vertices_of)
 from bicliques import graphs, powers
 from bicliques.reduction import CnfFormula, normalize
 
@@ -145,6 +145,30 @@ def induced_shape(g: Graph, s) -> str:
         if max(deg.values()) == 2:
             return "C4"
     return "OTHER"
+
+
+def induced_subgraph(g: Graph, s) -> Graph:
+    """Subgraph induced by vertex set s, relabelled 0..|s|-1 in sorted order."""
+    vs = vertex_set(s, g.n)
+    index = {v: i for i, v in enumerate(vs)}
+    return Graph(len(vs), tuple(mask_of(index[u] for u in g.neighbours(v)
+                                        if u in index) for v in vs))
+
+
+def is_complete_bipartite(g: Graph, s):
+    """Whether s induces a complete bipartite subgraph with >= 1 edge, by
+    the library's cb_sides.
+
+    Returns (True, (side_a, side_b)) with the side containing the smallest
+    vertex first and both sides sorted, or (False, None).
+    """
+    vs = vertex_set(s, g.n)
+    if len(vs) < 2:
+        raise InputError("complete-bipartite test needs at least two vertices")
+    sides = cb_sides(g.adj, mask_of(vs))
+    if sides is None:
+        return False, None
+    return True, tuple(map(vertices_of, sides))
 
 
 def walk_is_maximal_cb(adj, smask: int, sides) -> bool:

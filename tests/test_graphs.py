@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from bicliques import graphs
 from bicliques.graphs import (
     DOT_PALETTE,
     Graph,
@@ -20,13 +21,12 @@ from bicliques.graphs import (
     contains_k4,
     graph_fields,
     graph_to_dict,
-    induced_subgraph,
-    is_complete_bipartite,
     is_maximal_cb,
     is_maximal_star,
     is_star_set,
     mask_of,
     maximal_cb_candidates,
+    maximal_family,
     maximal_independent_subsets,
     maximal_masks,
     maximal_star_candidates,
@@ -136,7 +136,7 @@ def test_neighbours_degree_edges():
 
 def test_induced_subgraph_relabels():
     g = power_path(6, 2)
-    h = induced_subgraph(g, (1, 3, 4))
+    h = support.induced_subgraph(g, (1, 3, 4))
     assert h.n == 3
     # 1-3 and 3-4 are edges of the parent, 1-4 is not
     assert h.edges() == [(0, 1), (1, 2)]
@@ -147,7 +147,7 @@ def test_induced_subgraph_relabels():
 def test_is_complete_bipartite_matches_bfs_checker(g):
     for r in range(2, g.n + 1):
         for vs in combinations(range(g.n), r):
-            ok, sides = is_complete_bipartite(g, vs)
+            ok, sides = support.is_complete_bipartite(g, vs)
             expect = support.bfs_complete_bipartite(g, vs)
             assert ok == (expect is not None)
             if ok:
@@ -160,12 +160,13 @@ def test_is_complete_bipartite_matches_bfs_checker(g):
 
 def test_is_complete_bipartite_examples():
     p = power_path(5, 1)
-    assert is_complete_bipartite(p, (0, 1, 2)) == (True, ((0, 2), (1,)))
-    assert is_complete_bipartite(p, (0, 1, 3))[0] is False
+    is_cb = support.is_complete_bipartite
+    assert is_cb(p, (0, 1, 2)) == (True, ((0, 2), (1,)))
+    assert is_cb(p, (0, 1, 3))[0] is False
     c = power_cycle(11, 4)
-    assert is_complete_bipartite(c, (0, 3, 6, 9)) == (True, ((0, 6), (3, 9)))
+    assert is_cb(c, (0, 3, 6, 9)) == (True, ((0, 6), (3, 9)))
     with pytest.raises(InputError):
-        is_complete_bipartite(p, (2,))
+        is_cb(p, (2,))
 
 
 @given(support.graph_strategy(max_n=8))
@@ -229,10 +230,14 @@ def _assert_edge_listings_match(g):
     assert dot_edges == [f"  {i} -- {j};" for i, j in ref]
 
 
-@pytest.mark.parametrize("kind, n, k", (
+WIDE_POWERS = (
     ("path", 65, 25), ("path", 120, 10), ("path", 300, 3), ("cycle", 65, 3),
     ("cycle", 70, 20), ("cycle", 130, 12), ("cycle", 200, 8),
-    ("cycle", 300, 5)))
+    ("cycle", 300, 5))
+WIDE_RANDOM = ((23, 0.3), (40, 0.2), (65, 0.12), (90, 0.08), (130, 0.06))
+
+
+@pytest.mark.parametrize("kind, n, k", WIDE_POWERS)
 def test_maximality_algebra_matches_walk_on_wide_powers(kind, n, k):
     """Rows wider than 64 bits, in every range of the families: complete
     bipartite sets of 2..4 vertices, stars of up to 2k leaves."""
@@ -241,11 +246,29 @@ def test_maximality_algebra_matches_walk_on_wide_powers(kind, n, k):
     _assert_edge_listings_match(g)
 
 
-@pytest.mark.parametrize("n, p", ((23, 0.3), (40, 0.2), (65, 0.12),
-                                  (90, 0.08), (130, 0.06)))
+@pytest.mark.parametrize("n, p", WIDE_RANDOM)
 def test_maximality_algebra_matches_walk_on_random_graphs(n, p):
     g = support.random_graph(random.Random(f"wide:{n}:{p}"), n, p)
     _assert_maximality_matches_walk(g.adj)
+
+
+@pytest.mark.parametrize("g", [
+    *((power_path if kind == "path" else power_cycle)(n, k)
+      for kind, n, k in WIDE_POWERS),
+    *(support.random_graph(random.Random(f"wide:{n}:{p}"), n, p)
+      for n, p in WIDE_RANDOM)])
+def test_family_records_carry_the_shape_of_their_sides(g):
+    """maximal_family reads each record's shape from the side sizes of its
+    candidate: it is the shape of the set's cb_sides sizes, and the shape
+    that the edge count of tests/support.py gives."""
+    shapes = set()
+    for rec in maximal_family(g.adj, "biclique"):
+        a, b = cb_sides(g.adj, mask_of(rec.vertices))
+        sizes = (a.bit_count(), b.bit_count())
+        assert rec.shape == graphs._SHAPES.get(sizes, "OTHER")
+        assert rec.shape == support.induced_shape(g, rec.vertices)
+        shapes.add(rec.shape)
+    assert shapes & {"P3", "C4"}
 
 
 @given(support.graph_strategy(max_n=10), st.integers(0, (1 << 10) - 1))
@@ -263,6 +286,21 @@ def test_maximal_independent_subsets_of_at_most_one_vertex(g):
     """A mask of no vertex or one is its own only maximal independent set."""
     for mask in [0] + [1 << v for v in range(g.n)]:
         assert list(maximal_independent_subsets(g.adj, mask)) == [mask]
+
+
+@pytest.mark.parametrize("n, p", ((8, 0.3), (12, 0.5), (20, 0.2), (70, 0.1)))
+def test_maximal_independent_subsets_of_two_vertices(n, p):
+    """A mask of two vertices u < v yields {v} then {u} when uv is an edge
+    and else the mask itself, as the search gives them."""
+    g = support.random_graph(random.Random(f"pairs:{n}:{p}"), n, p)
+    seen = set()
+    for u, v in combinations(range(n), 2):
+        edge = g.has_edge(u, v)
+        expect = [1 << v, 1 << u] if edge else [1 << u | 1 << v]
+        assert list(maximal_independent_subsets(g.adj, 1 << u | 1 << v)) \
+            == expect
+        seen.add(edge)
+    assert seen == {True, False}
 
 
 @given(support.graph_strategy(max_n=9), st.integers(0, (1 << 9) - 1))

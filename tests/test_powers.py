@@ -24,7 +24,7 @@ from bicliques.colouring import (
     star_colour_path,
 )
 from bicliques.graphs import (Graph, InputError, colour_classes,
-                               is_complete_bipartite, smallest_maximal_inside)
+                               smallest_maximal_inside)
 from bicliques.oracle import maximal_bicliques, maximal_stars
 from bicliques.powers import (
     Biclique,
@@ -401,7 +401,7 @@ def test_biclique_record_fields():
     assert isinstance(b, Biclique)
     assert b.reach is not None and b.shape == "P3"
     g = power_cycle(11, 2)
-    assert is_complete_bipartite(g, b.vertices)[0]
+    assert support.is_complete_bipartite(g, b.vertices)[0]
     # C4 entries never carry a reach
     assert all(x.reach is None for x in cycle_bicliques(11, 4))
 

@@ -14,7 +14,6 @@ from bicliques.graphs import (
     InputError,
     contains_induced_c4,
     contains_k4,
-    induced_subgraph,
 )
 from bicliques.oracle import maximal_bicliques
 from bicliques.reduction import (
@@ -243,7 +242,7 @@ def test_gadget_subgraph_biclique_structure():
     """Inside G[V'] the maximal bicliques are u plus one literal per variable
     (2^5 of them) and the five complementary literal pairs."""
     inst = build_instance(PHI)
-    sub = induced_subgraph(inst.graph, inst.v_prime)
+    sub = support.induced_subgraph(inst.graph, inst.v_prime)
     fam = [b.vertices for b in maximal_bicliques(sub)]
     assert len(fam) == 37
     with_u = [vs for vs in fam if 0 in vs]
