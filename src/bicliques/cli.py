@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 a verification answered "invalid" (monochromatic
 witness found, or a certification mismatch), 2 bad input, 3 a size cap was
-exceeded: the oracle's and the reduction's brute-force caps, or the caps
-below on what one command builds, checked by graphs.check_cap before
-anything is allocated or printed, and after powers.check_params refuses a
-bad n or k.  A file's P_n^k / C_n^k label is read by powers.power_params.
+exceeded: the oracle's and the reduction's brute-force caps, graphs.INPUT_CAP
+on the bytes of a file read, or the caps below on what one command builds,
+checked by graphs.check_cap before anything is allocated or printed, and
+after powers.check_params refuses a bad n or k.  A file's P_n^k / C_n^k
+label is read by powers.power_params.
 
 Only graphs is imported at once.  powers, colouring, the oracle, the
 reduction and csv are imported by the subcommands that use them, so reduce
@@ -21,6 +22,7 @@ import json
 import sys
 
 from .graphs import (
+    INPUT_CAP,
     CapacityError,
     Graph,
     InputError,
@@ -290,9 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
                f"(gen, --dot); sets*degree <= {FAMILY_CAP} for a family "
                "listed (bicliques --kind or --closed-form); rows <= "
                f"{SWEEP_ROWS_CAP} and sum(n) <= {CLOSED_FORM_CAP} for a "
-               "sweep.  A colouring of P_n^k or C_n^k is checked by index "
-               "arithmetic with no graph built.  The oracle's "
-               "and the reduction's brute-force caps exit 3 as well.")
+               f"sweep; bytes <= {INPUT_CAP} for a file read (graph, "
+               "colouring, DIMACS).  A colouring of P_n^k or C_n^k is "
+               "checked by index arithmetic with no graph built.  The "
+               "oracle's and the reduction's brute-force caps exit 3 as "
+               "well.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph as JSON")

@@ -3,7 +3,8 @@
 Vertices are dense indices 0..n-1.  Adjacency is one Python int per vertex,
 bit u of adj[v] set iff {u, v} is an edge, so subset predicates run
 word-parallel on arbitrary-width ints.  Each job is done one way:
-vertices_of lists a mask's vertices (the hot kernels walk theirs inline,
+vertices_of lists a mask's vertices (from byte tables below 2^24, which
+holds every mask the oracle scans; the hot kernels walk theirs inline,
 which measured faster), _edge_pairs walks the edges, induced_p3s the
 induced P3s, cb_sides a complete bipartite set's sides (a star's has one
 vertex), maximal_family lists a maximal family, and check_cap,
@@ -15,8 +16,10 @@ that the oracle runs live here, so the oracle imports this module alone.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -51,8 +54,26 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _byte_table(base: int) -> tuple:
+    """For each byte value b, the vertices base + i of its set bits i, as
+    a tuple.  Each bit i doubles the list, as the entry of b | 1 << i for
+    b < 2^i is b's entry with base + i added: 255 tuples are built, and no
+    bit is tested."""
+    table = [()]
+    for v in range(base, base + 8):
+        table += [vs + (v,) for vs in table]
+    return tuple(table)
+
+
+# A mask below 2^24 (every mask the oracle scans) is three lookups.
+_T0, _T1, _T2 = map(_byte_table, (0, 8, 16))
+
+
 def vertices_of(mask: int) -> tuple[int, ...]:
-    """The set bit positions of mask, in increasing order."""
+    """The set bit positions of mask, in increasing order: read from the
+    byte tables when mask < 2^24, else by a walk over its bits."""
+    if mask < 1 << 24:
+        return _T0[mask & 255] + _T1[mask >> 8 & 255] + _T2[mask >> 16]
     vs = []
     while mask:
         low = mask & -mask
@@ -305,11 +326,15 @@ SUBSET_SCAN_CAP = 22
 def maximal_independent_subsets(adj, mask: int):
     """Every maximal independent subset of the vertex mask, each once.
 
-    A mask of at most two vertices is answered directly, in the order the
-    search below would give: an edge yields its two ends, the higher
-    first, and any other mask yields itself.  Most masks that the
-    enumerators pass (a biclique's A' choices, a star's leaves) are that
-    small.
+    Two kinds of mask are answered without a search, in the order the
+    search would give: an independent mask (as is every mask of at most
+    one vertex) yields itself, and a clique yields each of its vertices,
+    the highest first.  The lowest vertex's row tells which kind the mask
+    can be, and since every edge inside the mask is seen from its lower
+    end, one walk over the rows of the others but the highest settles it.
+    Every mask of two vertices is one kind or the other, and most masks
+    that the enumerators pass (a biclique's A' choices, a star's leaves)
+    are too.
 
     Bron-Kerbosch on the complement graph: choosing a vertex drops its
     neighbours from the candidates and from the excluded vertices, and a
@@ -319,13 +344,27 @@ def maximal_independent_subsets(adj, mask: int):
     vertex p or one of p's neighbours, so only those are branched on.
     """
     rest = mask & (mask - 1)  # the mask less its lowest vertex
-    if rest & (rest - 1) == 0:  # at most two vertices
-        if rest and adj[rest.bit_length() - 1] & mask:
-            yield rest
-            yield mask ^ rest
+    if not rest or not (inner := adj[(mask ^ rest).bit_length() - 1] & mask):
+        while rest & (rest - 1):  # independent: no row meets the mask
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & mask:
+                break
+            rest ^= low
         else:
             yield mask
-        return
+            return
+    elif inner == rest:
+        while rest & (rest - 1):  # a clique: each row is mask ^ low
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & mask != mask ^ low:
+                break
+            rest ^= low
+        else:
+            while mask:
+                top = 1 << mask.bit_length() - 1
+                yield top
+                mask ^= top
+            return
     stack = [(0, mask, 0)]
     while stack:
         chosen, cand, excl = stack.pop()
@@ -497,7 +536,9 @@ def maximal_family(adj, mode: str) -> list:
     reach, built in the one pass over maximal_cb_candidates that checks
     each candidate: its shape is "P2" for sides of 1+1 vertices, "P3" for
     1+2 or 2+1, "C4" for 2+2 and else "OTHER".  tuple.__new__ skips
-    Biclique.__new__."""
+    Biclique.__new__.  The records are sorted on their vertex tuples
+    alone, which no two share, so the order is that of the records while
+    the sort compares plain int tuples."""
     vmask = (1 << len(adj)) - 1
     if mode == "star":
         return sorted(map(vertices_of, maximal_masks(adj, mode, vmask)))
@@ -509,7 +550,7 @@ def maximal_family(adj, mode: str) -> list:
             out.append(new(Biclique, (
                 vertices_of(m),
                 _SHAPES.get((a.bit_count(), b.bit_count()), "OTHER"), None)))
-    out.sort()  # by vertices: no two records share them
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -632,11 +673,21 @@ def graph_fields(d: dict) -> tuple[int, list[list[int]], str | None]:
     return n, edges, label
 
 
+# Bytes of one input file (graph, colouring or DIMACS), checked before it is
+# read: every graph gen writes under the command line's EDGES_CAP is below it
+# (C_20000^50 writes 26.9 MB); the figures at the cap are in README.md.
+INPUT_CAP = 32_000_000
+
+
 def read_text(path: str) -> str:
     """The contents of the UTF-8 text file at path, newlines translated as
-    when reading lines; other bytes are an InputError that names the file."""
+    when reading lines; other bytes are an InputError that names the file.
+    A file of more than INPUT_CAP bytes is a CapacityError, before any of
+    it is read (parsing holds 10-20 times the file's size)."""
     try:
         with open(path, encoding="utf-8") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            check_cap(f"reading {path}", "bytes", size, INPUT_CAP)
             return fh.read()
     except UnicodeDecodeError as e:
         raise InputError(

@@ -7,24 +7,29 @@ Run from anywhere, with pytest and hypothesis installed:
 A mutant is (file under src/bicliques, old text, new text, targeted tests).
 The old text must occur exactly once in the file, so a refactor that moves
 or rewrites the code stops the check instead of skipping the mutant.  The
-script copies src/, tests/ and pyproject.toml to a temporary directory and
-runs the targeted tests there, first on the unmutated copy, which must
-pass, then with each mutant applied in turn, under pytest -x: the tests
-must fail.  pytest's output is printed when the unmutated copy fails or a
+script copies src/, tests/ and pyproject.toml to one temporary directory per
+worker, min(os.cpu_count(), len(MUTANTS)) of them, and runs the targeted
+tests there under pytest -x: first every target on one unmutated copy,
+which must pass, then each mutant on whichever copy is free, several at
+once, where the tests must fail.  A line per mutant is printed in MUTANTS
+order.  pytest's output is printed when the unmutated copy fails or a
 mutant ends in an error rather than a failed test (say a collection
 error).  It exits 0 when every mutant is caught and 1 otherwise.  The file
 name keeps pytest from collecting it; it uses the standard library only,
-and pytest in a child process.
+and pytest in child processes.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -143,10 +148,26 @@ MUTANTS = {
         ["tests/test_graphs.py", "tests/test_oracle.py"]),
     "pair-edge": (
         "graphs.py",
-        "if rest and adj[rest.bit_length() - 1] & mask:",
-        "if rest and adj[rest.bit_length() - 1] & rest:",
+        "top = 1 << mask.bit_length() - 1",
+        "top = mask & -mask",
         ["tests/test_graphs.py::"
          "test_maximal_independent_subsets_of_two_vertices"]),
+    "family-key": (
+        "graphs.py",
+        "out.sort(key=itemgetter(0))",
+        "out.sort(key=itemgetter(1))",
+        ["tests/test_graphs.py::test_family_records_are_in_record_order"]),
+    # the byte tables of vertices_of
+    "byte-table-bound": (
+        "graphs.py",
+        "if mask < 1 << 24:",
+        "if mask <= 1 << 24:",
+        ["tests/test_graphs.py::test_vertices_of_matches_a_bit_walk"]),
+    "byte-table-offset": (
+        "graphs.py",
+        "_byte_table, (0, 8, 16))",
+        "_byte_table, (0, 8, 15))",
+        ["tests/test_graphs.py::test_vertices_of_matches_a_bit_walk"]),
     "family-shape": (
         "graphs.py",
         '_SHAPES.get((a.bit_count(), b.bit_count()), "OTHER")',
@@ -235,46 +256,74 @@ def _run(copy: Path, tests) -> subprocess.CompletedProcess:
         stderr=subprocess.STDOUT, text=True)
 
 
+def _copy(dest: Path) -> Path:
+    """A copy of src/, tests/ and pyproject.toml at dest, for pytest to run
+    in."""
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", dest)
+    return dest
+
+
+def _mutant_run(copies: queue.Queue, mutant) -> tuple:
+    """pytest's run of the mutant's tests, and its wall time, on a copy
+    taken from copies with the mutant applied; the copy is restored and
+    put back for the next mutant."""
+    file, old, new, tests = mutant
+    copy = copies.get()
+    try:
+        path = copy / "src" / "bicliques" / file
+        text = path.read_text()
+        path.write_text(text.replace(old, new))
+        try:
+            start = time.perf_counter()
+            run = _run(copy, tests)
+            return run, time.perf_counter() - start
+        finally:
+            path.write_text(text)
+    finally:
+        copies.put(copy)
+
+
 def main() -> int:
     for name, (file, old, _, _) in MUTANTS.items():
         count = (ROOT / "src" / "bicliques" / file).read_text().count(old)
         if count != 1:
             sys.exit(f"{name}: {old!r} occurs {count} times in {file}")
+    workers = min(os.cpu_count() or 1, len(MUTANTS))
+    began = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
-        copy = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, copy / part,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", copy)
+        copies: queue.Queue = queue.Queue()
+        for i in range(workers):
+            copies.put(_copy(Path(tmp) / str(i)))
         targets = sorted({t for *_, tests in MUTANTS.values() for t in tests})
+        copy = copies.get()
         start = time.perf_counter()
         run = _run(copy, targets)
+        copies.put(copy)
         print(f"unmutated: exit {run.returncode} in "
               f"{time.perf_counter() - start:.1f} s", flush=True)
         if run.returncode != 0:
             print(run.stdout)
             return 1
         survived = []
-        for name, (file, old, new, tests) in MUTANTS.items():
-            path = copy / "src" / "bicliques" / file
-            text = path.read_text()
-            path.write_text(text.replace(old, new))
-            start = time.perf_counter()
-            run = _run(copy, tests)
-            path.write_text(text)
-            code = run.returncode
-            verdict = "caught" if code == 1 else "SURVIVED" if code == 0 \
-                else f"ERROR (pytest exit {code})"
-            print(f"{name}: {verdict} in {time.perf_counter() - start:.1f} s",
-                  flush=True)
-            if code not in (0, 1):
-                print(run.stdout, flush=True)
-            if code != 1:
-                survived.append(name)
+        with ThreadPoolExecutor(workers) as pool:
+            runs = pool.map(partial(_mutant_run, copies), MUTANTS.values())
+            for name, (run, seconds) in zip(MUTANTS, runs):
+                code = run.returncode
+                verdict = "caught" if code == 1 else "SURVIVED" if code == 0 \
+                    else f"ERROR (pytest exit {code})"
+                print(f"{name}: {verdict} in {seconds:.1f} s", flush=True)
+                if code not in (0, 1):
+                    print(run.stdout, flush=True)
+                if code != 1:
+                    survived.append(name)
+    wall = f"{time.perf_counter() - began:.1f} s on {workers} worker(s)"
     if survived:
-        print(f"not caught: {', '.join(survived)}")
+        print(f"not caught: {', '.join(survived)} ({wall})")
         return 1
-    print(f"all {len(MUTANTS)} mutants caught")
+    print(f"all {len(MUTANTS)} mutants caught in {wall}")
     return 0
 
 

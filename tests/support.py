@@ -315,10 +315,17 @@ def walk_induced_c4(g: Graph):
     return None
 
 
+def bits_by_walk(mask: int) -> tuple[int, ...]:
+    """The set bit positions of a mask >= 0, in increasing order, by a walk
+    over its binary digits, lowest first: no word arithmetic."""
+    return tuple(v for v, digit in enumerate(reversed(format(mask, "b")))
+                 if digit == "1")
+
+
 def brute_maximal_independent_sets(g: Graph, mask: int) -> set[int]:
     """Masks of the maximal independent subsets of the vertex mask, found
     among all its submasks with nested has_edge loops."""
-    vs = vertices_of(mask)
+    vs = bits_by_walk(mask)
     found = []
     for r in range(len(vs) + 1):
         for sub in combinations(vs, r):

@@ -50,6 +50,24 @@ def test_bits_and_mask_round_trip():
         assert vertices_of(mask_of(vs)) == tuple(vs)
 
 
+def test_vertices_of_matches_a_bit_walk():
+    """vertices_of reads masks below 2^24 from its three byte tables and
+    walks wider ones: both agree with a plain bit walk at every edge of
+    the tables, on random masks of one to three bytes, and on random masks
+    of 25 to 20 000 bits."""
+    rng = random.Random("vertices_of")
+    masks = [0, 1, (1 << 8) - 1, 1 << 8, (1 << 16) - 1, 1 << 16,
+             (1 << 16) + 1, (1 << 24) - 1, 1 << 24, (1 << 24) + 1,
+             (1 << 24) | 0b1011, (1 << 25) - 1]
+    masks += [rng.getrandbits(bits) for bits in (8, 16, 24) * 300]
+    masks += [rng.getrandbits(rng.randint(25, 20000)) | 1 << 24
+              for _ in range(100)]
+    masks += [mask_of(rng.sample(range(bits), rng.randint(1, 6)))
+              for bits in (9, 17, 24, 30, 20000) * 40]
+    for mask in masks:
+        assert vertices_of(mask) == support.bits_by_walk(mask), mask
+
+
 def test_vertex_set_normalizes_and_validates():
     assert vertex_set([3, 0, 2]) == (0, 2, 3)
     assert vertex_set((5,), n=6) == (5,)
@@ -271,6 +289,17 @@ def test_family_records_carry_the_shape_of_their_sides(g):
     assert shapes & {"P3", "C4"}
 
 
+@pytest.mark.parametrize("n, p", ((8, 0.5), (13, 0.4), (16, 0.3), (20, 0.2)))
+def test_family_records_are_in_record_order(n, p):
+    """maximal_family sorts its biclique records on their vertex tuples
+    alone; as no two records share them, that is the records' own order."""
+    for seed in range(5):
+        g = support.random_graph(random.Random(f"order:{n}:{p}:{seed}"), n, p)
+        family = maximal_family(g.adj, "biclique")
+        assert len({rec.vertices for rec in family}) == len(family)
+        assert family == sorted(family)
+
+
 @given(support.graph_strategy(max_n=10), st.integers(0, (1 << 10) - 1))
 @settings(max_examples=80, deadline=None)
 def test_maximal_independent_subsets_match_submask_scan(g, mask):
@@ -301,6 +330,42 @@ def test_maximal_independent_subsets_of_two_vertices(n, p):
             == expect
         seen.add(edge)
     assert seen == {True, False}
+
+
+def test_maximal_independent_subsets_of_cliques_and_independent_masks():
+    """On every mask of 3-8 vertices of seeded random graphs on 12
+    vertices, one of them with an 8-clique planted and one with an
+    independent set of 8, a clique yields its vertices, the highest first,
+    and an independent mask yields itself, as the search gives them; both
+    kinds occur at every size.  A tenth of the other masks, drawn at
+    random, yield their maximal independent subsets by the submask scan,
+    each once."""
+    seen = set()
+    for plant in (None, True, False):
+        rng = random.Random(f"kinds:{plant}")
+        planted = set(combinations(sorted(rng.sample(range(12), 8)), 2))
+        edges = {(u, v) for u, v in combinations(range(12), 2)
+                 if rng.random() < 0.5}
+        if plant is not None:
+            edges = edges | planted if plant else edges - planted
+        g = Graph.from_edges(12, sorted(edges))
+        for size in range(3, 9):
+            for vs in combinations(range(12), size):
+                mask = mask_of(vs)
+                found = list(maximal_independent_subsets(g.adj, mask))
+                edges = [g.has_edge(u, v) for u, v in combinations(vs, 2)]
+                if all(edges):
+                    assert found == [1 << v for v in reversed(vs)]
+                    seen.add(("clique", size))
+                elif not any(edges):
+                    assert found == [mask]
+                    seen.add(("independent", size))
+                elif rng.random() < 0.1:
+                    assert len(found) == len(set(found))
+                    assert set(found) == \
+                        support.brute_maximal_independent_sets(g, mask)
+    assert seen == {(kind, size) for kind in ("clique", "independent")
+                    for size in range(3, 9)}
 
 
 @given(support.graph_strategy(max_n=9), st.integers(0, (1 << 9) - 1))
