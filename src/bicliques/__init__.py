@@ -39,9 +39,7 @@ _LAZY = {
         "ab_certificate",
         "biclique_colour_cycle",
         "biclique_colour_path",
-        "decide_two_vs_three",
         "even_division",
-        "guaranteed_ab_certificate",
         "read_colouring",
         "star_colour_cycle",
         "star_colour_path",
@@ -49,9 +47,7 @@ _LAZY = {
         "write_colouring",
     ),
     "oracle": (
-        "block_profile",
         "exact_chromatic",
-        "find_mono_p3",
         "maximal_bicliques",
         "maximal_stars",
         "verify_colouring",

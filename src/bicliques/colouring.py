@@ -79,32 +79,13 @@ def ab_certificate(n: int, k: int) -> AbCertificate | None:
     The largest even c with c*k <= n is a of even_division(n, k), so an
     even c exists exactly when n <= a*(k+1), that is t <= a, and then t
     blocks take k+1.  Requires n >= 2k+2 so that the total is at least 2.
+    Never None for n >= 2k**2, where a >= 2k > t.
     """
     check_params(n, k)
     if n < 2 * k + 2:
         raise InputError(f"block certificate needs n >= 2k+2, got n={n}, k={k}")
     a, t = even_division(n, k)
     return AbCertificate(a - t, t) if t <= a else None
-
-
-def decide_two_vs_three(n: int, k: int) -> tuple[int, AbCertificate | None]:
-    """Biclique-chromatic number of C_n^k for n >= 3k+2: 2 with an (a, b)
-    certificate when one exists, else 3."""
-    if n < 3 * k + 2:
-        raise InputError(f"two-vs-three decision needs n >= 3k+2, got n={n}, k={k}")
-    cert = ab_certificate(n, k)
-    return (2, cert) if cert is not None else (3, None)
-
-
-def guaranteed_ab_certificate(n: int, k: int) -> AbCertificate:
-    """ab_certificate(n, k), which is never None for n >= max(2k**2, 2k+2):
-    with n = a'k + t from even_division, a' >= 2k > t, so t <= a'."""
-    check_params(n, k)
-    if n < max(2 * k * k, 2 * k + 2):
-        raise InputError(f"shortcut needs n >= max(2k^2, 2k+2), got n={n}, k={k}")
-    cert = ab_certificate(n, k)
-    assert cert is not None
-    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -580,17 +580,18 @@ def contains_k4(g: Graph):
     return None
 
 
-def induced_p3s(adj, within):
-    """Yield every induced P3 (a, b, c, centre) with a < b < c and b, c in
-    the vertex mask within[a], in increasing (a, b, c): for a pair a < b
-    the c > b that complete one are N(a) ^ N(b) when ab is an edge (the
-    centre is whichever of a, b sees c) and N(a) & N(b) when it is not (c
-    is the centre), so each triple is met once."""
+def induced_p3s(adj):
+    """Yield every induced P3 (a, b, c, centre) with a < b < c, in
+    increasing (a, b, c): for a pair a < b the c > b that complete one are
+    N(a) ^ N(b) when ab is an edge (the centre is whichever of a, b sees c)
+    and N(a) & N(b) when it is not (c is the centre), so each triple is met
+    once."""
+    full = (1 << len(adj)) - 1
     for a, row in enumerate(adj):
-        bs = within[a] >> (a + 1) << (a + 1)
+        bs = full >> (a + 1) << (a + 1)
         while bs:
             low = bs & -bs
-            bs ^= low  # now the part of within[a] above b
+            bs ^= low  # now the vertices above b
             b = low.bit_length() - 1
             edge = row >> b & 1
             cs = (row ^ adj[b] if edge else row & adj[b]) & bs
@@ -611,7 +612,7 @@ def contains_induced_c4(g: Graph):
     (a, b, c) is the lexicographically first C4.
     """
     adj = g.adj
-    for a, b, c, centre in induced_p3s(adj, ((1 << g.n) - 1,) * g.n):
+    for a, b, c, centre in induced_p3s(adj):
         x, y = (b, c) if centre == a else (a, c) if centre == b else (a, b)
         ds = (adj[x] & adj[y] & ~adj[centre]) >> (c + 1)
         if ds:
@@ -682,16 +683,23 @@ INPUT_CAP = 32_000_000
 def read_text(path: str) -> str:
     """The contents of the UTF-8 text file at path, newlines translated as
     when reading lines; other bytes are an InputError that names the file.
-    A file of more than INPUT_CAP bytes is a CapacityError, before any of
-    it is read (parsing holds 10-20 times the file's size)."""
+    More than INPUT_CAP bytes is a CapacityError, found from a file's size
+    before any of it is read (parsing holds 10-20 times the file's size),
+    or for a pipe, whose size reads 0, by reading INPUT_CAP + 1 bytes at
+    most; that read allocates them all at once, so a sized file is read
+    whole."""
+    what = f"reading {path}"
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        check_cap(what, "bytes", size, INPUT_CAP)
+        data = fh.read() if size else fh.read(INPUT_CAP + 1)
+    check_cap(what, "bytes", len(data), INPUT_CAP)
     try:
-        with open(path, encoding="utf-8") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            check_cap(f"reading {path}", "bytes", size, INPUT_CAP)
-            return fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise InputError(
             f"{path}: byte {e.start}: not UTF-8 text ({e.reason})") from e
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_json(path: str):

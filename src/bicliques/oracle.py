@@ -1,5 +1,4 @@
-"""Maximal bicliques and stars of any graph, exact chromatic search, and
-the P3 / block analysis.
+"""Maximal bicliques and stars of any graph, and exact chromatic search.
 
 The maximal bicliques and stars are listed by graphs.maximal_family, as
 are the power graphs' families, with work that grows with the candidates
@@ -14,8 +13,6 @@ nothing is kept between calls.  It imports graphs alone.
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from .graphs import (
     Biclique,
     Colouring,
@@ -25,8 +22,6 @@ from .graphs import (
     check_choices,
     colour_classes,
     colour_tuple,
-    cyclic_reach,
-    induced_p3s,
     maximal_family,
     maximal_masks,
     smallest_maximal_inside,
@@ -112,40 +107,3 @@ def exact_chromatic(g: Graph, mode: str = "biclique") -> tuple[int, Colouring]:
             return c, Colouring(found, c)
     raise AssertionError("all-distinct colouring must always succeed")
 
-
-# ---------------------------------------------------------------------------
-# monochromatic-P3 and block analysis
-
-def find_mono_p3(g: Graph, colouring, reach_in=None):
-    """First (by vertex triple) monochromatic induced P3 with its reach, or
-    None.  Reach is the sum of the cyclic distances (g.n as the cycle
-    length) from the centre to the two ends, meaningful when g is a power
-    of a cycle; pass reach_in to restrict the search to specific reach
-    values.  The P3s come from graphs.induced_p3s, walked inside each
-    vertex's colour class in increasing (a, b, c), and the search stops
-    at the first hit."""
-    colours = colour_tuple(colouring, g.n)
-    wanted = None if reach_in is None else set(reach_in)
-    n = g.n
-    classes = colour_classes(colours)
-    within = [classes[col] for col in colours]
-    for a, b, c, centre in induced_p3s(g.adj, within):
-        reach = (cyclic_reach(n, centre, a) + cyclic_reach(n, centre, b)
-                 + cyclic_reach(n, centre, c))
-        if wanted is None or reach in wanted:
-            return (a, b, c), reach
-    return None
-
-
-def block_profile(colouring, cyclic: bool = True) -> list[tuple[int, int]]:
-    """Maximal monochromatic runs as (colour, size) in index order.
-
-    In cyclic mode a wrap-around run (first and last runs sharing a colour)
-    is merged into one block, reported at the position of the trailing run.
-    """
-    colours = getattr(colouring, "colours", colouring)
-    runs = [(c, len(list(grp))) for c, grp in groupby(colours)]
-    if cyclic and len(runs) >= 2 and runs[0][0] == runs[-1][0]:
-        merged = (runs[0][0], runs[0][1] + runs[-1][1])
-        runs = runs[1:-1] + [merged]
-    return runs

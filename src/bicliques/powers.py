@@ -161,6 +161,7 @@ def cycle_induced_p3s(n: int, k: int) -> list[tuple[tuple[int, int, int], int]]:
     The reach of a P3 is the sum of the cyclic reaches of its two edges; for
     ends at offsets -d1 and +d2 from the centre that is d1 + d2.
     """
+    check_params(n, k)
     if n <= 2 * k + 1:  # complete, no induced P3
         return []
     found = {}

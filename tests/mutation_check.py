@@ -9,14 +9,14 @@ The old text must occur exactly once in the file, so a refactor that moves
 or rewrites the code stops the check instead of skipping the mutant.  The
 script copies src/, tests/ and pyproject.toml to one temporary directory per
 worker, min(os.cpu_count(), len(MUTANTS)) of them, and runs the targeted
-tests there under pytest -x: first every target on one unmutated copy,
-which must pass, then each mutant on whichever copy is free, several at
-once, where the tests must fail.  A line per mutant is printed in MUTANTS
-order.  pytest's output is printed when the unmutated copy fails or a
-mutant ends in an error rather than a failed test (say a collection
-error).  It exits 0 when every mutant is caught and 1 otherwise.  The file
-name keeps pytest from collecting it; it uses the standard library only,
-and pytest in child processes.
+tests there under pytest -x: first every target, unmutated and split over
+the copies (_split), where all must pass, then each mutant on whichever
+copy is free, several at once, where the tests must fail.  A line per
+mutant is printed in MUTANTS order.  pytest's output is printed when an
+unmutated copy fails or a mutant ends in an error rather than a failed
+test (say a collection error).  It exits 0 when every mutant is caught and
+1 otherwise.  The file name keeps pytest from collecting it; it uses the
+standard library only, and pytest in child processes.
 """
 
 from __future__ import annotations
@@ -235,11 +235,11 @@ MUTANTS = {
         "return AbCertificate(a - t, t) if t <= a else None",
         "return AbCertificate(a - t, t) if t < a else None",
         ["tests/test_colouring.py::test_ab_certificate_frozen"]),
-    "guaranteed-bound": (
+    "ab-bound": (
         "colouring.py",
-        "max(2 * k * k, 2 * k + 2)",
-        "max(2 * k * k, 2 * k + 1)",
-        ["tests/test_colouring.py::test_guaranteed_ab_certificate"]),
+        'if n < 2 * k + 2:\n        raise InputError(f"block certificate',
+        'if n < 2 * k + 1:\n        raise InputError(f"block certificate',
+        ["tests/test_colouring.py::test_ab_certificate_frozen"]),
 }
 
 
@@ -286,6 +286,19 @@ def _mutant_run(copies: queue.Queue, mutant) -> tuple:
         copies.put(copy)
 
 
+def _split(tests, parts: int) -> list[list[str]]:
+    """The targets in at most parts non-empty groups of about equal weight,
+    for the unmutated pass: a test inside a targeted file runs with the
+    file, and the targets, a file weighed by its size in bytes and a single
+    test as nothing, are dealt out heaviest first."""
+    wanted = set(tests)
+    weight = {t: 0 if "::" in t else (ROOT / t).stat().st_size
+              for t in wanted
+              if "::" not in t or t.split("::")[0] not in wanted}
+    dealt = sorted(weight, key=lambda t: (-weight[t], t))
+    return [g for g in (dealt[i::parts] for i in range(parts)) if g]
+
+
 def main() -> int:
     for name, (file, old, _, _) in MUTANTS.items():
         count = (ROOT / "src" / "bicliques" / file).read_text().count(old)
@@ -294,19 +307,21 @@ def main() -> int:
     workers = min(os.cpu_count() or 1, len(MUTANTS))
     began = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
-        copies: queue.Queue = queue.Queue()
-        for i in range(workers):
-            copies.put(_copy(Path(tmp) / str(i)))
-        targets = sorted({t for *_, tests in MUTANTS.values() for t in tests})
-        copy = copies.get()
+        paths = [_copy(Path(tmp) / str(i)) for i in range(workers)]
+        groups = _split((t for *_, tests in MUTANTS.values() for t in tests),
+                        workers)
         start = time.perf_counter()
-        run = _run(copy, targets)
-        copies.put(copy)
-        print(f"unmutated: exit {run.returncode} in "
-              f"{time.perf_counter() - start:.1f} s", flush=True)
-        if run.returncode != 0:
-            print(run.stdout)
+        with ThreadPoolExecutor(workers) as pool:
+            runs = list(pool.map(_run, paths, groups))
+        code = max(run.returncode for run in runs)
+        print(f"unmutated: exit {code} in {time.perf_counter() - start:.1f} s "
+              f"on {len(groups)} copies", flush=True)
+        if code != 0:
+            print(*(run.stdout for run in runs if run.returncode), sep="\n")
             return 1
+        copies: queue.Queue = queue.Queue()
+        for path in paths:
+            copies.put(path)
         survived = []
         with ThreadPoolExecutor(workers) as pool:
             runs = pool.map(partial(_mutant_run, copies), MUTANTS.values())

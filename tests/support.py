@@ -8,15 +8,16 @@ twice in different styles.  The brute_scan functions run the library's
 complete-bipartite and star tests (cb_sides, is_star_set) on every vertex
 subset, but decide maximality by the per-vertex extension walk here, not by
 the library's row algebra: the exhaustive scan that the oracle's
-enumeration must reproduce set for set.  The walk_ functions keep the
-nested loops that searches now built on one shared library walk were
-first written as, so that walk is held to both.
+enumeration must reproduce set for set.  walk_induced_c4 keeps the nested
+loops that graphs.contains_induced_c4 was first written as, and holds it
+to them.  walk_mono_p3, the acceptance suite's P3 finder, is held to
+brute_mono_p3, which tries every vertex triple.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 from hypothesis import strategies as st
 
@@ -259,7 +260,8 @@ def brute_mono_p3(g: Graph, colours, reach_in=None):
 
 
 def walk_mono_p3(g: Graph, colours, reach_in=None):
-    """oracle.find_mono_p3 as its own nested loops: for a < b in one colour
+    """First monochromatic induced P3 of g by vertex triple with its reach,
+    as brute_mono_p3, or None, by nested loops: for a < b in one colour
     class, the c > b of that class completing an induced P3 are N(a) ^ N(b)
     when ab is an edge and N(a) & N(b) when it is not."""
     wanted = None if reach_in is None else set(reach_in)
@@ -287,6 +289,20 @@ def walk_mono_p3(g: Graph, colours, reach_in=None):
                 if wanted is None or reach in wanted:
                     return (a, b, c), reach
     return None
+
+
+def block_profile(colouring, cyclic: bool = True) -> list[tuple[int, int]]:
+    """Maximal monochromatic runs as (colour, size) in index order.
+
+    In cyclic mode a wrap-around run (first and last runs sharing a colour)
+    is merged into one block, reported at the position of the trailing run.
+    """
+    colours = getattr(colouring, "colours", colouring)
+    runs = [(c, len(list(grp))) for c, grp in groupby(colours)]
+    if cyclic and len(runs) >= 2 and runs[0][0] == runs[-1][0]:
+        merged = (runs[0][0], runs[0][1] + runs[-1][1])
+        runs = runs[1:-1] + [merged]
+    return runs
 
 
 def walk_induced_c4(g: Graph):

@@ -11,18 +11,16 @@ import time
 import support
 from bicliques import cli
 from bicliques.colouring import (
+    ab_certificate,
     biclique_colour_cycle,
     biclique_colour_path,
-    decide_two_vs_three,
+    closed_form,
     even_division,
-    guaranteed_ab_certificate,
     star_colour_cycle,
     three_colour_no_mono_p3,
 )
 from bicliques.oracle import (
-    block_profile,
     exact_chromatic,
-    find_mono_p3,
     maximal_bicliques,
     maximal_stars,
 )
@@ -118,7 +116,8 @@ def test_04_two_vs_three_agrees_with_exhaustive_scan():
     checked = 0
     for k in range(1, 13):
         for n in range(3 * k + 2, 201):
-            value, cert = decide_two_vs_three(n, k)
+            r = closed_form("cycle", "biclique", n, k)
+            value, cert = r.value, r.ab
             brute = support.brute_ab_exists(n, k)
             assert (value == 2) == (brute is not None), (n, k)
             if value == 2:
@@ -126,7 +125,8 @@ def test_04_two_vs_three_agrees_with_exhaustive_scan():
             else:
                 assert cert is None
             checked += 1
-    assert decide_two_vs_three(11, 3) == (3, None)
+    r = closed_form("cycle", "biclique", 11, 3)
+    assert (r.value, r.ab) == (3, None)
     _report(4, started, 10,
             f"two-vs-three decision matches the exhaustive (a, b) scan on "
             f"{checked} points up to n = 200, k = 12")
@@ -160,9 +160,10 @@ def test_05_two_colouring_block_dichotomy():
                    if b.shape == "C4"]
             for m in range(1 << (n - 1)):  # vertex 0 pinned, swap symmetry
                 colours = (0,) + tuple(m >> v & 1 for v in range(n - 1))
-                blocks_ok = all(size in (k, k + 1)
-                                for _, size in block_profile(colours))
-                mono = find_mono_p3(g, colours)
+                blocks_ok = all(
+                    size in (k, k + 1)
+                    for _, size in support.block_profile(colours))
+                mono = support.walk_mono_p3(g, colours)
                 if n == 2 * k + 2:
                     if blocks_ok:
                         assert mono is None, (n, k, colours)
@@ -173,11 +174,11 @@ def test_05_two_colouring_block_dichotomy():
                 assert blocks_ok == (mono is None), (n, k, colours)
                 if mono is None:
                     continue
-                assert find_mono_p3(g, colours,
-                                    reach_in={k + 1, k + 2}) is not None, \
+                assert support.walk_mono_p3(
+                    g, colours, reach_in={k + 1, k + 2}) is not None, \
                     (n, k, colours)
                 if n == 3 * k + 2:
-                    near = find_mono_p3(g, colours, reach_in={k + 1})
+                    near = support.walk_mono_p3(g, colours, reach_in={k + 1})
                     mono_c4 = any(
                         colours[q[0]] == colours[q[1]] ==
                         colours[q[2]] == colours[q[3]] for q in c4s)
@@ -196,7 +197,8 @@ def test_06_three_colouring_defeats_all_p3s():
         for n in range(2 * k + 2, 61):
             c = three_colour_no_mono_p3(n, k)
             assert c.num_colours <= 3, (n, k)
-            assert find_mono_p3(power_cycle(n, k), c) is None, (n, k)
+            assert support.walk_mono_p3(power_cycle(n, k), c.colours) is None, \
+                (n, k)
             if even_division(n, k).t <= k:
                 low_t += 1
             else:
@@ -231,12 +233,13 @@ def test_08_large_n_is_always_two():
     started = time.perf_counter()
     for k in (2, 3, 4, 5):
         for n in range(2 * k * k, 2 * k * k + 3 * k + 1):
-            value, cert = decide_two_vs_three(n, k)
-            assert value == 2, (n, k)
-            assert guaranteed_ab_certificate(n, k).is_valid_for(n, k)
+            r = closed_form("cycle", "biclique", n, k)
+            cert = ab_certificate(n, k)
+            assert cert is not None and cert.is_valid_for(n, k), (n, k)
+            assert (r.value, r.ab) == (2, cert), (n, k)
     _report(8, started, 5,
-            "beyond n = 2k^2 the decision is constantly 2 with a valid "
-            "guaranteed certificate (k = 2..5)")
+            "beyond n = 2k^2 the closed form is constantly 2 with a valid "
+            "(a, b) certificate (k = 2..5)")
 
 
 def test_09_cli_emitted_colourings_verify(tmp_path):
@@ -270,10 +273,11 @@ def test_09_cli_emitted_colourings_verify(tmp_path):
             for row in rows:
                 n = int(row["n"])
                 if kind == "cycle" and mode == "biclique":
-                    value, cert = decide_two_vs_three(n, k)
+                    # n >= 3k+2 = 11: 2 exactly when (a, b) blocks exist
+                    value = 3 if support.brute_ab_exists(n, k) is None else 2
                     assert int(row["value"]) == value, row
                     if n >= 2 * k * k:
                         assert int(row["value"]) == 2, row
     _report(9, started, 300,
             f"all {verified} CLI-emitted colourings verify clean; sweep CSV "
-            "matches the decision procedure on the k = 3 cycle grid")
+            "matches the exhaustive (a, b) scan on the k = 3 cycle grid")

@@ -10,6 +10,7 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -368,11 +369,12 @@ def test_oracle_calls_load_only_the_oracle():
     assert ast.literal_eval(out.splitlines()[-1]) == ["bicliques.oracle"]
 
 
-def _run_limited(argv, cwd):
+def _run_limited(argv, cwd, stdin=None):
     """Run the command line in a child whose address space is capped at
     1 GiB, so a request that would outgrow it fails at once rather than
-    running the machine out of memory.  Returns the exit code, stdout,
-    stderr, the wall time in seconds and the child's peak RSS in MB."""
+    running the machine out of memory; stdin is passed to Popen.  Returns
+    the exit code, stdout, stderr, the wall time in seconds and the
+    child's peak RSS in MB."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -381,7 +383,7 @@ def _run_limited(argv, cwd):
     with open(out, "w") as fo, open(err, "w") as fe:
         child = subprocess.Popen(
             [sys.executable, "-m", "bicliques.cli", *argv], cwd=cwd,
-            env=env, stdout=fo, stderr=fe, preexec_fn=limit)
+            env=env, stdin=stdin, stdout=fo, stderr=fe, preexec_fn=limit)
         _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
@@ -494,6 +496,36 @@ def test_a_file_at_the_input_cap_is_read(tmp_path):
                                         tmp_path)
     assert (code, out) == (EXIT_INPUT, "")
     assert err.startswith("error: g.json: line 1: "), err
+
+
+def test_piped_input_over_the_input_cap_exits_3(tmp_path):
+    """A pipe's size reads 0, so its read stops at INPUT_CAP + 1 bytes:
+    that many zero bytes through a real pipe exit 3 at once.  Before,
+    the whole stream was read and then refused as JSON with exit 2."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        chunk, left = bytes(1 << 20), INPUT_CAP + 1
+        try:
+            while left:
+                left -= os.write(write_end, chunk[:left])
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(write_end)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        code, out, err, wall, rss = _run_limited(
+            ["bicliques", "--graph", "/dev/stdin"], tmp_path, stdin=read_end)
+    finally:
+        os.close(read_end)
+        feeder.join()
+    assert (code, out, err) == (
+        EXIT_CAPACITY, "", f"error: reading /dev/stdin is capped at bytes <= "
+        f"{INPUT_CAP}, got bytes={INPUT_CAP + 1}\n")
+    assert wall < 1 and rss < 100, (wall, rss)
 
 
 @pytest.mark.parametrize("argv, first", [

@@ -22,11 +22,10 @@ from bicliques.colouring import (
     ab_certificate,
     biclique_colour_cycle,
     biclique_colour_path,
+    closed_form,
     colouring_from_dict,
     colouring_to_dict,
-    decide_two_vs_three,
     even_division,
-    guaranteed_ab_certificate,
     read_colouring,
     star_colour_cycle,
     star_colour_path,
@@ -34,7 +33,6 @@ from bicliques.colouring import (
     write_colouring,
 )
 from bicliques.graphs import InputError
-from bicliques.oracle import find_mono_p3
 from bicliques.powers import (
     cycle_bicliques,
     cycle_stars,
@@ -112,27 +110,28 @@ def test_ab_certificate_matches_brute_scan():
 
 
 def test_decide_two_vs_three():
-    assert decide_two_vs_three(11, 3) == (3, None)
-    assert decide_two_vs_three(14, 3) == (2, AbCertificate(2, 2))
-    assert decide_two_vs_three(17, 3) == (3, None)
-    with pytest.raises(InputError):
-        decide_two_vs_three(10, 3)
+    """closed_form's value and (a, b) certificate on C_n^k for n >= 3k+2,
+    where it decides 2 against 3; at n = 3k+1 every biclique is a C4 and
+    the value is 2 with no certificate."""
+    def decide(n, k):
+        r = closed_form("cycle", "biclique", n, k)
+        return r.value, r.ab
+    assert decide(11, 3) == (3, None)
+    assert decide(14, 3) == (2, AbCertificate(2, 2))
+    assert decide(17, 3) == (3, None)
+    assert decide(10, 3) == (2, None)
 
 
 def test_guaranteed_ab_certificate():
-    assert guaranteed_ab_certificate(18, 3) == AbCertificate(6, 0)
-    assert guaranteed_ab_certificate(8, 2) == AbCertificate(4, 0)
-    assert guaranteed_ab_certificate(50, 4) == AbCertificate(10, 2)
+    """ab_certificate is never None for n >= max(2k**2, 2k+2)."""
+    assert ab_certificate(18, 3) == AbCertificate(6, 0)
+    assert ab_certificate(8, 2) == AbCertificate(4, 0)
+    assert ab_certificate(50, 4) == AbCertificate(10, 2)
     for k in range(1, 7):
         start = max(2 * k * k, 2 * k + 2)
         for n in range(start, start + 25):
-            cert = guaranteed_ab_certificate(n, k)
-            assert cert.is_valid_for(n, k)
-            assert cert == ab_certificate(n, k)
-    # C_2^1 and C_3^1 are complete and take n colours: no (a, b) blocks
-    for n, k in ((2, 1), (3, 1), (17, 3)):
-        with pytest.raises(InputError, match=r"^shortcut needs"):
-            guaranteed_ab_certificate(n, k)
+            cert = ab_certificate(n, k)
+            assert cert is not None and cert.is_valid_for(n, k), (n, k)
 
 
 def test_three_colouring_frozen():
@@ -149,7 +148,7 @@ def test_three_colouring_kills_every_p3():
         for n in range(2 * k + 2, 51):
             c = three_colour_no_mono_p3(n, k)
             assert c.num_colours <= 3
-            assert find_mono_p3(power_cycle(n, k), c) is None
+            assert support.walk_mono_p3(power_cycle(n, k), c.colours) is None
 
 
 def test_biclique_colour_path_frozen():

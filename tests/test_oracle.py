@@ -1,6 +1,6 @@
 """Oracle: the output-sensitive biclique and star enumerations against the
 exhaustive subset scan and an independent subset checker, the exact
-chromatic search, and the P3 / block analyzers."""
+chromatic search, and the tests' own monochromatic-P3 and block helpers."""
 
 import random
 import sys
@@ -24,9 +24,7 @@ from bicliques.graphs import CapacityError, Graph, InputError
 from bicliques.oracle import (
     SEARCH_CAP,
     SUBSET_SCAN_CAP,
-    block_profile,
     exact_chromatic,
-    find_mono_p3,
     maximal_bicliques,
     maximal_stars,
     verify_colouring,
@@ -278,50 +276,39 @@ def _no_colouring_with(g, hyperedges, c: int) -> bool:
     return True
 
 
-def test_find_mono_p3():
+def test_walk_mono_p3():
     g = power_cycle(8, 2)
-    hit = find_mono_p3(g, (0,) * 8)
+    hit = support.walk_mono_p3(g, (0,) * 8)
     assert hit is not None
     triple, reach = hit
     assert 3 <= reach <= 4
     a, b, c = triple
     edges = [(x, y) for x, y in ((a, b), (a, c), (b, c)) if g.has_edge(x, y)]
     assert len(edges) == 2
-    assert find_mono_p3(g, (0,) * 8, reach_in={3}) is not None
-    assert find_mono_p3(g, (0,) * 8, reach_in={99}) is None
-    assert find_mono_p3(g, three_colour_no_mono_p3(8, 2)) is None
-    with pytest.raises(InputError):
-        find_mono_p3(g, (0,) * 5)
+    assert support.walk_mono_p3(g, (0,) * 8, reach_in={3}) is not None
+    assert support.walk_mono_p3(g, (0,) * 8, reach_in={99}) is None
+    assert support.walk_mono_p3(g, three_colour_no_mono_p3(8, 2).colours) \
+        is None
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(support.graph_strategy(max_n=12),
                  st.builds(power_cycle, st.integers(1, 14), st.integers(1, 4))),
        st.data())
-def test_find_mono_p3_matches_brute_force(g, data):
+def test_walk_mono_p3_matches_brute_force(g, data):
     colours = data.draw(st.lists(st.integers(0, 2), min_size=g.n,
                                  max_size=g.n))
     reach_in = data.draw(st.none() | st.sets(st.integers(1, 14), max_size=4))
-    assert find_mono_p3(g, colours, reach_in) == \
+    assert support.walk_mono_p3(g, colours, reach_in) == \
         support.brute_mono_p3(g, colours, reach_in)
 
 
-@settings(max_examples=300, deadline=None)
-@given(support.graph_strategy(max_n=14), st.integers(1, 3), st.data())
-def test_find_mono_p3_matches_nested_loop_walk(g, c, data):
-    colours = data.draw(st.lists(st.integers(0, c - 1), min_size=g.n,
-                                 max_size=g.n))
-    reach_in = data.draw(st.none() | st.sets(st.integers(1, 14), max_size=4))
-    assert find_mono_p3(g, colours, reach_in) == \
-        support.walk_mono_p3(g, colours, reach_in)
-
-
 def test_block_profile():
-    assert block_profile((1, 1, 1, 0, 0)) == [(1, 3), (0, 2)]
+    assert support.block_profile((1, 1, 1, 0, 0)) == [(1, 3), (0, 2)]
     # wrap-around: trailing run merges with the leading one
-    assert block_profile((1, 1, 0, 0, 1)) == [(0, 2), (1, 3)]
-    assert block_profile((1, 1, 0, 0, 1), cyclic=False) == \
+    assert support.block_profile((1, 1, 0, 0, 1)) == [(0, 2), (1, 3)]
+    assert support.block_profile((1, 1, 0, 0, 1), cyclic=False) == \
         [(1, 2), (0, 2), (1, 1)]
-    assert block_profile((2, 2, 2)) == [(2, 3)]
-    assert block_profile(()) == []
-    assert block_profile(Colouring((0, 1, 1), 2)) == [(0, 1), (1, 2)]
+    assert support.block_profile((2, 2, 2)) == [(2, 3)]
+    assert support.block_profile(()) == []
+    assert support.block_profile(Colouring((0, 1, 1), 2)) == [(0, 1), (1, 2)]

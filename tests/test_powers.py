@@ -323,6 +323,19 @@ def test_cycle_p3_reaches():
     assert cycle_induced_p3s(5, 2) == []
 
 
+def test_cycle_induced_p3s_checks_n_and_k_first():
+    """A bool k once gave 7 P3s, k = 0 gave [], and n = 10**30 with k = 0
+    ran through n empty loops: each is an InputError before any loop."""
+    for n, k, message in ((7, True, "n and k must be integers, got n=7, "
+                                    "k=True"),
+                          (10, 0, "need k >= 1, got k=0"),
+                          (10**30, 0, "need k >= 1, got k=0")):
+        started = time.perf_counter()
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            cycle_induced_p3s(n, k)
+        assert time.perf_counter() - started < 0.5, (n, k)
+
+
 def _as_family(bicliques):
     return [(b.vertices, b.shape) for b in bicliques]
 
