@@ -18,7 +18,6 @@ power graph load neither the oracle nor the reduction.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .graphs import (
@@ -113,7 +112,7 @@ def cmd_gen(args) -> int:
                      powers.power_edge_count(args.kind, args.n, args.k))
         g = powers.power_graph(args.kind, args.n, args.k)
     write_json(graph_to_dict(g), args.out)
-    if args.dot:
+    if args.dot is not None:
         with open(args.dot, "w") as fh:
             fh.write(write_dot(g))
     return EXIT_OK
@@ -123,7 +122,7 @@ def cmd_chromatic(args) -> int:
     from . import colouring, powers
     powers.check_params(args.n, args.k)
     check_cap("a closed form", "n", args.n, CLOSED_FORM_CAP)
-    if args.dot:
+    if args.dot is not None:
         _check_graph(args.n,
                      powers.power_edge_count(args.kind, args.n, args.k))
     result = _constructor(args.kind, args.mode)(args.n, args.k)
@@ -134,11 +133,11 @@ def cmd_chromatic(args) -> int:
     if args.certify:  # the constructor has checked its colouring already
         print("certified: colouring verified against the "
               f"{args.mode} family")
-    if args.emit_colouring:
+    if args.emit_colouring is not None:
         colouring.write_colouring(result.colouring, args.emit_colouring,
                                   ab=result.ab,
                                   universal_witness=result.universal_witness)
-    if args.dot:
+    if args.dot is not None:
         g = powers.power_graph(args.kind, args.n, args.k)
         with open(args.dot, "w") as fh:
             fh.write(write_dot(g, result.colouring.colours))
@@ -166,6 +165,7 @@ def cmd_verify(args) -> int:
     if witness is None:
         print("valid")
         return EXIT_OK
+    import json
     print(json.dumps({"mode": args.mode, "witness": list(witness)}))
     return EXIT_INVALID
 
@@ -264,11 +264,11 @@ def cmd_sweep(args) -> int:
             result = construct(n, k)
             rows.append((n, k, args.kind, args.mode, result.value,
                          _certificate_text(result)))
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
         csv.writer(out).writerows(rows)
     finally:
-        if args.out:
+        if args.out is not None:
             out.close()
     return EXIT_OK
 

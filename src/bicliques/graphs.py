@@ -15,7 +15,6 @@ that the oracle runs live here, so the oracle imports this module alone.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from itertools import islice
@@ -706,6 +705,7 @@ def read_json(path: str):
     """The JSON value stored at path; a syntax error, an integer too long
     to convert or nesting too deep for the parser is an InputError that
     names the file."""
+    import json
     text = read_text(path)
     try:
         return json.loads(text)
@@ -724,6 +724,7 @@ def read_graph(path: str) -> Graph:
 def write_json(value, path: str | None = None) -> None:
     """value as indent-1 JSON and a newline, to the file at path or stdout,
     streamed by json.dump rather than held whole as one string."""
+    import json
     if path is None:
         json.dump(value, sys.stdout, indent=1)
         sys.stdout.write("\n")
@@ -752,6 +753,7 @@ DOT_PALETTE = (
 
 def write_dot(g: Graph, colours=None) -> str:
     """Graphviz source for g; vertices filled by colour id when given."""
+    import json
     if colours is not None:
         colours = colour_tuple(colours, g.n)
     name = json.dumps(g.label or "g")

@@ -25,8 +25,6 @@ from itertools import combinations
 from .graphs import (Biclique, Graph, InputError, check_choices, colour_tuple,
                      cyclic_reach, is_int, mask_of, maximal_family)
 
-_POWER_LABEL = re.compile(r"^([PC])_(\d+)\^(\d+)$")
-
 
 def check_params(n: int, k: int) -> None:
     """The one n, k gate of powers and colouring: InputError for an n or k
@@ -101,7 +99,7 @@ def power_params(label, n: int, edges):
     distinct pairs each within (cyclic) distance k, so no graph is built;
     else None, also for a number past int()'s digit limit.  An n or k that
     no power graph has is an InputError."""
-    m = _POWER_LABEL.match(label or "")
+    m = re.match(r"^([PC])_(\d+)\^(\d+)$", label or "")
     try:
         if not m or int(m.group(2)) != n:
             return None

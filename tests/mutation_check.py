@@ -7,10 +7,11 @@ Run from anywhere, with pytest and hypothesis installed:
 A mutant is (file under src/bicliques, old text, new text, targeted tests).
 The old text must occur exactly once in the file, so a refactor that moves
 or rewrites the code stops the check instead of skipping the mutant.  The
-script copies src/, tests/ and pyproject.toml to one temporary directory per
-worker, min(os.cpu_count(), len(MUTANTS)) of them, and runs the targeted
-tests there under pytest -x: first every target, unmutated and split over
-the copies (_split), where all must pass, then each mutant on whichever
+script copies src/, tests/, pyproject.toml and benchmarks/reference.py (the
+tests' reference) to one temporary directory per worker,
+min(os.cpu_count(), len(MUTANTS)) of them, and runs the targeted tests
+there under pytest -x: first every target, unmutated and split over the
+copies (_split), where all must pass, then each mutant on whichever
 copy is free, several at once, where the tests must fail.  A line per
 mutant is printed in MUTANTS order.  pytest's output is printed when an
 unmutated copy fails or a mutant ends in an error rather than a failed
@@ -257,12 +258,14 @@ def _run(copy: Path, tests) -> subprocess.CompletedProcess:
 
 
 def _copy(dest: Path) -> Path:
-    """A copy of src/, tests/ and pyproject.toml at dest, for pytest to run
-    in."""
+    """A copy of src/, tests/, pyproject.toml and benchmarks/reference.py,
+    which tests/support.py loads, at dest, for pytest to run in."""
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, dest / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy2(ROOT / "pyproject.toml", dest)
+    (dest / "benchmarks").mkdir()
+    shutil.copy2(ROOT / "benchmarks" / "reference.py", dest / "benchmarks")
     return dest
 
 

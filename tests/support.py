@@ -1,30 +1,52 @@
 """Shared test-side checkers.
 
-These deliberately take different routes than the library: BFS bipartition
-instead of forced-neighbourhood masks, nested has_edge loops instead of
-bitset algebra, a second truth-table walker for CNF.  Closed forms and the
-oracle are both tested against these, so a shared bug would have to be made
-twice in different styles.  The brute_scan functions run the library's
-complete-bipartite and star tests (cb_sides, is_star_set) on every vertex
-subset, but decide maximality by the per-vertex extension walk here, not by
-the library's row algebra: the exhaustive scan that the oracle's
-enumeration must reproduce set for set.  walk_induced_c4 keeps the nested
-loops that graphs.contains_induced_c4 was first written as, and holds it
-to them.  walk_mono_p3, the acceptance suite's P3 finder, is held to
-brute_mono_p3, which tries every vertex triple.
+The ground truth is benchmarks/reference.py, loaded here by path as
+`reference`; it imports nothing from the package.  Tests call its
+satisfiable, ab_pair and is_star directly.  scan_maximal, the one subset
+scan, keeps every vertex subset that reference.is_maximal accepts: the
+oracle's enumeration, the families, verify's core and the reduction's
+containment must reproduce it set for set.  The other references
+here read only g.n and g.adj and take different routes than the library:
+BFS bipartition instead of forced-neighbourhood masks, nested loops instead
+of bitset algebra, and a walk over binary digits (bits_by_walk) instead of
+the library's byte tables.  Closed forms and the oracle are both tested
+against these, so a shared bug would have to be made twice in different
+styles.  walk_induced_c4 keeps the nested loops that
+graphs.contains_induced_c4 was first written as, and holds it to them.
+walk_mono_p3, the acceptance suite's P3 finder, is held to brute_mono_p3,
+which tries every vertex triple.  is_complete_bipartite, induced_subgraph
+and block_profile left the package with tests of their own; the
+strategies and random inputs are built with the package.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby
+from pathlib import Path
 
 from hypothesis import strategies as st
 
-from bicliques.graphs import (Graph, InputError, cb_sides, is_star_set,
-                              mask_of, vertex_set, vertices_of)
+from bicliques.graphs import (Graph, InputError, cb_sides, mask_of,
+                              vertex_set, vertices_of)
 from bicliques import graphs, powers
 from bicliques.reduction import CnfFormula, normalize
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load_benchmark(name: str):
+    """The module benchmarks/<name>.py, loaded by path: the benchmark is
+    not a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = load_benchmark("reference")
 
 
 @st.composite
@@ -44,12 +66,13 @@ def bfs_complete_bipartite(g: Graph, vs):
     vs = sorted(vs)
     if len(vs) < 2:
         return None
+    adj = g.adj
     inside = set(vs)
     side = {vs[0]: 0}
     queue = [vs[0]]
     while queue:
         v = queue.pop()
-        for u in g.neighbours(v):
+        for u in bits_by_walk(adj[v]):
             if u in inside and u not in side:
                 side[u] = 1 - side[v]
                 queue.append(u)
@@ -60,56 +83,36 @@ def bfs_complete_bipartite(g: Graph, vs):
     if not a or not b:
         return None
     for x, y in combinations(vs, 2):
-        if g.has_edge(x, y) == (side[x] == side[y]):
+        if (adj[x] >> y & 1) == (side[x] == side[y]):
             return None
     return a, b
 
 
-def is_star_by_loops(g: Graph, vs) -> bool:
-    vs = list(vs)
-    if len(vs) < 2:
-        return False
-    for c in vs:
-        rest = [v for v in vs if v != c]
-        if all(g.has_edge(c, v) for v in rest) and \
-                not any(g.has_edge(x, y) for x, y in combinations(rest, 2)):
-            return True
-    return False
+def scan_maximal(g: Graph, mode: str, vmask: int | None = None):
+    """The maximal complete bipartite sets (mode "biclique") or maximal
+    stars (mode "star") of g inside the vertex mask vmask, all of g by
+    default, as sorted vertex tuples, sorted: every submask with two or
+    more vertices, listed by reference.bits, is kept when
+    reference.is_maximal holds, that is when no single vertex of g extends
+    it.  That is maximality by inclusion too: a set of either kind strictly
+    inside another of its kind can take any one more vertex of the other
+    and stay of its kind."""
+    if vmask is None:
+        vmask = (1 << g.n) - 1
+    found = []
+    sub = vmask
+    while sub:
+        if sub & (sub - 1):
+            vs = tuple(reference.bits(sub))
+            if reference.is_maximal(g.adj, vs, mode):
+                found.append(vs)
+        sub = (sub - 1) & vmask
+    return sorted(found)
 
 
-def brute_maximal_cb_sets(g: Graph) -> set[tuple[int, ...]]:
-    """All maximal complete-bipartite sets by scanning every subset and then
-    discarding those properly contained in another."""
-    found = [vs for r in range(2, g.n + 1)
-             for vs in combinations(range(g.n), r)
-             if bfs_complete_bipartite(g, vs) is not None]
-    return {vs for vs in found
-            if not any(set(vs) < set(other) for other in found)}
-
-
-def brute_biclique_containment(g: Graph, v_prime):
-    """Lexicographically smallest maximal complete-bipartite set of g inside
-    v_prime, or None, from brute_maximal_inside."""
-    vmask = sum(1 << v for v in v_prime)
-    return min(brute_maximal_inside(g, "biclique", vmask), default=None)
-
-
-def brute_maximal_inside(g: Graph, mode: str, vmask: int):
-    """The maximal complete bipartite sets (mode "biclique") or stars of g
-    that lie inside the vertex mask vmask, as sorted vertex tuples: every
-    subset of vmask is tested, and one is maximal when no single vertex of
-    g extends it."""
-    test = bfs_complete_bipartite if mode == "biclique" else is_star_by_loops
-    inside = vertices_of(vmask)
-    found = set()
-    for r in range(2, len(inside) + 1):
-        for vs in combinations(inside, r):
-            if test(g, vs) in (None, False):
-                continue
-            if not any(test(g, tuple(sorted(vs + (w,)))) not in (None, False)
-                       for w in range(g.n) if w not in vs):
-                found.add(vs)
-    return found
+def shaped(g: Graph, sets):
+    """(vertices, induced_shape) of each vertex tuple in sets, in order."""
+    return [(vs, induced_shape(g, vs)) for vs in sets]
 
 
 def first_monochromatic(colours, sets):
@@ -122,20 +125,13 @@ def first_monochromatic(colours, sets):
     return None
 
 
-def brute_maximal_star_sets(g: Graph) -> set[tuple[int, ...]]:
-    found = [vs for r in range(2, g.n + 1)
-             for vs in combinations(range(g.n), r)
-             if is_star_by_loops(g, vs)]
-    return {vs for vs in found
-            if not any(set(vs) < set(other) for other in found)}
-
-
 def induced_shape(g: Graph, s) -> str:
     """Classify the subgraph induced by s: "P2", "P3", "C4", or "OTHER"."""
     vs = tuple(s)
+    adj = g.adj
     if len(vs) == 2:
-        return "P2" if g.has_edge(vs[0], vs[1]) else "OTHER"
-    pairs = [(i, j) for i, j in combinations(vs, 2) if g.has_edge(i, j)]
+        return "P2" if adj[vs[0]] >> vs[1] & 1 else "OTHER"
+    pairs = [(i, j) for i, j in combinations(vs, 2) if adj[i] >> j & 1]
     if len(vs) == 3 and len(pairs) == 2:
         return "P3"
     if len(vs) == 4 and len(pairs) == 4:
@@ -183,7 +179,7 @@ def walk_is_maximal_cb(adj, smask: int, sides) -> bool:
     a, b = sides
     ext = (adj[(a & -a).bit_length() - 1]
            | adj[(b & -b).bit_length() - 1]) & ~smask
-    for w in vertices_of(ext):
+    for w in bits_by_walk(ext):
         seen = adj[w] & smask
         if seen == a or seen == b:
             return False
@@ -207,37 +203,11 @@ def walk_is_maximal_star(adj, smask: int) -> bool:
         centres = nb
     ext = (adj[(centres & -centres).bit_length() - 1]
            | adj[centres.bit_length() - 1]) & ~smask
-    for w in vertices_of(ext):
+    for w in bits_by_walk(ext):
         seen = adj[w] & smask
         if seen & centres and seen & (seen - 1) == 0:
             return False
     return True
-
-
-def brute_scan_bicliques(g: Graph) -> list[tuple[tuple[int, ...], str]]:
-    """(vertices, shape) of every maximal complete bipartite set of g, sorted:
-    cb_sides and walk_is_maximal_cb applied to each of the 2^n vertex
-    subsets.  The oracle's output-sensitive enumeration must list the same
-    sets."""
-    adj = g.adj
-    out = []
-    for m in range(3, 1 << g.n):
-        if m.bit_count() < 2:
-            continue
-        sides = cb_sides(adj, m)
-        if sides is not None and walk_is_maximal_cb(adj, m, sides):
-            vs = vertices_of(m)
-            out.append((vs, induced_shape(g, vs)))
-    return sorted(out)
-
-
-def brute_scan_stars(g: Graph) -> list[tuple[int, ...]]:
-    """Every maximal star of g as a sorted vertex tuple, sorted: is_star_set
-    and walk_is_maximal_star applied to each of the 2^n vertex subsets."""
-    adj = g.adj
-    return sorted(vertices_of(m) for m in range(3, 1 << g.n)
-                  if m.bit_count() >= 2 and is_star_set(adj, m)
-                  and walk_is_maximal_star(adj, m))
 
 
 def brute_mono_p3(g: Graph, colours, reach_in=None):
@@ -245,10 +215,12 @@ def brute_mono_p3(g: Graph, colours, reach_in=None):
     or None: every triple is tried, one with exactly two edges is an
     induced P3, and its reach is the sum of the cyclic distances (g.n the
     cycle length) from the centre, the vertex on both edges, to the ends."""
+    adj = g.adj
     for triple in combinations(range(g.n), 3):
         if len({colours[v] for v in triple}) != 1:
             continue
-        edges = [set(e) for e in combinations(triple, 2) if g.has_edge(*e)]
+        edges = [{x, y} for x, y in combinations(triple, 2)
+                 if adj[x] >> y & 1]
         if len(edges) != 2:
             continue
         (centre,) = edges[0] & edges[1]
@@ -283,9 +255,8 @@ def walk_mono_p3(g: Graph, colours, reach_in=None):
                 cs ^= low_c
                 c = low_c.bit_length() - 1
                 centre = c if not edge else a if adj[a] & low_c else b
-                reach = (powers.cyclic_reach(n, centre, a)
-                         + powers.cyclic_reach(n, centre, b)
-                         + powers.cyclic_reach(n, centre, c))
+                reach = sum(min((v - centre) % n, (centre - v) % n)
+                            for v in (a, b, c))
                 if wanted is None or reach in wanted:
                     return (a, b, c), reach
     return None
@@ -340,12 +311,12 @@ def bits_by_walk(mask: int) -> tuple[int, ...]:
 
 def brute_maximal_independent_sets(g: Graph, mask: int) -> set[int]:
     """Masks of the maximal independent subsets of the vertex mask, found
-    among all its submasks with nested has_edge loops."""
+    among all its submasks with nested loops over adjacency bits."""
     vs = bits_by_walk(mask)
     found = []
     for r in range(len(vs) + 1):
         for sub in combinations(vs, r):
-            if not any(g.has_edge(x, y) for x, y in combinations(sub, 2)):
+            if not any(g.adj[x] >> y & 1 for x, y in combinations(sub, 2)):
                 found.append(set(sub))
     return {sum(1 << v for v in sub) for sub in found
             if not any(sub < other for other in found)}
@@ -368,27 +339,6 @@ def greedy_proper_colouring(g: Graph) -> tuple[int, ...]:
     return tuple(colours)
 
 
-def truth_table_sat(f: CnfFormula) -> bool:
-    """Independent satisfiability check via itertools.product."""
-    for values in product((False, True), repeat=f.num_vars):
-        if all(any((lit > 0) == values[abs(lit) - 1] for lit in clause)
-               for clause in f.clauses):
-            return True
-    return False
-
-
-def brute_ab_exists(n: int, k: int):
-    """First (a, b) with n = a*k + b*(k+1), a+b even >= 2, by scanning b."""
-    for b in range(n // (k + 1) + 1):
-        rem = n - b * (k + 1)
-        if rem % k:
-            continue
-        a = rem // k
-        if (a + b) % 2 == 0 and a + b >= 2:
-            return a, b
-    return None
-
-
 def pairwise_conflicts(clauses):
     """The clause pairs (i, j), i < j, sharing two or more literals, in
     combinations order, found by comparing every pair."""
@@ -396,23 +346,24 @@ def pairwise_conflicts(clauses):
             if len(set(clauses[i]) & set(clauses[j])) >= 2)
 
 
-def fixpoint_normalize(f: CnfFormula) -> CnfFormula:
-    """normalize by its definition: after dropping tautologies and duplicate
-    literals, rescan the whole clause list after every rewrite for its
-    first conflicting pair and replace the pair's later clause, in place,
-    by the four clauses of the rewrite over the next three fresh variables;
-    then compact the variables.  Each rescan compares every clause pair, so
-    this is for small formulas only: the reference for normalize's one
-    sweep."""
+def fixpoint_normalize(f: CnfFormula) -> tuple:
+    """normalize by its definition, as a plain (num_vars, clauses) tuple,
+    which a CnfFormula equals field for field: after dropping tautologies
+    and duplicate literals, rescan the whole clause list after every
+    rewrite for its first conflicting pair and replace the pair's later
+    clause, in place, by the four clauses of the rewrite over the next
+    three fresh variables; then compact the variables.  Each rescan
+    compares every clause pair, so this is for small formulas only: the
+    reference for normalize's one sweep."""
     clauses = []
     for clause in f.clauses:
         if not clause:
-            raise InputError("empty clause is trivially unsatisfiable")
+            raise ValueError("empty clause is trivially unsatisfiable")
         lits = set(clause)
         if not any(-lit in lits for lit in lits):
             clauses.append(tuple(sorted(lits, key=lambda l: (abs(l), l < 0))))
     if not clauses:
-        return CnfFormula(1, ((1,),))
+        return 1, ((1,),)
     num_vars = f.num_vars
     while (conflict := next(pairwise_conflicts(clauses), None)) is not None:
         j = conflict[1]
@@ -424,9 +375,9 @@ def fixpoint_normalize(f: CnfFormula) -> CnfFormula:
         num_vars += 3
     used = sorted({abs(lit) for clause in clauses for lit in clause})
     remap = {old: new for new, old in enumerate(used, start=1)}
-    return CnfFormula(len(used), tuple(
+    return len(used), tuple(
         tuple(remap[abs(lit)] * (1 if lit > 0 else -1) for lit in clause)
-        for clause in clauses))
+        for clause in clauses)
 
 
 def random_normalized_formula(rng: random.Random, max_vars: int = 6,

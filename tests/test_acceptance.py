@@ -9,6 +9,7 @@ import random
 import time
 
 import support
+from support import reference
 from bicliques import cli
 from bicliques.colouring import (
     ab_certificate,
@@ -92,11 +93,12 @@ def test_03_enumerations_match_oracle_and_shape_ranges():
                 fam = [(b.vertices, b.shape) for b in fam]
                 assert fam == [(b.vertices, b.shape)
                                for b in maximal_bicliques(g)], g.label
-                assert fam == support.brute_scan_bicliques(g), g.label
+                assert fam == support.shaped(
+                    g, support.scan_maximal(g, "biclique")), g.label
             for g, fam in ((power_path(n, k), path_stars(n, k)),
                            (power_cycle(n, k), cycle_stars(n, k))):
                 assert fam == maximal_stars(g), g.label
-                assert fam == support.brute_scan_stars(g), g.label
+                assert fam == support.scan_maximal(g, "star"), g.label
     # shape ranges, checked beyond the oracle grid on the closed forms alone
     for k in range(1, K_MAX + 1):
         for n in range(2, 61):
@@ -118,7 +120,7 @@ def test_04_two_vs_three_agrees_with_exhaustive_scan():
         for n in range(3 * k + 2, 201):
             r = closed_form("cycle", "biclique", n, k)
             value, cert = r.value, r.ab
-            brute = support.brute_ab_exists(n, k)
+            brute = reference.ab_pair(n, k)
             assert (value == 2) == (brute is not None), (n, k)
             if value == 2:
                 assert cert is not None and cert.is_valid_for(n, k), (n, k)
@@ -274,7 +276,7 @@ def test_09_cli_emitted_colourings_verify(tmp_path):
                 n = int(row["n"])
                 if kind == "cycle" and mode == "biclique":
                     # n >= 3k+2 = 11: 2 exactly when (a, b) blocks exist
-                    value = 3 if support.brute_ab_exists(n, k) is None else 2
+                    value = 3 if reference.ab_pair(n, k) is None else 2
                     assert int(row["value"]) == value, row
                     if n >= 2 * k * k:
                         assert int(row["value"]) == 2, row

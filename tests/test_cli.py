@@ -275,10 +275,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.mark.parametrize("argv, absent", [
     (["chromatic", "cycle", "--n", "14", "--k", "3", "--certify"],
-     ("bicliques.oracle", "bicliques.reduction", "csv")),
+     ("bicliques.oracle", "bicliques.reduction", "csv", "json")),
     (["sweep", "--kind", "path", "--k-from", "1", "--k-to", "2",
       "--n-from", "1", "--n-to", "9"],
-     ("bicliques.oracle", "bicliques.reduction")),
+     ("bicliques.oracle", "bicliques.reduction", "json")),
     (["verify", "{graph}", "{col}"],
      ("bicliques.oracle", "bicliques.reduction", "csv")),
     (["reduce", "{cnf}", "--out-prefix", "{prefix}", "--certify"],
@@ -298,8 +298,10 @@ def test_closed_form_subcommands_skip_the_oracle_and_reduction(
     closed-form subcommands and verify of a labelled power graph leave the
     oracle and the reduction unimported, reduce loads neither dataclasses,
     inspect, colouring nor powers, bicliques --graph without --closed-form
-    neither colouring nor powers, and only sweep loads csv.  Importing the
-    package loads graphs at once, and neither colouring nor powers."""
+    neither colouring nor powers, and only sweep loads csv.  chromatic
+    without --emit-colouring and sweep write no JSON, so neither loads json.
+    Importing the package loads graphs at once, and neither colouring nor
+    powers."""
     graph, col = tmp_path / "g.json", tmp_path / "c.json"
     assert main(["gen", "path", "--n", "9", "--k", "2",
                  "--out", str(graph)]) == EXIT_OK
@@ -1147,6 +1149,23 @@ def test_chromatic_dot_colours(tmp_path):
                  "--dot", str(dot)]) == EXIT_OK
     text = dot.read_text()
     assert DOT_PALETTE[1] in text and DOT_PALETTE[0] in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "path", "--n", "4", "--k", "1", "--out", ""],
+    ["gen", "path", "--n", "4", "--k", "1", "--dot", ""],
+    ["chromatic", "path", "--n", "7", "--k", "3", "--dot", ""],
+    ["chromatic", "path", "--n", "7", "--k", "3", "--emit-colouring", ""],
+    ["bicliques", "--kind", "path", "--n", "7", "--k", "3", "--out", ""],
+    ["sweep", "--kind", "path", "--k-from", "1", "--k-to", "1",
+     "--n-from", "2", "--n-to", "4", "--out", ""],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_an_empty_output_path_is_bad_input(capsys, argv):
+    """An empty file name is a path that cannot be opened, as for every
+    output option: it is neither skipped nor taken as stdout."""
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == \
+        "error: [Errno 2] No such file or directory: ''\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
+from support import reference
 from bicliques import colouring as colouring_mod, graphs as graphs_mod
 from bicliques.colouring import (
     BLUE,
@@ -103,7 +104,7 @@ def test_ab_certificate_matches_brute_scan():
     for k in range(1, 9):
         for n in range(2 * k + 2, 121):
             cert = ab_certificate(n, k)
-            brute = support.brute_ab_exists(n, k)
+            brute = reference.ab_pair(n, k)
             assert (cert is None) == (brute is None)
             if cert is not None:
                 assert cert.is_valid_for(n, k)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from support import reference
 from bicliques import graphs
 from bicliques.graphs import (
     DOT_PALETTE,
@@ -204,11 +205,11 @@ def test_maximality_kernels_match_extension_scan(g):
                     support.bfs_complete_bipartite(g, vs + (w,)) is not None
                     for w in outside)
                 assert is_maximal_cb(g.adj, m, cb_sides(g.adj, m)) == expect
-            star = support.is_star_by_loops(g, vs)
+            star = reference.is_star(g.adj, vs)
             assert is_star_set(g.adj, m) == star
             if star:
                 assert is_maximal_star(g.adj, m) == (not any(
-                    support.is_star_by_loops(g, vs + (w,)) for w in outside))
+                    reference.is_star(g.adj, vs + (w,)) for w in outside))
 
 
 def _assert_maximality_matches_walk(adj):
@@ -396,8 +397,8 @@ def test_candidates_cover_sets_maximal_within_the_mask(g, vmask):
                     support.bfs_complete_bipartite(g, tuple(sorted(vs + (w,))))
                     is not None for w in others):
                 assert mask_of(vs) in cb_sets
-            if support.is_star_by_loops(g, vs) and not any(
-                    support.is_star_by_loops(g, tuple(sorted(vs + (w,))))
+            if reference.is_star(g.adj, vs) and not any(
+                    reference.is_star(g.adj, tuple(sorted(vs + (w,))))
                     for w in inside if w not in vs):
                 assert mask_of(vs) in stars
 
@@ -412,7 +413,7 @@ def test_maximal_masks_inside_a_mask_match_brute_force(g, vmask):
         found = maximal_masks(g.adj, mode, vmask)
         assert len(found) == len(set(found))
         assert set(map(vertices_of, found)) == \
-            support.brute_maximal_inside(g, mode, vmask)
+            set(support.scan_maximal(g, mode, vmask))
 
 
 @given(support.graph_strategy(max_n=12),
@@ -438,7 +439,7 @@ def test_every_star_candidate_is_a_star(g):
     a centre and an independent set of its neighbours, so a star."""
     for s in maximal_star_candidates(g.adj, (1 << g.n) - 1):
         assert is_star_set(g.adj, s)
-        assert support.is_star_by_loops(g, vertices_of(s))
+        assert reference.is_star(g.adj, tuple(reference.bits(s)))
 
 
 @given(support.graph_strategy(max_n=14), st.integers(1, 30), st.integers(0, 3))
@@ -450,7 +451,7 @@ def test_star_candidates_come_out_once(g, n, extra):
     n(n-1)/2 edges."""
     found = list(maximal_star_candidates(g.adj, (1 << g.n) - 1))
     assert len(found) == len(set(found))
-    assert {mask_of(vs) for vs in support.brute_maximal_star_sets(g)} \
+    assert {mask_of(vs) for vs in support.scan_maximal(g, "star")} \
         <= set(found)
     k = max(1, n // 2) + extra
     complete = list(maximal_star_candidates(power_cycle(n, k).adj,

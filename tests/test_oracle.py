@@ -59,16 +59,16 @@ def test_oracle_frozen_enumerations():
 @settings(max_examples=40, deadline=None)
 def test_oracle_families_match_brute_subset_checker(g):
     assert {b.vertices for b in maximal_bicliques(g)} == \
-        support.brute_maximal_cb_sets(g)
-    assert set(maximal_stars(g)) == support.brute_maximal_star_sets(g)
+        set(support.scan_maximal(g, "biclique"))
+    assert set(maximal_stars(g)) == set(support.scan_maximal(g, "star"))
 
 
 @given(support.graph_strategy(max_n=11))
 @settings(max_examples=80, deadline=None)
 def test_oracle_families_match_subset_scan(g):
     assert [(b.vertices, b.shape) for b in maximal_bicliques(g)] == \
-        support.brute_scan_bicliques(g)
-    assert maximal_stars(g) == support.brute_scan_stars(g)
+        support.shaped(g, support.scan_maximal(g, "biclique"))
+    assert maximal_stars(g) == support.scan_maximal(g, "star")
 
 
 def _relabelled(rng, g):
@@ -86,8 +86,8 @@ def test_oracle_families_match_subset_scan_on_benchmark_graph_types(n):
               circulant(n, [1, 1 + n // 4]),
               support.random_graph(rng, n, 0.3)):
         assert [(b.vertices, b.shape) for b in maximal_bicliques(g)] == \
-            support.brute_scan_bicliques(g)
-        assert maximal_stars(g) == support.brute_scan_stars(g)
+            support.shaped(g, support.scan_maximal(g, "biclique"))
+        assert maximal_stars(g) == support.scan_maximal(g, "star")
 
 
 def _calls_during(code, run):

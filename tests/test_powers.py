@@ -347,14 +347,16 @@ def test_closed_form_matches_oracle_small_grid():
         for n in range(1, 11):
             pg = power_path(n, k)
             assert _as_family(path_bicliques(n, k)) == _as_family(maximal_bicliques(pg))
-            assert _as_family(path_bicliques(n, k)) == support.brute_scan_bicliques(pg)
+            assert _as_family(path_bicliques(n, k)) == \
+                support.shaped(pg, support.scan_maximal(pg, "biclique"))
             assert path_stars(n, k) == maximal_stars(pg)
-            assert path_stars(n, k) == support.brute_scan_stars(pg)
+            assert path_stars(n, k) == support.scan_maximal(pg, "star")
             cg = power_cycle(n, k)
             assert _as_family(cycle_bicliques(n, k)) == _as_family(maximal_bicliques(cg))
-            assert _as_family(cycle_bicliques(n, k)) == support.brute_scan_bicliques(cg)
+            assert _as_family(cycle_bicliques(n, k)) == \
+                support.shaped(cg, support.scan_maximal(cg, "biclique"))
             assert cycle_stars(n, k) == maximal_stars(cg)
-            assert cycle_stars(n, k) == support.brute_scan_stars(cg)
+            assert cycle_stars(n, k) == support.scan_maximal(cg, "star")
 
 
 def test_closed_form_outputs_are_maximal_cb_by_independent_checker():
@@ -414,7 +416,7 @@ def test_biclique_record_fields():
     assert isinstance(b, Biclique)
     assert b.reach is not None and b.shape == "P3"
     g = power_cycle(11, 2)
-    assert support.is_complete_bipartite(g, b.vertices)[0]
+    assert support.bfs_complete_bipartite(g, b.vertices) is not None
     # C4 entries never carry a reach
     assert all(x.reach is None for x in cycle_bicliques(11, 4))
 
