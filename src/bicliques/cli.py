@@ -28,9 +28,9 @@ from .graphs import (
     check_cap,
     colour_tuple,
     graph_fields,
-    graph_to_dict,
     read_json,
     write_dot,
+    write_graph,
     write_json,
 )
 
@@ -111,10 +111,10 @@ def cmd_gen(args) -> int:
         _check_graph(args.n,
                      powers.power_edge_count(args.kind, args.n, args.k))
         g = powers.power_graph(args.kind, args.n, args.k)
-    write_json(graph_to_dict(g), args.out)
-    if args.dot is not None:
+    if args.dot is not None:  # first, as in cmd_chromatic
         with open(args.dot, "w") as fh:
             fh.write(write_dot(g))
+    write_graph(g, args.out)
     return EXIT_OK
 
 
@@ -126,13 +126,7 @@ def cmd_chromatic(args) -> int:
         _check_graph(args.n,
                      powers.power_edge_count(args.kind, args.n, args.k))
     result = _constructor(args.kind, args.mode)(args.n, args.k)
-    print(result.value)
-    cert = _certificate_text(result)
-    if cert:
-        print(f"certificate: {cert}")
-    if args.certify:  # the constructor has checked its colouring already
-        print("certified: colouring verified against the "
-              f"{args.mode} family")
+    # the files first, so one that cannot be written leaves stdout empty
     if args.emit_colouring is not None:
         colouring.write_colouring(result.colouring, args.emit_colouring,
                                   ab=result.ab,
@@ -141,6 +135,13 @@ def cmd_chromatic(args) -> int:
         g = powers.power_graph(args.kind, args.n, args.k)
         with open(args.dot, "w") as fh:
             fh.write(write_dot(g, result.colouring.colours))
+    print(result.value)
+    cert = _certificate_text(result)
+    if cert:
+        print(f"certificate: {cert}")
+    if args.certify:  # the constructor has checked its colouring already
+        print("certified: colouring verified against the "
+              f"{args.mode} family")
     return EXIT_OK
 
 

@@ -11,13 +11,13 @@ A monochromatic set is a bug in this module, not bad input, and raises
 AssertionError.
 
 Colour ids are 0 = blue, 1 = red, 2 = green; further ids only appear in the
-all-distinct colourings of complete graphs.  The records are named tuples,
-as graphs.Colouring is.
+all-distinct colourings of complete graphs.  The records are
+collections.namedtuple classes, as graphs.Colouring is.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .graphs import (Colouring, InputError, check_choices, is_int, read_json,
                      write_json)
@@ -26,19 +26,17 @@ from .powers import check_params, first_mono_set, is_complete
 BLUE, RED, GREEN = 0, 1, 2
 
 
-class EvenDivision(NamedTuple):
+class EvenDivision(namedtuple("EvenDivision", "a t")):
     """n = a*k + t with a even, a >= 2, 0 <= t < 2k."""
 
-    a: int
-    t: int
+    __slots__ = ()
 
 
-class AbCertificate(NamedTuple):
+class AbCertificate(namedtuple("AbCertificate", "a b")):
     """Witness that n = a*k + b*(k+1) with a + b even, certifying a
     2-colouring by a size-k blocks and b size-(k+1) blocks."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
     def is_valid_for(self, n: int, k: int) -> bool:
         return (self.a >= 0 and self.b >= 0
@@ -47,16 +45,21 @@ class AbCertificate(NamedTuple):
                 and self.a + self.b >= 2)
 
 
-class ChromaticResult(NamedTuple):
-    """Exact chromatic value with an optimal colouring and, when one exists,
-    a certificate: an (a, b) block decomposition for 2-colourable cycles, or
-    a set of pairwise-adjacent universal vertices forcing the lower bound in
-    the dense ranges."""
+class ChromaticResult(namedtuple("ChromaticResult",
+                                 "colouring ab universal_witness",
+                                 defaults=(None, None))):
+    """An optimal colouring, whose colour count is the exact chromatic
+    value, and, when one exists, a certificate: ab, an AbCertificate block
+    decomposition for 2-colourable cycles, or universal_witness, a tuple of
+    pairwise-adjacent universal vertices forcing the lower bound in the
+    dense ranges."""
 
-    value: int
-    colouring: Colouring
-    ab: AbCertificate | None = None
-    universal_witness: tuple[int, ...] | None = None
+    __slots__ = ()
+
+    @property
+    def value(self) -> int:
+        """The chromatic value: the colouring's colour count."""
+        return self.colouring.num_colours
 
 
 def even_division(n: int, k: int) -> EvenDivision:
@@ -156,27 +159,27 @@ def closed_form(kind: str, mode: str, n: int, k: int) -> ChromaticResult:
     check_params(n, k)
     if is_complete(kind, n, k):
         everyone = tuple(range(n))
-        result = ChromaticResult(n, Colouring(everyone, n),
+        result = ChromaticResult(Colouring(everyone, n),
                                  universal_witness=everyone)
     elif kind == "path" and n <= 2 * k:
         value, witness = 2 * k + 2 - n, tuple(range(n - 1 - k, k + 1))
         colours = ((BLUE,) * (n - k) + tuple(range(GREEN, value))
                    + (RED,) * (n - k))
-        result = ChromaticResult(value, Colouring(colours, value),
+        result = ChromaticResult(Colouring(colours, value),
                                  universal_witness=witness)
     elif kind == "path":
-        result = ChromaticResult(2, Colouring(_stripes(n, k), 2))
+        result = ChromaticResult(Colouring(_stripes(n, k), 2))
     elif mode == "biclique" and n <= 3 * k + 1:
         colours = (RED,) * k + (BLUE,) * (n - k)
-        result = ChromaticResult(2, Colouring(colours, 2))
+        result = ChromaticResult(Colouring(colours, 2))
     elif (cert := ab_certificate(n, k)) is not None:
         # a size-k blocks then b size-(k+1) blocks, alternating from red;
         # a + b even keeps the alternation across n-1 -> 0
         colours = (_stripes(cert.a * k, k)
                    + _stripes(cert.b * (k + 1), k + 1, (RED, BLUE)[cert.a % 2]))
-        result = ChromaticResult(2, Colouring(colours, 2), cert)
+        result = ChromaticResult(Colouring(colours, 2), cert)
     else:
-        result = ChromaticResult(3, _three_colouring(n, k))
+        result = ChromaticResult(_three_colouring(n, k))
     _check_no_mono(first_mono_set(kind, mode, n, k, result.colouring.colours),
                    mode)
     return result

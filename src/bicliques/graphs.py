@@ -9,17 +9,18 @@ which measured faster), _edge_pairs walks the edges, induced_p3s the
 induced P3s, cb_sides a complete bipartite set's sides (a star's has one
 vertex), maximal_family lists a maximal family, and check_cap,
 check_choices and colour_tuple check a cap, a kind or mode and a
-colouring's length.  The records (Graph, Colouring, Biclique) and all
-that the oracle runs live here, so the oracle imports this module alone.
+colouring's length.  The records (Graph, Colouring, Biclique), each one
+collections.namedtuple class, and all that the oracle runs live here, so
+the oracle imports this module alone.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from collections import namedtuple
 from itertools import islice
 from operator import itemgetter
-from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -118,16 +119,12 @@ def _check_edge(n: int, i: int, j: int) -> None:
         raise InputError(f"self-loop edge ({i}, {j})")
 
 
-class _GraphFields(NamedTuple):
-    n: int
-    adj: tuple[int, ...]
-    label: str | None = None
-
-
-class Graph(_GraphFields):
+class Graph(namedtuple("Graph", "n adj label", defaults=(None,))):
     """Immutable undirected simple graph on vertices 0..n-1, checked when it
-    is built.  A named tuple rather than a dataclass, since importing
-    dataclasses costs every command line run about 12 ms."""
+    is built: adj[v] is vertex v's row of neighbour bits, and label (a str
+    or None) names the graph in its files.  A collections.namedtuple class,
+    as every record is: importing dataclasses would cost every command line
+    run about 12 ms, and typing.NamedTuple loads typing."""
 
     __slots__ = ()
 
@@ -181,18 +178,13 @@ class Graph(_GraphFields):
         return sum(row.bit_count() for row in self.adj) // 2
 
 
-class _ColouringFields(NamedTuple):
-    colours: tuple[int, ...]
-    num_colours: int
-
-
-class Colouring(_ColouringFields):
-    """Vertex colouring: colours[v] is the colour id of vertex v.
+class Colouring(namedtuple("Colouring", "colours num_colours")):
+    """Vertex colouring: colours is a tuple of ints, colours[v] the colour
+    id of vertex v.
 
     Invariant: num_colours is an int >= 0 and every id in [0, num_colours)
-    is used at least once, checked when it is built.  A named tuple, as
-    Graph is, since importing dataclasses costs every command line run
-    about 12 ms.
+    is used at least once, checked when it is built.  A
+    collections.namedtuple class, as Graph is.
     """
 
     __slots__ = ()
@@ -520,13 +512,13 @@ def smallest_maximal_inside(adj, mode: str, vmasks) -> list[tuple[int, ...]]:
 _SHAPES = {(1, 1): "P2", (1, 2): "P3", (2, 1): "P3", (2, 2): "C4"}
 
 
-class Biclique(NamedTuple):
-    """Maximal complete bipartite vertex set with its induced shape; reach,
-    the sum of a P3's two edge lengths, is set only on cycle powers."""
+class Biclique(namedtuple("Biclique", "vertices shape reach",
+                          defaults=(None,))):
+    """Maximal complete bipartite vertex set (a tuple of vertices) with its
+    induced shape, "P2", "P3", "C4" or "OTHER"; reach, the sum of a P3's
+    two edge lengths, is set only on cycle powers."""
 
-    vertices: tuple[int, ...]
-    shape: str  # "P2" | "P3" | "C4" | "OTHER"
-    reach: int | None = None
+    __slots__ = ()
 
 
 def maximal_family(adj, mode: str) -> list:
@@ -734,7 +726,8 @@ def write_json(value, path: str | None = None) -> None:
         fh.write("\n")
 
 
-def write_graph(g: Graph, path: str) -> None:
+def write_graph(g: Graph, path: str | None) -> None:
+    """g as graph_to_dict's JSON, to the file at path or stdout."""
     write_json(graph_to_dict(g), path)
 
 

@@ -232,7 +232,7 @@ def _wrapped_sets(q, i: int, s: int, n: int, k: int, top: int, c4: bool):
         < n-k.  For each b in [q[s]-k, u+k] the one d to try is the first
         at or after max(u+n-k, b+k+1), below b+n-k, as a larger d only
         raises c's bound d-k; c is then the first at or after max(q[s],
-        b+1, d-k) and at most min(b+k, u+n-k-1).
+        d-k) and at most min(b+k, u+n-k-1).
     """
     u, m = q[i], len(q)
     t = bisect_left(q, u + n - k, s)
@@ -242,7 +242,7 @@ def _wrapped_sets(q, i: int, s: int, n: int, k: int, top: int, c4: bool):
     lo = max(w - k, u + n - top + 1)
     if q[t - 1] >= lo:
         found.append((u, q[bisect_left(q, lo, i + 1)], w))
-    if top > k + 1 and s - 1 > i and w - q[s - 1] < n - k:
+    if top > k + 1 and w - q[s - 1] < n - k:
         for v in q[i + 1:s]:
             x = bisect_left(q, max(w, v + n - top + 1), t)
             if x < m and q[x] < v + n - k:
@@ -250,10 +250,10 @@ def _wrapped_sets(q, i: int, s: int, n: int, k: int, top: int, c4: bool):
                 break
     c0 = q[s]
     if c4 and c0 <= min(u + 2 * k, u + n - k - 1):
-        for b in q[max(i + 1, bisect_left(q, c0 - k, i)):s]:
+        for b in q[bisect_left(q, c0 - k, i):s]:
             j = bisect_left(q, max(u + n - k, b + k + 1), t)
             if j < m and q[j] < b + n - k:
-                c = q[bisect_left(q, max(c0, b + 1, q[j] - k), s)]
+                c = q[bisect_left(q, max(c0, q[j] - k), s)]
                 if c <= min(b + k, u + n - k - 1):
                     found.append((u, b, c, q[j]))
                     break
@@ -278,7 +278,7 @@ def _first_set_in(q, n: int, k: int, top: int, cyclic: bool, c4: bool):
         while s < m and q[s] <= u + k:
             s += 1
         found = []
-        if i < s - 1 and s < m and q[s] - q[s - 1] <= k and q[s] < u + top:
+        if s < m and q[s] - q[s - 1] <= k and q[s] < u + top:
             found.append((u, q[bisect_left(q, q[s] - k, i + 1)], q[s]))
         if cyclic and u < k:
             found += _wrapped_sets(q, i, s, n, k, top, c4)
@@ -318,7 +318,7 @@ def first_mono_set(kind: str, mode: str, n: int, k: int, colours):
         lo, hi = 0, n - 1 if is_complete(kind, n, k) else -1
         top = n - 2 * k if mode == "biclique" else n - k
     else:
-        lo, hi, top = max(0, n - 1 - k), min(k, n - 1), n
+        lo, hi, top = max(0, n - 1 - k), k, n
     c4 = cyclic and mode == "biclique" and 2 * k + 2 <= n <= 4 * k
     counts = Counter(colours)
     if len(counts) == n:  # every colour is used once, as on K_n

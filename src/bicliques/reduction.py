@@ -17,16 +17,16 @@ SUBSET_SCAN_CAP vertices of V'.
 Literals follow the DIMACS convention: nonzero signed ints, variable numbers
 1..num_vars.
 
-The records (CnfFormula, ReductionInstance, ReductionReport) are named
-tuples, as Graph and Colouring are: importing dataclasses, which loads
-inspect, and building three dataclasses cost every reduce run about 7 ms.
-CnfFormula checks its literals when it is built.
+The records (CnfFormula, ReductionInstance, ReductionReport) are
+collections.namedtuple classes, as Graph and Colouring are: importing
+dataclasses, which loads inspect, and building three dataclasses cost every
+reduce run about 7 ms.  CnfFormula checks its literals when it is built.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -46,14 +46,9 @@ from .graphs import (
 TRUTH_TABLE_CAP = 20  # exhaustive satisfiability check
 
 
-class _CnfFields(NamedTuple):
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
-
-
-class CnfFormula(_CnfFields):
-    """CNF with at most three literals per clause, checked when it is
-    built."""
+class CnfFormula(namedtuple("CnfFormula", "num_vars clauses")):
+    """CNF over variables 1..num_vars: clauses is a tuple of clauses, each
+    a tuple of at most three DIMACS literals, checked when it is built."""
 
     __slots__ = ()
 
@@ -227,17 +222,17 @@ def normalize(f: CnfFormula) -> CnfFormula:
 # ---------------------------------------------------------------------------
 # instance construction
 
-class ReductionInstance(NamedTuple):
-    """Gadget graph with the designated subset V' and per-vertex roles.
+class ReductionInstance(namedtuple("ReductionInstance",
+                                   "graph v_prime roles")):
+    """Gadget Graph with the designated subset V' (a tuple of vertices) and
+    per-vertex roles.
 
     Layout: u = 0; variable i (1-based) has its positive literal at vertex
     2i-1 and its negation at 2i; clause j (1-based) sits at 2*num_vars + j.
     roles[v] is "u", "x3", "~x3", or "c2" accordingly.
     """
 
-    graph: Graph
-    v_prime: tuple[int, ...]
-    roles: tuple[str, ...]
+    __slots__ = ()
 
 
 def literal_vertex(lit: int) -> int:
@@ -320,20 +315,15 @@ def decode_assignment(inst: ReductionInstance, witness):
     return tuple(values)
 
 
-class ReductionReport(NamedTuple):
-    """Everything certify_reduction checked, bundled for serialization."""
+class ReductionReport(namedtuple("ReductionReport", (
+        "num_vars num_clauses satisfiable assignment containment witness "
+        "equivalent k4_free c4_free decoded_assignment correspondence_ok"))):
+    """Everything certify_reduction checked, bundled for serialization: the
+    formula's variable and clause counts, then bools, but for assignment
+    and decoded_assignment (a tuple of bools or None) and witness (a tuple
+    of vertices or None)."""
 
-    num_vars: int
-    num_clauses: int
-    satisfiable: bool
-    assignment: tuple[bool, ...] | None
-    containment: bool
-    witness: tuple[int, ...] | None
-    equivalent: bool
-    k4_free: bool
-    c4_free: bool
-    decoded_assignment: tuple[bool, ...] | None
-    correspondence_ok: bool
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """The fields in order, tuples written as lists (an empty

@@ -95,8 +95,8 @@ MUTANTS = {
         ["tests/test_powers.py"]),
     "c4-third": (
         "powers.py",
-        "max(c0, b + 1, q[j] - k)",
-        "max(c0, b + 1, q[j] - k + 1)",
+        "max(c0, q[j] - k)",
+        "max(c0, q[j] - k + 1)",
         ["tests/test_powers.py"]),
     "clique-pair": (
         "powers.py",

@@ -371,6 +371,22 @@ def test_oracle_calls_load_only_the_oracle():
     assert ast.literal_eval(out.splitlines()[-1]) == ["bicliques.oracle"]
 
 
+def test_the_package_loads_no_typing_dataclasses_or_inspect():
+    """Every record is a collections.namedtuple class, so importing every
+    module of the package loads none of typing, dataclasses and inspect.
+    The child runs under python -S, so nothing that site imports (a .pth
+    file, say) can load them first."""
+    code = ("import sys\n"
+            "import bicliques.cli, bicliques.colouring, bicliques.powers\n"
+            "import bicliques.oracle, bicliques.reduction\n"
+            "print(sorted({'typing', 'dataclasses', 'inspect'}\n"
+            "             & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert ast.literal_eval(out.splitlines()[-1]) == []
+
+
 def _run_limited(argv, cwd, stdin=None):
     """Run the command line in a child whose address space is capped at
     1 GiB, so a request that would outgrow it fails at once rather than
@@ -1162,10 +1178,11 @@ def test_chromatic_dot_colours(tmp_path):
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_an_empty_output_path_is_bad_input(capsys, argv):
     """An empty file name is a path that cannot be opened, as for every
-    output option: it is neither skipped nor taken as stdout."""
+    output option: it is neither skipped nor taken as stdout, and nothing
+    is printed before the error, since files are written before stdout."""
     assert main(argv) == EXIT_INPUT
-    assert capsys.readouterr().err == \
-        "error: [Errno 2] No such file or directory: ''\n"
+    assert capsys.readouterr() == \
+        ("", "error: [Errno 2] No such file or directory: ''\n")
 
 
 @pytest.mark.parametrize("argv", [
