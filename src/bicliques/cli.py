@@ -5,19 +5,22 @@ witness found, or a certification mismatch), 2 bad input, 3 a size cap was
 exceeded: the oracle's and the reduction's brute-force caps, graphs.INPUT_CAP
 on the bytes of a file read, or the caps below on what one command builds,
 checked by graphs.check_cap before anything is allocated or printed, and
-after powers.check_params refuses a bad n or k.  A file's P_n^k / C_n^k
-label is read by powers.power_params.
+after powers.check_params refuses a bad n or k.  verify reads a file's
+P_n^k / C_n^k label by powers.power_params; bicliques --graph reads none.
+gen, chromatic and reduce open every output file before writing any, so a
+run that exits 2 leaves no partial result.
 
 Only graphs is imported at once.  powers, colouring, the oracle, the
 reduction and csv are imported by the subcommands that use them, so reduce
-and bicliques --graph without --closed-form compile neither powers nor
-colouring, and chromatic, gen, bicliques --kind and verify of a generated
-power graph load neither the oracle nor the reduction.
+and bicliques --graph compile neither powers nor colouring, and chromatic,
+gen, bicliques --kind and verify of a generated power graph load neither
+the oracle nor the reduction.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .graphs import (
@@ -74,6 +77,26 @@ def _check_graph(n: int, edges: int = 0) -> None:
     check_cap("writing a graph", "edges", edges, EDGES_CAP)
 
 
+def _open_outputs(*paths) -> None:
+    """Open each output path of a run (None is stdout) before anything is
+    written, in append mode, which creates a missing file and truncates no
+    existing one, so a path that cannot be opened exits 2 with nothing
+    written; the files made here are removed again when a later path
+    fails."""
+    made = []
+    try:
+        for path in paths:
+            if path is not None:
+                new = not os.path.lexists(path)
+                open(path, "a").close()
+                if new:
+                    made.append(path)
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
+
+
 def _constructor(kind: str, mode: str):
     """The named constructor, such as biclique_colour_path, that calls
     colouring.closed_form; the benchmark's tracer times it (ROADMAP item 1)."""
@@ -111,6 +134,7 @@ def cmd_gen(args) -> int:
         _check_graph(args.n,
                      powers.power_edge_count(args.kind, args.n, args.k))
         g = powers.power_graph(args.kind, args.n, args.k)
+    _open_outputs(args.dot, args.out)
     if args.dot is not None:  # first, as in cmd_chromatic
         with open(args.dot, "w") as fh:
             fh.write(write_dot(g))
@@ -126,6 +150,7 @@ def cmd_chromatic(args) -> int:
         _check_graph(args.n,
                      powers.power_edge_count(args.kind, args.n, args.k))
     result = _constructor(args.kind, args.mode)(args.n, args.k)
+    _open_outputs(args.emit_colouring, args.dot)
     # the files first, so one that cannot be written leaves stdout empty
     if args.emit_colouring is not None:
         colouring.write_colouring(result.colouring, args.emit_colouring,
@@ -172,36 +197,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bicliques(args) -> int:
-    if args.graph:
-        # The oracle's cap and the label are checked before the n adjacency
-        # rows are allocated, so a huge declared n is rejected at once.
-        n, edges, label = graph_fields(read_json(args.graph))
-    elif args.kind is None or args.n is None or args.k is None:
-        raise InputError("need --graph FILE, or --kind with --n and --k")
-
-    if args.graph and not args.closed_form:
+    # A file goes to the oracle, whose cap is checked before the n
+    # adjacency rows are allocated, so a huge declared n is rejected at
+    # once; --kind, --n and --k name a power graph, listed by power_family.
+    params = args.kind, args.n, args.k
+    if args.graph is not None:
+        if params != (None, None, None):
+            raise InputError("--graph takes no --kind, --n or --k")
         from . import oracle
-        g = _oracle_graph(n, edges, label)
-        source = "oracle"
+        g = _oracle_graph(*graph_fields(read_json(args.graph)))
+        label, source = g.label, "oracle"
         fam = oracle.maximal_bicliques(g) if args.mode == "biclique" \
             else oracle.maximal_stars(g)
+    elif None in params:
+        raise InputError("need --graph FILE, or --kind with --n and --k")
     else:
         from . import powers
-        if args.graph:
-            params = powers.power_params(label, n, edges)
-            if params is None:
-                raise InputError(
-                    "--closed-form needs a generated power graph "
-                    "(matching P_n^k / C_n^k label)")
-        else:
-            params = args.kind, args.n, args.k
-            label = powers.power_label(*params)
-        kind, n, k = params
-        check_cap(f"listing the family of {powers.power_label(kind, n, k)}",
-                  "sets*degree", family_work(kind, n, k), FAMILY_CAP)
-        _check_graph(n)
-        source = "closed-form"
-        fam = powers.power_family(kind, args.mode, n, k)
+        label, source = powers.power_label(*params), "closed-form"
+        check_cap(f"listing the family of {label}", "sets*degree",
+                  family_work(*params), FAMILY_CAP)
+        _check_graph(args.n)
+        fam = powers.power_family(args.kind, args.mode, args.n, args.k)
     if args.mode == "biclique":
         key, body = "bicliques", [
             {"vertices": list(b.vertices), "shape": b.shape,
@@ -223,6 +239,8 @@ def cmd_reduce(args) -> int:
         reduction.check_certify_caps(nf)
     inst = reduction.build_instance(nf)
     instance_path = f"{args.out_prefix}.instance.json"
+    report_path = f"{args.out_prefix}.report.json"
+    _open_outputs(instance_path, report_path if args.certify else None)
     reduction.write_instance(inst, instance_path)
     print(f"normalized: {f.num_vars} vars, {len(f.clauses)} clauses -> "
           f"{nf.num_vars} vars, {len(nf.clauses)} clauses")
@@ -231,7 +249,6 @@ def cmd_reduce(args) -> int:
     if not args.certify:
         return EXIT_OK
     report = reduction.certify_reduction(nf, inst)
-    report_path = f"{args.out_prefix}.report.json"
     write_json(report.to_dict(), report_path)
     print(f"satisfiable: {report.satisfiable}  "
           f"containment: {report.containment}  "
@@ -288,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
                "size cap.  Caps, checked before anything is built or "
                f"printed: n <= {CLOSED_FORM_CAP} for a closed form "
                f"(chromatic, sweep); n <= {ROWS_CAP} for a graph built "
-               "with its rows (gen, chromatic --dot, bicliques --kind or "
-               f"--closed-form) and edges <= {EDGES_CAP} for one written "
-               f"(gen, --dot); sets*degree <= {FAMILY_CAP} for a family "
-               "listed (bicliques --kind or --closed-form); rows <= "
+               "with its rows (gen, chromatic --dot, bicliques --kind) "
+               f"and edges <= {EDGES_CAP} for one written (gen, --dot); "
+               f"sets*degree <= {FAMILY_CAP} for a family listed "
+               "(bicliques --kind); rows <= "
                f"{SWEEP_ROWS_CAP} and sum(n) <= {CLOSED_FORM_CAP} for a "
                f"sweep; bytes <= {INPUT_CAP} for a file read (graph, "
                "colouring, DIMACS).  A colouring of P_n^k or C_n^k is "
@@ -332,15 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bicliques", help="list maximal bicliques or stars")
-    p.add_argument("--graph", help="graph JSON file")
+    p.add_argument("--graph", help="graph JSON file, listed by the oracle "
+                                   "(n <= 22); not with --kind, --n or --k")
     p.add_argument("--kind", choices=["path", "cycle"])
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--mode", choices=["biclique", "star"], default="biclique")
-    p.add_argument("--closed-form", action="store_true",
-                   help="with --graph: read the file as the P_n^k / C_n^k "
-                        "its label names, list under FAMILY_CAP and ROWS_CAP "
-                        "and add each cycle P3's reach")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_bicliques)
 

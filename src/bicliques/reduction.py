@@ -26,7 +26,7 @@ reduce run about 7 ms.  CnfFormula checks its literals when it is built.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, count, islice
 
 from .graphs import (
     Graph,
@@ -44,6 +44,7 @@ from .graphs import (
 )
 
 TRUTH_TABLE_CAP = 20  # exhaustive satisfiability check
+_UNUSED_LISTED = 20   # unused variables named by normalization_violations
 
 
 class CnfFormula(namedtuple("CnfFormula", "num_vars clauses")):
@@ -114,7 +115,10 @@ def _pair_index(clauses) -> dict:
 
 
 def normalization_violations(f: CnfFormula) -> list[str]:
-    """Human-readable list of normalization violations (empty if normalized)."""
+    """Human-readable list of normalization violations (empty if
+    normalized).  Of the variables that occur in no clause, the first
+    _UNUSED_LISTED are named and the rest counted, so a huge declared
+    num_vars costs no more than the variables the clauses use."""
     out = []
     used = set()
     for idx, clause in enumerate(f.clauses):
@@ -124,9 +128,13 @@ def normalization_violations(f: CnfFormula) -> list[str]:
         if any(-lit in lits for lit in lits):
             out.append(f"clause {idx} contains a variable and its negation")
         used.update(abs(lit) for lit in clause)
-    for v in range(1, f.num_vars + 1):
-        if v not in used:
-            out.append(f"variable {v} occurs in no clause")
+    unused = f.num_vars - len(used)  # every literal is within 1..num_vars
+    free = (v for v in count(1) if v not in used)  # past len(used) at most
+    out += [f"variable {v} occurs in no clause"
+            for v in islice(free, min(unused, _UNUSED_LISTED))]
+    if unused > _UNUSED_LISTED:
+        out.append(f"and {unused - _UNUSED_LISTED} more variables occur in "
+                   "no clause")
     conflicts = {pair for js in _pair_index(f.clauses).values()
                  for pair in combinations(js, 2)}
     for i, j in sorted(conflicts):

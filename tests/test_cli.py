@@ -291,17 +291,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     (["bicliques", "--graph", "{plain}"],
      ("bicliques.reduction", "bicliques.powers", "bicliques.colouring",
       "csv")),
+    (["bicliques", "--graph", "{graph}"],
+     ("bicliques.reduction", "bicliques.powers", "bicliques.colouring",
+      "csv")),
 ])
 def test_closed_form_subcommands_skip_the_oracle_and_reduction(
         tmp_path, argv, absent):
     """A command line run imports only what its subcommand uses: the
     closed-form subcommands and verify of a labelled power graph leave the
     oracle and the reduction unimported, reduce loads neither dataclasses,
-    inspect, colouring nor powers, bicliques --graph without --closed-form
-    neither colouring nor powers, and only sweep loads csv.  chromatic
-    without --emit-colouring and sweep write no JSON, so neither loads json.
-    Importing the package loads graphs at once, and neither colouring nor
-    powers."""
+    inspect, colouring nor powers, bicliques --graph of a labelled file or
+    not, which reads no label, neither colouring nor powers, and only
+    sweep loads csv.  chromatic without --emit-colouring and sweep write
+    no JSON, so neither loads json.  Importing the package loads graphs at
+    once, and neither colouring nor powers."""
     graph, col = tmp_path / "g.json", tmp_path / "c.json"
     assert main(["gen", "path", "--n", "9", "--k", "2",
                  "--out", str(graph)]) == EXIT_OK
@@ -450,8 +453,8 @@ def test_labelled_verify_at_n_200000_in_bounded_time_and_memory(tmp_path):
      "building a graph's rows is capped at n <= 20000, got n=100000000"),
     (["bicliques", "--kind", "path", "--n", "200000", "--k", "1"],
      "building a graph's rows is capped at n <= 20000, got n=200000"),
-    (["bicliques", "--graph", "g.json", "--closed-form"],
-     "building a graph's rows is capped at n <= 20000, got n=200000"),
+    (["bicliques", "--graph", "g.json"],
+     "subset scan is capped at n <= 22, got n=200000"),
     (["chromatic", "path", "--n", "200000", "--k", "1", "--dot", "x.dot"],
      "building a graph's rows is capped at n <= 20000, got n=200000"),
     (["bicliques", "--kind", "cycle", "--n", "200", "--k", "60"],
@@ -484,7 +487,7 @@ def test_huge_requests_exit_3_before_anything_is_built(tmp_path, argv,
 @pytest.mark.parametrize("argv, big", [
     (["verify", "big.json", "c.json"], "big.json"),
     (["verify", "g.json", "big.json"], "big.json"),
-    (["bicliques", "--graph", "big.json", "--closed-form"], "big.json"),
+    (["bicliques", "--graph", "big.json"], "big.json"),
     (["reduce", "big.cnf", "--out-prefix", "f"], "big.cnf"),
 ])
 def test_files_over_the_input_cap_exit_3_before_they_are_read(tmp_path,
@@ -644,44 +647,42 @@ def test_labelled_power_graph_rebuilt_only_on_matching_edge_count(
 
     def rebuilt(*args):
         raise AssertionError(f"power graph {args} rebuilt")
-    with monkeypatch.context() as m:
-        m.setattr(powers, "power_graph", rebuilt)
-        graph.write_text(json.dumps({"n": 10000000, "edges": [],
-                                     "label": "P_10000000^1"}))
-        start = time.perf_counter()
-        assert main(["bicliques", "--graph", str(graph),
-                     "--closed-form"]) == EXIT_INPUT
-        assert time.perf_counter() - start < 1
-        assert "--closed-form needs a generated power graph" in \
-            capsys.readouterr().err
-        # a colouring of matching length: the oracle's cap decides
-        graph.write_text(json.dumps({"n": 60000, "edges": [],
-                                     "label": "P_60000^1"}))
-        col.write_text(json.dumps({"n": 60000, "colours": [0] * 60000}))
-        start = time.perf_counter()
-        assert main(["verify", str(graph), str(col)]) == EXIT_CAPACITY
-        assert time.perf_counter() - start < 1
-        capsys.readouterr()
-
+    # P_30^2 is past the oracle's cap, so only the label's closed form can
+    # answer for its file, and it must do so without the graph rebuilt
+    edges = [list(e) for e in powers.power_path(30, 2).edges()]
+    assert main(["chromatic", "path", "--n", "30", "--k", "2",
+                 "--emit-colouring", str(col)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(powers, "power_graph", rebuilt)
     # edges listed twice still make the named graph; a moved edge does not
-    edges = [list(e) for e in powers.power_path(7, 2).edges()]
-    graph.write_text(json.dumps({"n": 7, "edges": edges + edges[:3],
-                                 "label": "P_7^2"}))
-    assert main(["bicliques", "--graph", str(graph), "--closed-form"]) == \
-        EXIT_OK
-    assert json.loads(capsys.readouterr().out)["source"] == "closed-form"
-    moved = edges[:-1] + [[0, 6]]
-    graph.write_text(json.dumps({"n": 7, "edges": moved, "label": "P_7^2"}))
-    assert main(["bicliques", "--graph", str(graph), "--closed-form"]) == \
-        EXIT_INPUT
+    graph.write_text(json.dumps({"n": 30, "edges": edges + edges[:3],
+                                 "label": "P_30^2"}))
+    assert main(["verify", str(graph), str(col)]) == EXIT_OK
+    assert capsys.readouterr().out == "valid\n"
+    moved = edges[:-1] + [[0, 29]]
+    graph.write_text(json.dumps({"n": 30, "edges": moved, "label": "P_30^2"}))
+    assert main(["verify", str(graph), str(col)]) == EXIT_CAPACITY
+    assert capsys.readouterr().err == \
+        "error: subset scan is capped at n <= 22, got n=30\n"
+    # a label that the edges do not match is refused at once, whatever n
+    graph.write_text(json.dumps({"n": 10000000, "edges": [],
+                                 "label": "P_10000000^1"}))
+    start = time.perf_counter()
+    assert main(["verify", str(graph), str(col)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        "error: colouring has 30 entries for n=10000000\n"
+    # a colouring of matching length: the oracle's cap decides
+    graph.write_text(json.dumps({"n": 60000, "edges": [],
+                                 "label": "P_60000^1"}))
+    col.write_text(json.dumps({"n": 60000, "colours": [0] * 60000}))
+    start = time.perf_counter()
+    assert main(["verify", str(graph), str(col)]) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 1
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", (
-    ["verify", "g.json", "c.json"],
-    ["bicliques", "--graph", "g.json", "--closed-form"]))
-def test_labelled_self_loop_is_bad_input(tmp_path, capsys, monkeypatch,
-                                         argv):
+def test_labelled_self_loop_is_bad_input(tmp_path, capsys, monkeypatch):
     """P_30^1 with [10, 11] replaced by [5, 5] has P_30^1's edge count and
     every pair within distance 1, so only the file's self-loop check keeps
     the label's closed form from answering for it."""
@@ -692,7 +693,7 @@ def test_labelled_self_loop_is_bad_input(tmp_path, capsys, monkeypatch,
     (tmp_path / "c.json").write_text(json.dumps(
         {"n": 30, "colours": [v % 2 for v in range(30)], "num_colours": 2}))
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == EXIT_INPUT
+    assert main(["verify", "g.json", "c.json"]) == EXIT_INPUT
     assert capsys.readouterr() == ("", "error: self-loop edge (5, 5)\n")
 
 
@@ -782,21 +783,20 @@ _VALID_COLOURING = b'{"n": 1, "colours": [0]}'
 
 
 @given(graph=_graph_bytes(), colouring=_colouring_bytes(),
-       mode=st.sampled_from(["biclique", "star"]),
-       closed_form=st.booleans())
+       mode=st.sampled_from(["biclique", "star"]))
 @example(graph=_VALID_GRAPH,  # num_colours is not expanded
          colouring=b'{"n": 1, "colours": [0], "num_colours": 10000000}',
-         mode="biclique", closed_form=False)
+         mode="biclique")
 @example(graph=b"\xff\xfe", colouring=_VALID_COLOURING,  # not UTF-8
-         mode="biclique", closed_form=False)
+         mode="biclique")
 @example(graph=_VALID_GRAPH, colouring=b"[" * 200000,  # parser recursion
-         mode="biclique", closed_form=False)
+         mode="biclique")
 @example(graph=b'{"n": ' + b"1" * 5000 + b', "edges": []}',  # int too long
-         colouring=_VALID_COLOURING, mode="star", closed_form=True)
+         colouring=_VALID_COLOURING, mode="star")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_file_contents_fuzz_ends_in_a_documented_exit_code(
-        tmp_path_factory, graph, colouring, mode, closed_form):
+        tmp_path_factory, graph, colouring, mode):
     """Whatever bytes the graph and colouring files hold, verify and
     bicliques --graph end in exit code 0-3 (main lets any other exception
     through as a traceback) within a second."""
@@ -805,8 +805,7 @@ def test_file_contents_fuzz_ends_in_a_documented_exit_code(
     gpath.write_bytes(graph)
     cpath.write_bytes(colouring)
     for argv in (["verify", str(gpath), str(cpath), "--mode", mode],
-                 ["bicliques", "--graph", str(gpath), "--mode", mode]
-                 + (["--closed-form"] if closed_form else [])):
+                 ["bicliques", "--graph", str(gpath), "--mode", mode]):
         start = time.perf_counter()
         assert main(argv) in (EXIT_OK, EXIT_INVALID, EXIT_INPUT,
                               EXIT_CAPACITY)
@@ -970,11 +969,16 @@ def test_bicliques_stars_and_output_file(tmp_path):
 
 def test_bicliques_argument_validation(tmp_path, capsys):
     assert main(["bicliques", "--kind", "cycle", "--n", "11"]) == EXIT_INPUT
-    plain = tmp_path / "plain.json"
-    write_graph(Graph.from_edges(3, [(0, 1)]), plain)
-    assert main(["bicliques", "--graph", str(plain),
-                 "--closed-form"]) == EXIT_INPUT
     capsys.readouterr()
+    # a file with any of --kind, --n or --k is refused, not listed alone
+    graph = tmp_path / "p5.json"
+    write_graph(powers.power_path(5, 1), graph)
+    for extra in (["--kind", "cycle", "--n", "9", "--k", "2"], ["--n", "5"],
+                  ["--kind", "path"], ["--k", "1"]):
+        assert main(["bicliques", "--graph", str(graph), *extra]) == \
+            EXIT_INPUT
+        assert capsys.readouterr() == \
+            ("", "error: --graph takes no --kind, --n or --k\n")
 
 
 def test_reduce_round_trip(tmp_path, capsys, monkeypatch):
@@ -1185,6 +1189,37 @@ def test_an_empty_output_path_is_bad_input(capsys, argv):
         ("", "error: [Errno 2] No such file or directory: ''\n")
 
 
+@pytest.mark.parametrize("argv, first", [
+    (["chromatic", "path", "--n", "7", "--k", "3",
+      "--emit-colouring", "x.json", "--dot", ""], "x.json"),
+    (["gen", "path", "--n", "5", "--k", "1", "--dot", "d.dot",
+      "--out", "missing/g.json"], "d.dot"),
+    (["reduce", "r.cnf", "--out-prefix", "r", "--certify"],
+     "r.instance.json"),  # r.report.json is a directory
+], ids=["chromatic", "gen", "reduce"])
+def test_an_output_that_cannot_be_opened_leaves_no_file(
+        tmp_path, capsys, monkeypatch, argv, first):
+    """gen, chromatic and reduce open every output file before writing any,
+    so when a later one cannot be opened the run exits 2 with nothing
+    printed, removes the files it made, and leaves a file that was already
+    at the first path as it was."""
+    monkeypatch.chdir(tmp_path)
+    write_dimacs(CnfFormula.of(3, [(1, -2), (2, 3), (-1, -3)]), "r.cnf")
+    (tmp_path / "r.report.json").mkdir()
+
+    def names():
+        return sorted(p.name for p in tmp_path.iterdir())
+    before = names()
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().out == ""
+    assert names() == before
+    (tmp_path / first).write_bytes(b"kept")
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().out == ""
+    assert names() == sorted(before + [first])
+    assert (tmp_path / first).read_bytes() == b"kept"
+
+
 @pytest.mark.parametrize("argv", [
     ["chromatic", "cycle", "--n", "2000000", "--k", "0"],
     ["chromatic", "path", "--n", "200000", "--k", "0", "--dot", "x.dot"],
@@ -1209,8 +1244,7 @@ def test_bad_parameters_come_before_caps(tmp_path, monkeypatch, capsys,
 def test_power_label_past_the_int_digit_limit_names_no_power_graph(
         tmp_path, capsys):
     """A label whose n or k has more digits than int() reads names no power
-    graph: verify asks the oracle, and bicliques --closed-form refuses the
-    file as it refuses any label that names none."""
+    graph, so verify asks the oracle."""
     graph, col = tmp_path / "g.json", tmp_path / "c.json"
     col.write_text(json.dumps({"n": 3, "colours": [0, 1, 0]}))
     for label in ("P_3^" + "9" * 5000, "P_" + "0" * 5000 + "3^1"):
@@ -1218,10 +1252,6 @@ def test_power_label_past_the_int_digit_limit_names_no_power_graph(
                                      "label": label}))
         assert main(["verify", str(graph), str(col)]) == EXIT_OK
         assert capsys.readouterr().out == "valid\n"
-        assert main(["bicliques", "--graph", str(graph),
-                     "--closed-form"]) == EXIT_INPUT
-        assert "--closed-form needs a generated power graph" in \
-            capsys.readouterr().err
 
 
 def test_chromatic_bad_params(capsys):

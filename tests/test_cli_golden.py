@@ -103,9 +103,8 @@ def _power_cases(rec: _Recorder, kind: str, k: int, n: int) -> None:
             for col in colourings:
                 rec.run(group.format("verify"),
                         ["verify", g, col, "--mode", mode])
-        for extra in ([], ["--closed-form"]):
-            rec.run(group.format("bicliques-graph"),
-                    ["bicliques", "--graph", graph, "--mode", mode, *extra])
+        rec.run(group.format("bicliques-graph"),
+                ["bicliques", "--graph", graph, "--mode", mode])
 
 
 def _formula_text(rng: random.Random) -> str:
@@ -164,7 +163,8 @@ def _error_cases(rec: _Recorder) -> None:
             ["verify", graph, bad],
             ["verify", big, big_col],
             ["bicliques", "--kind", "cycle", "--n", 11],
-            ["bicliques", "--graph", graph, "--closed-form"],
+            ["bicliques", "--graph", graph, "--kind", "path", "--n", 6,
+             "--k", 2],
             ["bicliques", "--graph", big],
             ["bicliques", "--kind", "cycle", "--n", 30000, "--k", 1],
             ["sweep", "--kind", "cycle", "--k-from", 3, "--k-to", 2,
