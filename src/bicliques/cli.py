@@ -15,11 +15,20 @@ reduction and csv are imported by the subcommands that use them, so reduce
 and bicliques --graph compile neither powers nor colouring, and chromatic,
 gen, bicliques --kind and verify of a generated power graph load neither
 the oracle nor the reduction.
+
+A run of `python -m bicliques.cli` or of the installed `bicliques` command
+ends in run(): when main returns, the atexit handlers run, stdout and
+stderr are flushed, and os._exit ends the process with no teardown of the
+modules that site and the package loaded, which took 8-11 ms of a 55-75 ms
+run on a shared 2-core host, against about 1 ms this way.  A flush that
+fails (a closed pipe) and dev mode take the normal sys.exit.  main called
+in-process is unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 
@@ -388,5 +397,28 @@ def main(argv=None) -> int:
         return EXIT_CAPACITY if isinstance(e, CapacityError) else EXIT_INPUT
 
 
+def run() -> None:
+    """The process entry of `python -m bicliques.cli` and of the installed
+    `bicliques` command: main's exit code, after the atexit handlers have
+    run and stdout and stderr are flushed, ends the process by os._exit,
+    with no teardown of the loaded modules.  A flush that raises OSError (a
+    closed pipe) and dev mode end by sys.exit instead, so Python still
+    reports the failed flush with status 120, and dev mode still reports
+    what was left open.  An exception, argparse's SystemExit among them,
+    propagates from main as before."""
+    code = main()
+    if not sys.flags.dev_mode:
+        atexit._run_exitfuncs()  # clears them: sys.exit does not rerun them
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # None when the fd was closed
+                    stream.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -616,7 +616,8 @@ def contains_induced_c4(g: Graph):
 
 def _edge_pairs(adj):
     """Yield each edge once as a list [i, j], i < j, in lexicographic order
-    (graph_to_dict writes them as they come): the one walk over edges."""
+    (graph_to_dict and write_graph take them as they come): the one walk
+    over edges."""
     for i, row in enumerate(adj):
         row >>= i + 1  # the neighbours above i, shifted down by i + 1
         while row:
@@ -727,8 +728,24 @@ def write_json(value, path: str | None = None) -> None:
 
 
 def write_graph(g: Graph, path: str | None) -> None:
-    """g as graph_to_dict's JSON, to the file at path or stdout."""
-    write_json(graph_to_dict(g), path)
+    """g as graph_to_dict's JSON in write_json's indent-1 layout, to the
+    file at path or stdout, each edge written as _edge_pairs yields it, so
+    no edge list is held; no edges give "edges": [], as json.dump does."""
+    out = sys.stdout if path is None else open(path, "w")
+    try:
+        out.write(f'{{\n "n": {g.n},\n "edges": [')
+        sep = "\n"
+        for i, j in _edge_pairs(g.adj):
+            out.write(f"{sep}  [\n   {i},\n   {j}\n  ]")
+            sep = ",\n"
+        out.write("]" if sep == "\n" else "\n ]")
+        if g.label is not None:
+            import json
+            out.write(f',\n "label": {json.dumps(g.label)}')
+        out.write("\n}\n")
+    finally:
+        if path is not None:
+            out.close()
 
 
 # colour ids 0.. map onto this fixed palette (mod 8) in DOT output

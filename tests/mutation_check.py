@@ -241,6 +241,24 @@ MUTANTS = {
         'if n < 2 * k + 2:\n        raise InputError(f"block certificate',
         'if n < 2 * k + 1:\n        raise InputError(f"block certificate',
         ["tests/test_colouring.py::test_ab_certificate_frozen"]),
+    # how a command line run ends (cli.run): each step before os._exit
+    "exit-stdout-flush": (
+        "cli.py",
+        "for stream in (sys.stdout, sys.stderr):",
+        "for stream in (sys.stderr,):",
+        ["tests/test_cli.py::test_a_command_line_run_ends_as_main_returns",
+         "tests/test_cli.py::"
+         "test_a_long_output_arrives_whole_through_a_pipe"]),
+    "exit-atexit": (
+        "cli.py",
+        "atexit._run_exitfuncs()",
+        "pass",
+        ["tests/test_cli.py::test_atexit_handlers_run_before_the_fast_exit"]),
+    "exit-dev-mode": (
+        "cli.py",
+        "if not sys.flags.dev_mode:",
+        "if True:",
+        ["tests/test_cli.py::test_dev_mode_still_reports_a_file_left_open"]),
 }
 
 

@@ -566,6 +566,29 @@ def test_closed_forms_at_the_cap_in_bounded_time_and_memory(tmp_path, argv,
     assert wall < 10 and rss < 250, (wall, rss)
 
 
+@pytest.mark.parametrize("argv, size, max_rss", [
+    (["gen", "cycle", "--n", "20000", "--k", "50", "--out", "out"],
+     26889055, 120),
+    (["chromatic", "cycle", "--n", "20000", "--k", "50", "--dot", "out"],
+     17497950, 250),
+], ids=["gen", "dot"])
+def test_edges_at_the_cap_in_bounded_time_and_memory(tmp_path, argv, size,
+                                                     max_rss):
+    """EDGES_CAP is priced at the cap: C_20000^50 has exactly EDGES_CAP
+    edges.  gen streams them to a file under INPUT_CAP, so verify can read
+    it back, holding no edge list (seen 0.4-1.2 s and 66 MB, against 3-4 s
+    and 181 MB with the list); chromatic --dot builds its text whole (seen
+    0.7-0.9 s and 178 MB).  Each runs in a child limited to 1 GiB of
+    address space."""
+    assert powers.power_edge_count("cycle", 20000, 50) == cli.EDGES_CAP
+    code, out, err, wall, rss = _run_limited(argv, tmp_path)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == ("" if argv[0] == "gen" else "2\ncertificate: a=400;b=0\n")
+    assert (tmp_path / "out").stat().st_size == size
+    assert size < INPUT_CAP
+    assert wall < 10 and rss < max_rss, (wall, rss)
+
+
 @pytest.mark.parametrize("argv", [
     ["chromatic", "path", "--n", "60", "--k", "30"],
     ["chromatic", "cycle", "--n", "200", "--k", "60"],
@@ -1257,3 +1280,137 @@ def test_power_label_past_the_int_digit_limit_names_no_power_graph(
 def test_chromatic_bad_params(capsys):
     assert main(["chromatic", "path", "--n", "0", "--k", "2"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# how a command line run ends: cli.run, the entry of `python -m bicliques.cli`
+
+def _exit_env():
+    """A child's environment for the exit-path tests: the package on the
+    path, no PYTHONUNBUFFERED, so stdout is block-buffered as on a pipe or
+    a file, no PYTHONDEVMODE, so the child takes run's os._exit unless it
+    asks for dev mode itself, and an 80-column terminal for argparse."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUNBUFFERED", "PYTHONDEVMODE")}
+    return dict(env, PYTHONPATH=str(SRC), COLUMNS="80")
+
+
+def _cli_child(argv, cwd, stdout=subprocess.PIPE,
+               **kwargs) -> subprocess.CompletedProcess:
+    """`python -m bicliques.cli` on argv, its stderr and, by default, its
+    stdout read as bytes, so a CSV's CRLF line ends are kept."""
+    return subprocess.run([sys.executable, "-m", "bicliques.cli", *argv],
+                          cwd=cwd, env=_exit_env(), stdout=stdout,
+                          stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "path", "--n", "6", "--k", "2"],
+    ["chromatic", "cycle", "--n", "14", "--k", "3", "--certify"],
+    ["chromatic", "path", "--n", "5", "--k", "0"],
+    ["chromatic", "path", "--n", "5"],
+    ["verify", "g.json", "c.json"],
+    ["verify", "g.json", "bad.json"],
+    ["bicliques", "--kind", "cycle", "--n", "9", "--k", "2", "--mode", "star"],
+    ["bicliques", "--graph", "missing.json"],
+    ["reduce", "f.cnf", "--out-prefix", "f", "--certify"],
+    ["sweep", "--kind", "cycle", "--k-from", "3", "--k-to", "4",
+     "--n-from", "8", "--n-to", "20"],
+    ["gen", "cycle", "--n", "20000", "--k", "10000"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_a_command_line_run_ends_as_main_returns(tmp_path, monkeypatch,
+                                                 capsys, argv):
+    """Every subcommand and every exit code, argparse's own exit 2 among
+    them, gives the same code, stdout and stderr from `python -m
+    bicliques.cli`, which ends by os._exit, as from main in-process; the
+    child's stdout is block-buffered, so a lost flush shows as lost
+    output."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["gen", "cycle", "--n", "14", "--k", "3",
+                 "--out", "g.json"]) == EXIT_OK
+    assert main(["chromatic", "cycle", "--n", "14", "--k", "3",
+                 "--emit-colouring", "c.json"]) == EXIT_OK
+    (tmp_path / "bad.json").write_text('{"colours": [0, 0, 0, 0, 0, 0, 0, '
+                                       '0, 0, 0, 0, 0, 0, 0]}')
+    write_dimacs(CnfFormula.of(3, [(1, -2), (2, 3), (-1, -3)]), "f.cnf")
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    expected = (code, *capsys.readouterr())
+    child = _cli_child(argv, tmp_path)
+    assert (child.returncode, child.stdout.decode(),
+            child.stderr.decode()) == expected
+
+
+def test_a_long_output_arrives_whole_through_a_pipe(tmp_path, capsys):
+    """A 1 399-row sweep, 33 917 bytes, many times the stdout buffer, is
+    read whole through a pipe, byte for byte as main prints it."""
+    argv = ["sweep", "--kind", "path", "--k-from", "1", "--k-to", "1",
+            "--n-from", "2", "--n-to", "1400"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    child = _cli_child(argv, tmp_path)
+    assert (child.returncode, child.stderr) == (EXIT_OK, b"")
+    assert child.stdout.decode() == out
+    assert len(child.stdout) == 33917
+    assert len(child.stdout.splitlines()) == 1400
+
+
+# Launches the command line as `python -m` does, with an atexit handler of
+# its own that prints after the run's output, and a file it never closes.
+_LAUNCHER = """\
+import atexit, runpy, sys
+leaked = open(__file__)
+atexit.register(print, "handler ran")
+sys.argv = ["bicliques", "chromatic", "path", "--n", "5", "--k", "1"]
+runpy.run_module("bicliques.cli", run_name="__main__")
+"""
+
+
+def _launch(tmp_path, *options) -> subprocess.CompletedProcess:
+    script = tmp_path / "launch.py"
+    script.write_text(_LAUNCHER)
+    return subprocess.run([sys.executable, *options, str(script)],
+                          cwd=tmp_path, env=_exit_env(), capture_output=True,
+                          text=True)
+
+
+def test_atexit_handlers_run_before_the_fast_exit(tmp_path):
+    """A handler that the launching script registered still runs, and what
+    it prints follows the run's own output."""
+    child = _launch(tmp_path)
+    assert (child.returncode, child.stdout, child.stderr) == \
+        (EXIT_OK, "2\nhandler ran\n", "")
+
+
+def test_dev_mode_still_reports_a_file_left_open(tmp_path):
+    """Dev mode ends by sys.exit, with the interpreter's teardown, so a
+    file left open by the launching script is still reported; os._exit
+    would drop it silently."""
+    child = _launch(tmp_path, "-X", "dev", "-W", "error::ResourceWarning")
+    assert (child.returncode, child.stdout) == (EXIT_OK, "2\nhandler ran\n")
+    assert "ResourceWarning: unclosed file" in child.stderr, child.stderr
+
+
+def test_a_closed_stdout_ends_as_python_reports_it(tmp_path):
+    """A pipe whose reader has gone fails the final flush: the run then
+    ends by sys.exit, so Python reports the BrokenPipeError and exits 120,
+    as it did before os._exit.  A stdout whose descriptor was closed
+    before the start is None, and the run exits 0 in silence."""
+    argv = ["chromatic", "path", "--n", "5", "--k", "1", "--certify"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = _cli_child(argv, tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 120
+    assert child.stderr.startswith(
+        b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' ")
+    assert child.stderr.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+    child = _cli_child(argv, tmp_path, stdout=subprocess.DEVNULL,
+                       preexec_fn=lambda: os.close(1))
+    assert (child.returncode, child.stderr) == (EXIT_OK, b"")

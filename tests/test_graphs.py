@@ -38,7 +38,7 @@ from bicliques.graphs import (
     write_dot,
     write_graph,
 )
-from bicliques.powers import power_cycle, power_path
+from bicliques.powers import circulant, power_cycle, power_path
 
 
 def test_bits_and_mask_round_trip():
@@ -568,6 +568,25 @@ def test_graph_file_round_trip(tmp_path):
         path = tmp_path / f"g{i}.json"
         write_graph(g, path)
         assert read_graph(path) == g
+
+
+@pytest.mark.parametrize("g", [
+    power_path(1, 1), power_path(2, 1), power_path(9, 3), power_cycle(1, 1),
+    power_cycle(12, 2), power_cycle(7, 3), circulant(13, [1, 5]),
+    circulant(2, [1]), Graph(0, ()), Graph.from_edges(3, []),
+    Graph.from_edges(4, [(0, 1), (2, 3)]),
+    Graph.from_edges(3, [(0, 2)], 'quote " slash \\ é \n'),
+], ids=lambda g: f"{(g.label or 'unlabelled').split()[0]}-n{g.n}")
+def test_write_graph_writes_json_dumps_layout(tmp_path, capsys, g):
+    """write_graph streams its edges in exactly the bytes that json.dump
+    of graph_to_dict writes at indent 1, to a file and to stdout: "[]"
+    for no edges, and the label escaped as JSON."""
+    expected = json.dumps(graph_to_dict(g), indent=1) + "\n"
+    path = tmp_path / "g.json"
+    write_graph(g, path)
+    assert path.read_bytes() == expected.encode()
+    write_graph(g, None)
+    assert capsys.readouterr().out == expected
 
 
 def test_read_graph_error_reporting(tmp_path):
