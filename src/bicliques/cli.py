@@ -7,8 +7,8 @@ on the bytes of a file read, or the caps below on what one command builds,
 checked by graphs.check_cap before anything is allocated or printed, and
 after powers.check_params refuses a bad n or k.  verify reads a file's
 P_n^k / C_n^k label by powers.power_params; bicliques --graph reads none.
-gen, chromatic and reduce open every output file before writing any, so a
-run that exits 2 leaves no partial result.
+gen, chromatic, reduce, bicliques and sweep open every output file before
+writing any, so a run that exits 2 leaves no partial result.
 
 Only graphs is imported at once.  powers, colouring, the oracle, the
 reduction and csv are imported by the subcommands that use them, so reduce
@@ -39,7 +39,9 @@ from .graphs import (
     InputError,
     check_cap,
     colour_tuple,
+    decimal,
     graph_fields,
+    output,
     read_json,
     write_dot,
     write_graph,
@@ -126,11 +128,15 @@ def _certificate_text(result) -> str:  # of a colouring.ChromaticResult
 
 def cmd_gen(args) -> int:
     from . import powers
+    needs, takes_no = ("distances", "k") if args.kind == "circulant" \
+        else ("k", "distances")
+    if getattr(args, needs) is None:
+        raise InputError(f"{args.kind} needs --{needs}")
+    if getattr(args, takes_no) is not None:
+        raise InputError(f"{args.kind} takes no --{takes_no}")
     if args.kind == "circulant":
-        if args.distances is None:
-            raise InputError("circulant needs --distances")
         try:
-            distances = [int(tok) for tok in args.distances.split(",") if tok]
+            distances = [decimal(t) for t in args.distances.split(",") if t]
         except ValueError:
             raise InputError("--distances must be comma-separated integers, "
                              f"got {args.distances!r}") from None
@@ -138,15 +144,12 @@ def cmd_gen(args) -> int:
         _check_graph(args.n, args.n * len(ds))  # at most n edges a distance
         g = powers.circulant(args.n, ds)
     else:
-        if args.k is None:
-            raise InputError(f"{args.kind} needs --k")
         _check_graph(args.n,
                      powers.power_edge_count(args.kind, args.n, args.k))
         g = powers.power_graph(args.kind, args.n, args.k)
     _open_outputs(args.dot, args.out)
     if args.dot is not None:  # first, as in cmd_chromatic
-        with open(args.dot, "w") as fh:
-            fh.write(write_dot(g))
+        write_dot(g, args.dot)
     write_graph(g, args.out)
     return EXIT_OK
 
@@ -166,9 +169,8 @@ def cmd_chromatic(args) -> int:
                                   ab=result.ab,
                                   universal_witness=result.universal_witness)
     if args.dot is not None:
-        g = powers.power_graph(args.kind, args.n, args.k)
-        with open(args.dot, "w") as fh:
-            fh.write(write_dot(g, result.colouring.colours))
+        write_dot(powers.power_graph(args.kind, args.n, args.k), args.dot,
+                  result.colouring.colours)
     print(result.value)
     cert = _certificate_text(result)
     if cert:
@@ -216,6 +218,7 @@ def cmd_bicliques(args) -> int:
         from . import oracle
         g = _oracle_graph(*graph_fields(read_json(args.graph)))
         label, source = g.label, "oracle"
+        _open_outputs(args.out)  # after the checks, before the listing
         fam = oracle.maximal_bicliques(g) if args.mode == "biclique" \
             else oracle.maximal_stars(g)
     elif None in params:
@@ -226,6 +229,7 @@ def cmd_bicliques(args) -> int:
         check_cap(f"listing the family of {label}", "sets*degree",
                   family_work(*params), FAMILY_CAP)
         _check_graph(args.n)
+        _open_outputs(args.out)
         fam = powers.power_family(args.kind, args.mode, args.n, args.k)
     if args.mode == "biclique":
         key, body = "bicliques", [
@@ -271,32 +275,26 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.k_from > args.k_to or args.n_from > args.n_to:
-        raise InputError(
-            f"empty sweep range: k {args.k_from}..{args.k_to}, "
-            f"n {args.n_from}..{args.n_to}")
-    from . import powers
-    powers.check_params(args.n_from, args.k_from)  # the grid's least n and k
-    check_cap("a sweep", "rows", (args.k_to - args.k_from + 1)
-              * (args.n_to - args.n_from + 1), SWEEP_ROWS_CAP)
     ks = range(args.k_from, args.k_to + 1)
     ns = range(args.n_from, args.n_to + 1)
+    if not (ks and ns):
+        raise InputError(f"empty sweep range: k {args.k_from}..{args.k_to}, "
+                         f"n {args.n_from}..{args.n_to}")
+    from . import powers
+    powers.check_params(args.n_from, args.k_from)  # the grid's least n and k
+    check_cap("a sweep", "rows", len(ks) * len(ns), SWEEP_ROWS_CAP)
     # each n >= 1, so this also caps every row's n at CLOSED_FORM_CAP
     check_cap("a sweep", "sum(n)", len(ks) * sum(ns), CLOSED_FORM_CAP)
     import csv
     construct = _constructor(args.kind, args.mode)
-    rows = [("n", "k", "kind", "mode", "value", "certificate")]
-    for k in ks:
-        for n in ns:
-            result = construct(n, k)
-            rows.append((n, k, args.kind, args.mode, result.value,
-                         _certificate_text(result)))
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    try:
-        csv.writer(out).writerows(rows)
-    finally:
-        if args.out is not None:
-            out.close()
+    with output(args.out) as out:  # each row written as it is computed
+        rows = csv.writer(out)
+        rows.writerow(("n", "k", "kind", "mode", "value", "certificate"))
+        for k in ks:
+            for n in ns:
+                result = construct(n, k)
+                rows.writerow((n, k, args.kind, args.mode, result.value,
+                               _certificate_text(result)))
     return EXIT_OK
 
 

@@ -4,14 +4,14 @@ Vertices are dense indices 0..n-1.  Adjacency is one Python int per vertex,
 bit u of adj[v] set iff {u, v} is an edge, so subset predicates run
 word-parallel on arbitrary-width ints.  Each job is done one way:
 vertices_of lists a mask's vertices (from byte tables below 2^24, which
-holds every mask the oracle scans; the hot kernels walk theirs inline,
-which measured faster), _edge_pairs walks the edges, induced_p3s the
-induced P3s, cb_sides a complete bipartite set's sides (a star's has one
-vertex), maximal_family lists a maximal family, and check_cap,
-check_choices and colour_tuple check a cap, a kind or mode and a
-colouring's length.  The records (Graph, Colouring, Biclique), each one
-collections.namedtuple class, and all that the oracle runs live here, so
-the oracle imports this module alone.
+holds every mask the oracle scans; the hot kernels walk theirs inline, which
+measured faster), _edge_pairs walks the edges, induced_p3s the induced P3s,
+cb_sides a complete bipartite set's sides (a star's has one vertex),
+maximal_family lists a maximal family, check_cap, check_choices and
+colour_tuple check a cap, a kind or mode and a colouring's length, decimal
+reads a number given as text, and output opens what is written.  The records
+(Graph, Colouring, Biclique), each one collections.namedtuple class, and all
+that the oracle runs live here, so the oracle imports this module alone.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
+from contextlib import nullcontext
 from itertools import islice
 from operator import itemgetter
 
@@ -52,6 +53,14 @@ def is_int(x) -> bool:
     """True for an int that is not a bool.  JSON true/false load as bool,
     a subclass of int, so a plain isinstance check would let them pass."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def decimal(text: str) -> int:
+    """int(text) for -?[0-9]+ alone, else ValueError: int() also takes
+    other Unicode digits, "_" between digits, a "+" and spaces."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(f"not a decimal integer: {text!r}")
 
 
 def _byte_table(base: int) -> tuple:
@@ -171,7 +180,7 @@ class Graph(namedtuple("Graph", "n adj label", defaults=(None,))):
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list, each pair once with i < j, lexicographically sorted."""
-        return [(i, j) for i, j in _edge_pairs(self.adj)]
+        return list(_edge_pairs(self.adj))
 
     @property
     def edge_count(self) -> int:
@@ -615,24 +624,14 @@ def contains_induced_c4(g: Graph):
 # serialization
 
 def _edge_pairs(adj):
-    """Yield each edge once as a list [i, j], i < j, in lexicographic order
-    (graph_to_dict and write_graph take them as they come): the one walk
-    over edges."""
+    """Each edge once as a pair (i, j), i < j, in lexicographic order: the
+    one walk over edges, which the writers write as it yields them."""
     for i, row in enumerate(adj):
         row >>= i + 1  # the neighbours above i, shifted down by i + 1
         while row:
             low = row & -row
-            yield [i, i + low.bit_length()]
+            yield i, i + low.bit_length()
             row ^= low
-
-
-def graph_to_dict(g: Graph) -> dict:
-    """{"n", "edges", "label"} of g, each edge [i, j] once with i < j in
-    lexicographic order (as g.edges())."""
-    d: dict = {"n": g.n, "edges": list(_edge_pairs(g.adj))}
-    if g.label is not None:
-        d["label"] = g.label
-    return d
 
 
 def graph_fields(d: dict) -> tuple[int, list[list[int]], str | None]:
@@ -714,38 +713,43 @@ def read_graph(path: str) -> Graph:
     return Graph.from_edges(*graph_fields(read_json(path)))
 
 
+def output(path: str | None):
+    """The one opener of everything written, a context manager: sys.stdout
+    for None, else the file at path, opened "w", newline="", closed on exit."""
+    return nullcontext(sys.stdout) if path is None \
+        else open(path, "w", newline="")
+
+
 def write_json(value, path: str | None = None) -> None:
-    """value as indent-1 JSON and a newline, to the file at path or stdout,
-    streamed by json.dump rather than held whole as one string."""
+    """value as indent-1 JSON and a newline, to output(path), streamed by
+    json.dump rather than held whole as one string."""
     import json
-    if path is None:
-        json.dump(value, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-        return
-    with open(path, "w") as fh:
-        json.dump(value, fh, indent=1)
-        fh.write("\n")
+    with output(path) as out:
+        json.dump(value, out, indent=1)
+        out.write("\n")
 
 
-def write_graph(g: Graph, path: str | None) -> None:
-    """g as graph_to_dict's JSON in write_json's indent-1 layout, to the
-    file at path or stdout, each edge written as _edge_pairs yields it, so
-    no edge list is held; no edges give "edges": [], as json.dump does."""
-    out = sys.stdout if path is None else open(path, "w")
-    try:
+def _write_layout(g: Graph, path: str | None, **fields) -> None:
+    """{"n", "edges", "label", **fields} of g in json.dump's indent-1 bytes,
+    to output(path), each edge written as _edge_pairs yields it, so no edge
+    list is held; the label (when g has one) and fields by one json.dumps."""
+    import json
+    if g.label is not None:
+        fields = {"label": g.label, **fields}
+    with output(path) as out:
         out.write(f'{{\n "n": {g.n},\n "edges": [')
         sep = "\n"
         for i, j in _edge_pairs(g.adj):
             out.write(f"{sep}  [\n   {i},\n   {j}\n  ]")
             sep = ",\n"
         out.write("]" if sep == "\n" else "\n ]")
-        if g.label is not None:
-            import json
-            out.write(f',\n "label": {json.dumps(g.label)}')
-        out.write("\n}\n")
-    finally:
-        if path is not None:
-            out.close()
+        tail = json.dumps(fields, indent=1)  # "{" and the rest of the object
+        out.write(f",{tail[1:]}\n" if fields else "\n}\n")
+
+
+def write_graph(g: Graph, path: str | None) -> None:
+    """g as JSON {"n", "edges", "label"} to output(path) (_write_layout)."""
+    _write_layout(g, path)
 
 
 # colour ids 0.. map onto this fixed palette (mod 8) in DOT output
@@ -761,18 +765,19 @@ DOT_PALETTE = (
 )
 
 
-def write_dot(g: Graph, colours=None) -> str:
-    """Graphviz source for g; vertices filled by colour id when given."""
+def write_dot(g: Graph, path: str | None, colours=None) -> None:
+    """Graphviz source for g to output(path), one line at a time, each edge
+    as _edge_pairs yields it; vertices filled by colour id when given."""
     import json
     if colours is not None:
         colours = colour_tuple(colours, g.n)
-    name = json.dumps(g.label or "g")
-    lines = [f"graph {name} {{"]
-    lines.append("  node [shape=circle, style=filled];")
-    for v in range(g.n):
-        fill = "white" if colours is None \
-            else DOT_PALETTE[colours[v] % len(DOT_PALETTE)]
-        lines.append(f'  {v} [fillcolor="{fill}"];')
-    lines.extend(f"  {i} -- {j};" for i, j in _edge_pairs(g.adj))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    with output(path) as out:
+        out.write(f"graph {json.dumps(g.label or 'g')} {{\n"
+                  "  node [shape=circle, style=filled];\n")
+        for v in range(g.n):
+            fill = "white" if colours is None \
+                else DOT_PALETTE[colours[v] % len(DOT_PALETTE)]
+            out.write(f'  {v} [fillcolor="{fill}"];\n')
+        for i, j in _edge_pairs(g.adj):
+            out.write(f"  {i} -- {j};\n")
+        out.write("}\n")

@@ -99,7 +99,7 @@ def power_params(label, n: int, edges):
     distinct pairs each within (cyclic) distance k, so no graph is built;
     else None, also for a number past int()'s digit limit.  An n or k that
     no power graph has is an InputError."""
-    m = re.match(r"^([PC])_(\d+)\^(\d+)$", label or "")
+    m = re.match(r"^([PC])_([0-9]+)\^([0-9]+)$", label or "")
     try:
         if not m or int(m.group(2)) != n:
             return None

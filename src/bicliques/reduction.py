@@ -35,12 +35,13 @@ from .graphs import (
     check_cap,
     contains_induced_c4,
     contains_k4,
-    graph_to_dict,
+    decimal,
     mask_of,
+    output,
     read_text,
     smallest_maximal_inside,
     vertex_set,
-    write_json,
+    _write_layout,
 )
 
 TRUTH_TABLE_CAP = 20  # exhaustive satisfiability check
@@ -272,15 +273,10 @@ def build_instance(f: CnfFormula) -> ReductionInstance:
     return ReductionInstance(graph, tuple(range(2 * nv + 1)), tuple(roles))
 
 
-def instance_to_dict(inst: ReductionInstance) -> dict:
-    d = graph_to_dict(inst.graph)
-    d["v_prime"] = list(inst.v_prime)
-    d["roles"] = {str(v): role for v, role in enumerate(inst.roles)}
-    return d
-
-
 def write_instance(inst: ReductionInstance, path: str) -> None:
-    write_json(instance_to_dict(inst), path)
+    """write_graph's JSON of inst.graph, then "v_prime" and "roles"."""
+    _write_layout(inst.graph, path, v_prime=list(inst.v_prime),
+                  roles={str(v): role for v, role in enumerate(inst.roles)})
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +384,11 @@ def read_dimacs(path: str) -> CnfFormula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
-            parts = line.split()
-            if (len(parts) != 4 or parts[1] != "cnf" or num_vars is not None):
-                raise InputError(f"{path}: line {lineno}: bad header {line!r}")
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
+            try:  # ValueError unless it is the one "p cnf V C" line
+                _, fmt, nv, nc = line.split()
+                if fmt != "cnf" or num_vars is not None:
+                    raise ValueError(f"a second header or not cnf: {fmt}")
+                num_vars, num_clauses = decimal(nv), decimal(nc)
             except ValueError as e:
                 raise InputError(
                     f"{path}: line {lineno}: bad header {line!r}") from e
@@ -402,7 +398,7 @@ def read_dimacs(path: str) -> CnfFormula:
                 f"{path}: line {lineno}: clause before 'p cnf' header")
         for tok in line.split():
             try:
-                lit = int(tok)
+                lit = decimal(tok)
             except ValueError as e:
                 raise InputError(
                     f"{path}: line {lineno}: bad literal {tok!r}") from e
@@ -426,7 +422,7 @@ def read_dimacs(path: str) -> CnfFormula:
 
 
 def write_dimacs(f: CnfFormula, path: str) -> None:
-    with open(path, "w") as fh:
+    with output(path) as fh:
         fh.write(f"p cnf {f.num_vars} {len(f.clauses)}\n")
         for clause in f.clauses:
             fh.write(" ".join(str(lit) for lit in clause) + " 0\n")

@@ -241,6 +241,33 @@ MUTANTS = {
         'if n < 2 * k + 2:\n        raise InputError(f"block certificate',
         'if n < 2 * k + 1:\n        raise InputError(f"block certificate',
         ["tests/test_colouring.py::test_ab_certificate_frozen"]),
+    # the one output route: the graph file's layout, DOT's edge lines and
+    # the opener's stdout
+    "layout-separator": (
+        "graphs.py",
+        'sep = ",\\n"',
+        'sep = ", \\n"',
+        ["tests/test_graphs.py::test_write_graph_writes_json_dumps_layout"]),
+    "layout-close": (
+        "graphs.py",
+        'else "\\n ]")',
+        'else "\\n]")',
+        ["tests/test_graphs.py::test_write_graph_writes_json_dumps_layout"]),
+    "layout-fields": (
+        "graphs.py",
+        'f",{tail[1:]}\\n"',
+        'f",{tail[2:]}\\n"',
+        ["tests/test_reduction.py::test_instance_serialization"]),
+    "dot-edge": (
+        "graphs.py",
+        'out.write(f"  {i} -- {j};\\n")',
+        'out.write(f"  {i} -- {j};")',
+        ["tests/test_graphs.py::test_graph_dict_round_trip"]),
+    "output-stdout": (
+        "graphs.py",
+        "nullcontext(sys.stdout)",
+        "nullcontext(sys.stderr)",
+        ["tests/test_graphs.py::test_write_graph_writes_json_dumps_layout"]),
     # how a command line run ends (cli.run): each step before os._exit
     "exit-stdout-flush": (
         "cli.py",

@@ -322,6 +322,20 @@ def brute_maximal_independent_sets(g: Graph, mask: int) -> set[int]:
             if not any(sub < other for other in found)}
 
 
+def graph_dict(g: Graph) -> dict:
+    """The object of g's graph file, {"n", "edges", "label"} ("label" only
+    when g has one), each edge [i, j] once with i < j in lexicographic
+    order, found by testing every pair: json.dumps of it at indent 1, and a
+    newline, is the reference for the bytes that graphs.write_graph
+    streams."""
+    d: dict = {"n": g.n, "edges": [[i, j] for i, j in
+                                   combinations(range(g.n), 2)
+                                   if g.adj[i] >> j & 1]}
+    if g.label is not None:
+        d["label"] = g.label
+    return d
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.4,
                  label: str | None = None) -> Graph:
     edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < p]

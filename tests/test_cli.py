@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import support
-from bicliques import cli, oracle, powers, reduction
+from bicliques import cli, colouring, oracle, powers, reduction
 from bicliques.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
 from bicliques.colouring import biclique_colour_cycle, biclique_colour_path
 from bicliques.graphs import (DOT_PALETTE, INPUT_CAP, Graph, read_graph,
@@ -58,16 +58,40 @@ def test_gen_circulant(tmp_path):
     ("100000000", "0", "distances must be positive integers, got 0"),
     ("100000000", "100000000", "distance 100000000 is 0 mod 100000000"),
     ("30000", "-3", "distances must be positive integers, got -3"),
+    *(("13", d, "--distances must be comma-separated integers, "
+       f"got {d!r}") for d in ("1_0", "\u0661", "1,\u0662", "+1", " 1",
+                               "\uff11")),
 ])
 def test_gen_circulant_checks_distances_before_the_caps(tmp_path, capsys, n,
                                                         distances, message):
-    """A bad distance is bad input at any n: these once exited 3 on the
-    rows cap, while the same distance at n = 13 exited 2."""
+    """A bad distance is bad input at any n: the first three once exited 3
+    on the rows cap, while the same distance at n = 13 exited 2.  A
+    distance is -?[0-9]+: int() alone also reads "1_0" as 10, other
+    Unicode digits, a "+" and spaces, and such a circulant was built."""
     out = tmp_path / "c.json"
     assert main(["gen", "circulant", "--n", n, "--distances", distances,
                  "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "path", "--n", "5", "--k", "2", "--distances", "1,2"],
+     "path takes no --distances"),
+    (["gen", "cycle", "--n", "5", "--k", "2", "--distances", "1"],
+     "cycle takes no --distances"),
+    (["gen", "circulant", "--n", "5", "--k", "9", "--distances", "1"],
+     "circulant takes no --k"),
+], ids=["path", "cycle", "circulant"])
+def test_gen_refuses_a_flag_its_kind_does_not_take(tmp_path, capsys, argv,
+                                                   message):
+    """--distances names a circulant and --k a power: given to the other
+    kind, each is bad input, not ignored, and nothing is written."""
+    for outputs in ([], ["--out", "g.json", "--dot", "g.dot"]):
+        assert main([*argv, *(str(tmp_path / a) if a.startswith("g.") else a
+                              for a in outputs)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_dot_output(tmp_path):
@@ -570,16 +594,17 @@ def test_closed_forms_at_the_cap_in_bounded_time_and_memory(tmp_path, argv,
     (["gen", "cycle", "--n", "20000", "--k", "50", "--out", "out"],
      26889055, 120),
     (["chromatic", "cycle", "--n", "20000", "--k", "50", "--dot", "out"],
-     17497950, 250),
+     17497950, 120),
 ], ids=["gen", "dot"])
 def test_edges_at_the_cap_in_bounded_time_and_memory(tmp_path, argv, size,
                                                      max_rss):
     """EDGES_CAP is priced at the cap: C_20000^50 has exactly EDGES_CAP
     edges.  gen streams them to a file under INPUT_CAP, so verify can read
     it back, holding no edge list (seen 0.4-1.2 s and 66 MB, against 3-4 s
-    and 181 MB with the list); chromatic --dot builds its text whole (seen
-    0.7-0.9 s and 178 MB).  Each runs in a child limited to 1 GiB of
-    address space."""
+    and 181 MB with the list); chromatic --dot streams its lines the same
+    way (seen 0.6-0.7 s and 67 MB, against 0.8 s and 178 MB with its text
+    built whole).  Each runs in a child limited to 1 GiB of address
+    space."""
     assert powers.power_edge_count("cycle", 20000, 50) == cli.EDGES_CAP
     code, out, err, wall, rss = _run_limited(argv, tmp_path)
     assert (code, err) == (EXIT_OK, "")
@@ -1145,6 +1170,26 @@ def test_reduce_of_many_conflicting_clauses_exits_3_at_once(tmp_path):
     assert wall < 5
 
 
+@pytest.mark.parametrize("text, line, what", [
+    ("p cnf 1 1\n\u0661 0\n", 2, "bad literal '\u0661'"),
+    ("p cnf 10 1\n1_0 0\n", 2, "bad literal '1_0'"),
+    ("p cnf 1 1\n+1 0\n", 2, "bad literal '+1'"),
+    ("p cnf 1 1\n1 \uff10\n", 2, "bad literal '\uff10'"),
+    ("p cnf \u0661 1\n1 0\n", 1, "bad header 'p cnf \u0661 1'"),
+    ("p cnf 1 1_0\n1 0\n", 1, "bad header 'p cnf 1 1_0'"),
+], ids=["arabic-indic", "underscore", "plus", "fullwidth-zero",
+        "header-vars", "header-clauses"])
+def test_dimacs_numbers_are_ascii_digits(tmp_path, capsys, text, line, what):
+    """A DIMACS number is -?[0-9]+: int() alone reads "\u0661" as 1, "1_0"
+    as 10 and "+1" as 1, so such a file was reduced and exited 0."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text, encoding="utf-8")
+    assert main(["reduce", str(cnf), "--out-prefix",
+                 str(tmp_path / "f")]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {cnf}: line {line}: {what}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["f.cnf"]
+
+
 def test_reduce_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 1 1\n1\n")
@@ -1275,6 +1320,57 @@ def test_power_label_past_the_int_digit_limit_names_no_power_graph(
                                      "label": label}))
         assert main(["verify", str(graph), str(col)]) == EXIT_OK
         assert capsys.readouterr().out == "valid\n"
+
+
+def test_a_label_of_other_digits_names_no_power_graph(tmp_path, capsys):
+    """A label's n and k are ASCII digits: with Arabic-Indic or fullwidth
+    digits the label names no power graph, so verify of this 30-vertex path
+    asks the oracle, whose cap refuses it, where "P_30^1" is checked as the
+    closed form's family."""
+    graph, col = tmp_path / "g.json", tmp_path / "c.json"
+    col.write_text(json.dumps({"n": 30,
+                               "colours": [i // 2 % 2 for i in range(30)]}))
+    edges = [[i, i + 1] for i in range(29)]
+    for label, code in (("P_30^1", EXIT_OK), ("P_\u0663\u0660^1", EXIT_CAPACITY),
+                        ("P_30^\u0661", EXIT_CAPACITY),
+                        ("P_\uff13\uff10^1", EXIT_CAPACITY)):
+        graph.write_text(json.dumps({"n": 30, "edges": edges,
+                                     "label": label}))
+        assert (powers.power_params(label, 30, edges) is None) == \
+            (code != EXIT_OK)
+        assert main(["verify", str(graph), str(col)]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            assert (out, err) == ("valid\n", "")
+        else:
+            assert out == "" and "subset scan is capped at n <= 22" in err
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["bicliques", "--kind", "cycle", "--n", "1000", "--k", "5"], powers,
+     "power_family"),
+    (["bicliques", "--graph", "{graph}", "--mode", "star"], oracle,
+     "maximal_stars"),
+    (["sweep", "--kind", "path", "--k-from", "1", "--k-to", "2",
+      "--n-from", "2", "--n-to", "9"], colouring, "closed_form"),
+], ids=["bicliques-kind", "bicliques-graph", "sweep"])
+def test_an_output_that_cannot_be_opened_stops_before_the_work(
+        tmp_path, capsys, monkeypatch, argv, module, name):
+    """bicliques and sweep open --out before they list a family or compute
+    a row, so a path that cannot be opened exits 2 at once, with nothing
+    written."""
+    graph = tmp_path / "p5.json"
+    write_graph(powers.power_path(5, 1), graph)
+
+    def listed(*args):
+        raise AssertionError(f"{name} ran before --out was opened")
+    monkeypatch.setattr(module, name, listed)
+    out = tmp_path / "missing" / "x.json"
+    assert main([a.format(graph=graph) for a in argv]
+                + ["--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr() == \
+        ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["p5.json"]
 
 
 def test_chromatic_bad_params(capsys):

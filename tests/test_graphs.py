@@ -1,8 +1,10 @@
 """Graph core: representation invariants, predicates against independent
 checkers, and serialization round-trips."""
 
+import io
 import json
 import random
+from contextlib import redirect_stdout
 from itertools import combinations, permutations
 
 import pytest
@@ -21,7 +23,6 @@ from bicliques.graphs import (
     induced_p3s,
     contains_k4,
     graph_fields,
-    graph_to_dict,
     is_maximal_cb,
     is_maximal_star,
     is_star_set,
@@ -239,13 +240,23 @@ def _assert_maximality_matches_walk(adj):
     assert checked  # some smaller sets were compared
 
 
+def _written(writer, *args) -> str:
+    """What writer(*args) writes to stdout (a path of None), captured."""
+    with redirect_stdout(io.StringIO()) as out:
+        writer(*args)
+    return out.getvalue()
+
+
 def _assert_edge_listings_match(g):
-    """g.edges(), graph_to_dict's edges and write_dot's edge lines are the
-    reference listing: each pair once, i < j, in lexicographic order."""
+    """g.edges(), the edges of write_graph's JSON and write_dot's edge lines
+    are the reference listing: each pair once, i < j, in lexicographic
+    order."""
     ref = [(i, j) for i in range(g.n) for j in vertices_of(g.adj[i]) if i < j]
     assert g.edges() == ref
-    assert graph_to_dict(g)["edges"] == [[i, j] for i, j in ref]
-    dot_edges = [line for line in write_dot(g).splitlines() if " -- " in line]
+    written = json.loads(_written(write_graph, g, None))
+    assert written["edges"] == [[i, j] for i, j in ref]
+    dot = _written(write_dot, g, None)
+    dot_edges = [line for line in dot.splitlines() if " -- " in line]
     assert dot_edges == [f"  {i} -- {j};" for i, j in ref]
 
 
@@ -547,14 +558,15 @@ def test_induced_shape():
 @given(support.graph_strategy(max_n=16))
 @settings(max_examples=80, deadline=None)
 def test_graph_dict_round_trip(g):
-    assert Graph.from_edges(*graph_fields(graph_to_dict(g))) == g
+    written = json.loads(_written(write_graph, g, None))
+    assert Graph.from_edges(*graph_fields(written)) == g
     _assert_edge_listings_match(g)
 
 
 def test_graph_fields_returns_the_edges_it_checked_uncopied():
     """graph_fields checks the file's [i, j] entries where they are and
     returns that same list, so a large file's edges are held once."""
-    d = graph_to_dict(power_cycle(9, 2))
+    d = support.graph_dict(power_cycle(9, 2))
     n, edges, label = graph_fields(d)
     assert (n, label) == (9, "C_9^2")
     assert edges is d["edges"]
@@ -579,9 +591,9 @@ def test_graph_file_round_trip(tmp_path):
 ], ids=lambda g: f"{(g.label or 'unlabelled').split()[0]}-n{g.n}")
 def test_write_graph_writes_json_dumps_layout(tmp_path, capsys, g):
     """write_graph streams its edges in exactly the bytes that json.dump
-    of graph_to_dict writes at indent 1, to a file and to stdout: "[]"
+    of support.graph_dict writes at indent 1, to a file and to stdout: "[]"
     for no edges, and the label escaped as JSON."""
-    expected = json.dumps(graph_to_dict(g), indent=1) + "\n"
+    expected = json.dumps(support.graph_dict(g), indent=1) + "\n"
     path = tmp_path / "g.json"
     write_graph(g, path)
     assert path.read_bytes() == expected.encode()
@@ -617,13 +629,16 @@ def test_read_graph_error_reporting(tmp_path):
         assert f"{bad}: " in str(exc.value) and fragment in str(exc.value)
 
 
-def test_write_dot_palette_and_colours():
+def test_write_dot_palette_and_colours(capsys):
     g = power_path(3, 1)
-    plain = write_dot(g)
+    write_dot(g, None)
+    plain = capsys.readouterr().out
     assert "0 -- 1" in plain and "1 -- 2" in plain
-    coloured = write_dot(g, colours=(0, 1, 0))
+    write_dot(g, None, colours=(0, 1, 0))
+    coloured = capsys.readouterr().out
     assert DOT_PALETTE[0] in coloured and DOT_PALETTE[1] in coloured
     assert coloured.count(DOT_PALETTE[0]) == 2
     # colour ids past the palette wrap around instead of failing
-    many = write_dot(power_path(9, 1), colours=tuple(range(9)))
+    write_dot(power_path(9, 1), None, colours=tuple(range(9)))
+    many = capsys.readouterr().out
     assert DOT_PALETTE[8 % len(DOT_PALETTE)] in many

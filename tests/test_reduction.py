@@ -1,6 +1,7 @@
 """CNF handling, normalization, and the satisfiability-to-biclique-containment
 gadget, with equisatisfiability checked by an independent truth-table walker."""
 
+import json
 import random
 import time
 
@@ -26,12 +27,12 @@ from bicliques.reduction import (
     decode_assignment,
     evaluate,
     find_satisfying_assignment,
-    instance_to_dict,
     literal_vertex,
     normalization_violations,
     normalize,
     read_dimacs,
     write_dimacs,
+    write_instance,
 )
 
 PHI = CnfFormula.of(5, [(1, -2, 4), (2, -3, -5), (1, 3, 5)])
@@ -216,8 +217,19 @@ def test_build_instance_structure():
         build_instance(CnfFormula.of(3, [(1, 2)]))  # unused variable
 
 
-def test_instance_serialization():
-    d = instance_to_dict(build_instance(PHI))
+def test_instance_serialization(tmp_path):
+    """The written instance file holds the gadget, in the bytes that
+    json.dump writes at indent 1 of the graph file's object followed by
+    "v_prime" and "roles"."""
+    inst = build_instance(PHI)
+    path = tmp_path / "phi.instance.json"
+    write_instance(inst, path)
+    text = path.read_text()
+    d = json.loads(text)
+    assert text == json.dumps({
+        **support.graph_dict(inst.graph), "v_prime": list(inst.v_prime),
+        "roles": {str(v): role for v, role in enumerate(inst.roles)}},
+        indent=1) + "\n"
     assert d["n"] == 14
     assert d["v_prime"] == list(range(11))
     assert d["roles"]["0"] == "u" and d["roles"]["13"] == "c3"
